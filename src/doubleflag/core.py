@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -149,7 +148,12 @@ def make_graph(shape, edges=(), marked_plus=(), marked_minus=()) -> Graph:
 @dataclass(frozen=True)
 class PartialPermutationPair:
     """A (p+q) x r zero-one matrix of full rank whose top and bottom blocks
-    are partial permutations (at most one 1 per row and per column)."""
+    are partial permutations (at most one 1 per row and per column).
+
+    Full rank needs no separate check: each row has at most one 1, so
+    distinct columns have disjoint supports, and nonzero columns with
+    disjoint supports are linearly independent.
+    """
 
     shape: Shape
     matrix: tuple  # rows, each a tuple of length r
@@ -171,28 +175,6 @@ class PartialPermutationPair:
         for col in range(r):
             if all(row[col] == 0 for row in m):
                 raise ValueError("zero column")
-        if _rational_rank(m) != r:
-            raise ValueError("matrix does not have full rank")
-
-
-def _rational_rank(rows) -> int:
-    """Rank over Q by fraction-free Gaussian elimination."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        pivot = next((k for k in range(rank, len(mat)) if mat[k][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for k in range(len(mat)):
-            if k != rank and mat[k][col] != 0:
-                f = mat[k][col]
-                mat[k] = [a - f * b for a, b in zip(mat[k], mat[rank])]
-        rank += 1
-    return rank
 
 
 def graph_from_matrix(m: PartialPermutationPair) -> Graph:
@@ -265,19 +247,22 @@ def enumerate_graphs(shape: Shape) -> tuple:
     return tuple(out)
 
 
+def triple_count(shape: Shape, triple) -> int:
+    """Number of orbits of type (k, s, t): multinomial(p; k, s, s') *
+    multinomial(q; k, t, t') * k!, with s' = p-k-s and t' = q-k-t."""
+    k, s, t = triple
+    sp, tp = shape.p - k - s, shape.q - k - t
+    return (
+        math.factorial(shape.p) // (math.factorial(k) * math.factorial(s) * math.factorial(sp))
+        * (math.factorial(shape.q) // (math.factorial(k) * math.factorial(t) * math.factorial(tp)))
+        * math.factorial(k)
+    )
+
+
 def count_orbits(shape: Shape) -> int:
-    """Closed-form orbit count: sum of multinomial(p;k,s,s') *
-    multinomial(q;k,t,t') * k! over admissible triples."""
-    total = 0
-    for k, s, t in admissible_triples(shape):
-        sp = shape.p - k - s
-        tp = shape.q - k - t
-        total += (
-            math.factorial(shape.p) // (math.factorial(k) * math.factorial(s) * math.factorial(sp))
-            * (math.factorial(shape.q) // (math.factorial(k) * math.factorial(t) * math.factorial(tp)))
-            * math.factorial(k)
-        )
-    return total
+    """Closed-form orbit count: the sum of ``triple_count`` over admissible
+    triples."""
+    return sum(triple_count(shape, triple) for triple in admissible_triples(shape))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,10 @@ one of three ways, read off from the degrees of the vertices i, i+1:
 Here xi' is the basis vector of the reflected orbit.  Extending linearly
 over integer polynomials in q gives the module structure; specializing at
 q = 1 gives the permutation representation of the Weyl group S_p x S_q.
+
+The rule is evaluated once per shape: ``Basis(shape).action`` holds, for
+every generator, the case and the reflected orbit's index at each orbit,
+and every consumer of the action reads that table.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .core import (
     enumerate_graphs,
     identity_perm,
     transposition,
+    triple_count,
     weyl_act,
 )
 from .polynomial import ONE, Q, ZERO, IntPoly
@@ -42,12 +47,25 @@ class GeneratorCase(enum.Enum):
 
 @lru_cache(maxsize=None)
 class Basis:
-    """Orbit basis in canonical enumeration order, with index lookup."""
+    """Orbit basis in canonical enumeration order, with index lookup and the
+    generator action table.
+
+    ``action[(side, i)][k]`` is the pair ``(case, partner)`` of the
+    generator at orbit k: its case and the index of the reflected orbit
+    (k itself in case I).
+    """
 
     def __init__(self, shape: Shape):
         self.shape = shape
         self.graphs = enumerate_graphs(shape)
         self.index = {g: i for i, g in enumerate(self.graphs)}
+        self.action = {
+            (side, i): tuple(
+                (classify(g, side, i), self.index[reflect(g, side, i)])
+                for g in self.graphs
+            )
+            for side, i in generators(shape)
+        }
 
     def __len__(self):
         return len(self.graphs)
@@ -142,23 +160,25 @@ class ModuleVector:
         return {k: v for k, v in out.items() if v}
 
 
+_Q_MINUS_ONE = Q - 1
+
+
 def apply_generator(side: str, i: int, v: ModuleVector) -> ModuleVector:
     """T_i * v, extended linearly from the three-case rule on basis vectors."""
-    basis = Basis(v.shape)
-    out = ModuleVector(v.shape)
+    _check_generator(v.shape, side, i)
+    table = Basis(v.shape).action[(side, i)]
+    out = {}
     for idx, coeff in v.coords.items():
-        g = basis.graphs[idx]
-        case = classify(g, side, i)
+        case, jdx = table[idx]
         if case is GeneratorCase.CASE_I:
-            term = ModuleVector(v.shape, {idx: Q})
+            terms = ((idx, Q),)
+        elif case is GeneratorCase.CASE_II:
+            terms = ((idx, _Q_MINUS_ONE), (jdx, Q))
         else:
-            jdx = basis.index[reflect(g, side, i)]
-            if case is GeneratorCase.CASE_II:
-                term = ModuleVector(v.shape, {idx: Q - 1, jdx: Q})
-            else:
-                term = ModuleVector(v.shape, {jdx: ONE})
-        out = out + term.scale(coeff)
-    return out
+            terms = ((jdx, ONE),)
+        for k, c in terms:
+            out[k] = out.get(k, ZERO) + c * coeff
+    return ModuleVector(v.shape, out)
 
 
 @dataclass(frozen=True)
@@ -251,18 +271,6 @@ class WeylBlock:
     stabilizer_order: int
 
 
-def _expected_orbit_size(shape: Shape, triple) -> int:
-    k, s, t = triple
-    sp, tp = shape.p - k - s, shape.q - k - t
-    mp = math.factorial(shape.p) // (
-        math.factorial(k) * math.factorial(s) * math.factorial(sp)
-    )
-    mq = math.factorial(shape.q) // (
-        math.factorial(k) * math.factorial(t) * math.factorial(tp)
-    )
-    return mp * mq * math.factorial(k)
-
-
 def _expected_stabilizer_order(shape: Shape, triple) -> int:
     k, s, t = triple
     sp, tp = shape.p - k - s, shape.q - k - t
@@ -277,12 +285,10 @@ def _expected_stabilizer_order(shape: Shape, triple) -> int:
 
 def q1_action_is_permutation(shape: Shape) -> bool:
     """At q = 1 every generator acts as the vertex-relabelling permutation."""
-    basis = Basis(shape)
-    for side, i in generators(shape):
-        for idx, g in enumerate(basis.graphs):
+    for (side, i), table in Basis(shape).action.items():
+        for idx, (_, jdx) in enumerate(table):
             image = apply_generator(side, i, ModuleVector.basis_vector(shape, idx))
-            expected = {basis.index[reflect(g, side, i)]: 1}
-            if image.specialize(1) != expected:
+            if image.specialize(1) != {jdx: 1}:
                 return False
     return True
 
@@ -299,7 +305,7 @@ def weyl_decompose(shape: Shape) -> list:
         raise AssertionError("q=1 specialization is not the permutation action")
 
     basis = Basis(shape)
-    gens = generators(shape)
+    tables = basis.action.values()
     seen = set()
     blocks = {}
     for start in range(len(basis)):
@@ -309,9 +315,8 @@ def weyl_decompose(shape: Shape) -> list:
         frontier = [start]
         while frontier:
             idx = frontier.pop()
-            g = basis.graphs[idx]
-            for side, i in gens:
-                jdx = basis.index[reflect(g, side, i)]
+            for table in tables:
+                jdx = table[idx][1]
                 if jdx not in orbit:
                     orbit.add(jdx)
                     frontier.append(jdx)
@@ -323,7 +328,7 @@ def weyl_decompose(shape: Shape) -> list:
         triple = triples.pop()
         if triple in blocks:
             raise AssertionError(f"two Weyl orbits share the type {triple}")
-        if len(orbit) != _expected_orbit_size(shape, triple):
+        if len(orbit) != triple_count(shape, triple):
             raise AssertionError(f"orbit size mismatch for type {triple}")
 
         base = basis.graphs[min(orbit)]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import Graph, Shape, enumerate_graphs, rank_matrix
-from .hecke import Basis, ModuleVector, apply_generator, classify, generators
+from .hecke import Basis, ModuleVector, apply_generator, generators
 
 ENUMERATION_BUDGET = 10**5
 
@@ -42,7 +42,8 @@ def gaussian_binomial(n: int, r: int, q: int) -> int:
     for i in range(r):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise AssertionError(f"Gaussian binomial [{n} choose {r}]_{q} is not an integer")
     return num // den
 
 
@@ -97,7 +98,8 @@ def enumerate_grassmannian(shape: Shape, field_size: int) -> list:
             for (row, col), v in zip(free, values):
                 mat[row][col] = v
             out.append(tuple(tuple(row) for row in mat))
-    assert len(out) == total
+    if len(out) != total:
+        raise AssertionError(f"enumerated {len(out)} points, expected {total}")
     return out
 
 
@@ -143,7 +145,8 @@ def graph_subspace(g: Graph, field_size: int) -> tuple:
     if not rows:
         return ()
     canon, rank = rref(rows, field_size)
-    assert rank == g.shape.r
+    if rank != g.shape.r:
+        raise AssertionError(f"base point has rank {rank}, expected r={g.shape.r}")
     return canon
 
 
@@ -302,8 +305,9 @@ def certify_theorem(shape: Shape, field_sizes) -> CertificationReport:
     for field_size in field_sizes:
         _check_field(field_size)
         for side, i in generators(shape):
+            table = basis.action[(side, i)]
             for idx, g in enumerate(basis.graphs):
-                case = classify(g, side, i)
+                case = table[idx][0]
                 symbolic = apply_generator(
                     side, i, ModuleVector.basis_vector(shape, idx)
                 )

@@ -19,6 +19,7 @@ from doubleflag import (
     weyl_act,
 )
 from doubleflag.core import compose_perms, identity_perm, transposition
+from doubleflag.oracle import rref
 
 SHAPE_534 = Shape(5, 3, 4)
 
@@ -88,6 +89,22 @@ class TestGraphFromMatrix:
         bad = tuple(tuple(row) for row in [[1, 1], [0, 0], [0, 1], [1, 0]])
         with pytest.raises(ValueError):
             PartialPermutationPair(Shape(2, 2, 2), bad)
+
+    def test_accepted_matrices_have_full_rank(self):
+        # rank mod 101 <= rank over Q <= r, so rank r mod 101 proves full rank
+        accepted = 0
+        for p, q in [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]:
+            for r in range(min(p + q, 3) + 1):
+                shape = Shape(p, q, r)
+                for bits in itertools.product((0, 1), repeat=(p + q) * r):
+                    m = tuple(tuple(bits[k * r : (k + 1) * r]) for k in range(p + q))
+                    try:
+                        PartialPermutationPair(shape, m)
+                    except ValueError:
+                        continue
+                    accepted += 1
+                    assert rref(m, 101)[1] == r
+        assert accepted
 
 
 class TestMatrixFromGraph:

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doubleflag import (
     GeneratorCase,
@@ -13,7 +15,7 @@ from doubleflag import (
     weyl_decompose,
 )
 from doubleflag.hecke import Basis, generators, reflect
-from doubleflag.polynomial import ONE, Q, ZERO
+from doubleflag.polynomial import ONE, Q, ZERO, IntPoly
 
 S222 = Shape(2, 2, 2)
 CROSS = make_graph(S222, [(1, 2), (2, 1)])
@@ -84,12 +86,56 @@ class TestApplyGenerator:
         out = apply_generator("+", 1, v)
         assert out.coords == {idx(S222, CROSS): ONE}
 
+    @pytest.mark.parametrize("side,i", [("+", 2), ("+", 0), ("x", 1)])
+    def test_bad_generator(self, side, i):
+        for v in (ModuleVector(S222), ModuleVector.basis_vector(S222, 0)):
+            with pytest.raises(ValueError):
+                apply_generator(side, i, v)
+
     def test_linearity(self):
         a = ModuleVector.basis_vector(S222, idx(S222, CROSS)).scale(Q + 1)
         b = ModuleVector.basis_vector(S222, idx(S222, BOTH_MARKED)).scale(2)
         lhs = apply_generator("+", 1, a + b)
         rhs = apply_generator("+", 1, a) + apply_generator("+", 1, b)
         assert lhs == rhs
+
+
+def reference_apply_generator(side, i, v):
+    """The three-case rule evaluated per basis vector with classify and
+    reflect, as apply_generator did before the per-shape table."""
+    basis = Basis(v.shape)
+    out = ModuleVector(v.shape)
+    for k, coeff in v.coords.items():
+        g = basis.graphs[k]
+        case = classify(g, side, i)
+        if case is GeneratorCase.CASE_I:
+            term = ModuleVector(v.shape, {k: Q})
+        else:
+            j = basis.index[reflect(g, side, i)]
+            if case is GeneratorCase.CASE_II:
+                term = ModuleVector(v.shape, {k: Q - 1, j: Q})
+            else:
+                term = ModuleVector(v.shape, {j: ONE})
+        out = out + term.scale(coeff)
+    return out
+
+
+@st.composite
+def shape_and_vector(draw):
+    p = draw(st.integers(1, 5))
+    q = draw(st.integers(1, 6 - p))
+    shape = Shape(p, q, draw(st.integers(0, p + q)))
+    n = len(Basis(shape))
+    coeffs = st.lists(st.integers(-3, 3), max_size=3).map(lambda c: IntPoly(tuple(c)))
+    coords = draw(st.dictionaries(st.integers(0, n - 1), coeffs, max_size=6))
+    return ModuleVector(shape, coords)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape_and_vector())
+def test_table_action_matches_three_case_rule(v):
+    for side, i in generators(v.shape):
+        assert apply_generator(side, i, v) == reference_apply_generator(side, i, v)
 
 
 class TestOperatorMatrix:

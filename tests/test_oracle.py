@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from doubleflag import (
@@ -49,6 +54,28 @@ class TestGrassmannian:
     def test_budget(self):
         with pytest.raises(ValueError):
             enumerate_grassmannian(Shape(6, 6, 6), 7)
+
+    def test_point_count_checked_under_optimize(self):
+        # The count check must survive ``python -O``, which strips asserts.
+        script = (
+            "from doubleflag import Shape, oracle\n"
+            "exact = oracle.gaussian_binomial\n"
+            "oracle.gaussian_binomial = lambda n, r, q: exact(n, r, q) + 1\n"
+            "try:\n"
+            "    oracle.enumerate_grassmannian(Shape(1, 1, 1), 3)\n"
+            "except AssertionError:\n"
+            "    print('raised')\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "raised\n"
 
 
 class TestRankProfile:
