@@ -111,9 +111,6 @@ class Graph:
         """The (k, s, t) = (#edges, #marked+, #marked-) type of the orbit."""
         return (len(self.edges), len(self.marked_plus), len(self.marked_minus))
 
-    def sort_key(self):
-        return (sorted(self.edges), sorted(self.marked_plus), sorted(self.marked_minus))
-
     def to_json(self) -> dict:
         return {
             "p": self.shape.p,

@@ -27,13 +27,6 @@ from .hecke import Basis, ModuleVector, apply_generator, generators
 ENUMERATION_BUDGET = 10**5
 
 
-def _check_field(size: int):
-    if size == 2:
-        raise ValueError("field size 2 is excluded (characteristic must be odd)")
-    if size < 2 or any(size % d == 0 for d in range(2, int(size**0.5) + 1)):
-        raise ValueError(f"field size must be an odd prime, got {size}")
-
-
 def gaussian_binomial(n: int, r: int, q: int) -> int:
     """Number of r-dimensional subspaces of F_q^n."""
     if not 0 <= r <= n:
@@ -68,8 +61,22 @@ def rref(rows, p: int):
     return tuple(tuple(row) for row in mat), rank
 
 
-def _rank(rows, p: int) -> int:
-    return rref(rows, p)[1] if rows else 0
+def grassmannian_size(shape: Shape, field_size: int) -> int:
+    """Number of r-planes in F^n, checked before any point is built.
+
+    Raises ValueError for a field that is not an odd prime and for a count
+    over ``ENUMERATION_BUDGET``.
+    """
+    if field_size == 2:
+        raise ValueError("field size 2 is excluded (characteristic must be odd)")
+    if field_size < 2 or any(
+        field_size % d == 0 for d in range(2, int(field_size**0.5) + 1)
+    ):
+        raise ValueError(f"field size must be an odd prime, got {field_size}")
+    total = gaussian_binomial(shape.n, shape.r, field_size)
+    if total > ENUMERATION_BUDGET:
+        raise ValueError(f"Grassmannian has {total} points, over the budget")
+    return total
 
 
 def enumerate_grassmannian(shape: Shape, field_size: int) -> list:
@@ -78,11 +85,8 @@ def enumerate_grassmannian(shape: Shape, field_size: int) -> list:
     Enumerates by pivot-column choice and free entries; free entries sit to
     the right of their row's pivot, outside pivot columns.
     """
-    _check_field(field_size)
+    total = grassmannian_size(shape, field_size)
     n, r = shape.n, shape.r
-    total = gaussian_binomial(n, r, field_size)
-    if total > ENUMERATION_BUDGET:
-        raise ValueError(f"Grassmannian has {total} points, over the budget")
     out = []
     for pivots in itertools.combinations(range(n), r):
         free = [
@@ -107,20 +111,24 @@ def rank_profile(w, shape: Shape, field_size: int) -> tuple:
     """(p+1) x (q+1) table of dim(W cap (F_i+ + F_j-)) for the standard flags.
 
     F_i+ + F_j- is a coordinate subspace, so the intersection dimension is
-    r minus the rank of W restricted to the complementary coordinates.
+    r minus the rank of W restricted to the complementary coordinates
+    i+1..p and p+j+1..p+q.  With the columns ordered i+1..p, then p+q down
+    to p+1, the complement for every j is the prefix of length
+    (p-i)+(q-j).  The rank of W restricted to a column prefix is the number
+    of echelon pivots inside that prefix, so one elimination per i gives
+    the whole row.
     """
     p, q, r = shape.p, shape.q, shape.r
     rows = []
     for i in range(p + 1):
-        row = []
-        for j in range(q + 1):
-            comp = list(range(i, p)) + list(range(p + j, p + q))
-            if not comp or r == 0:
-                row.append(r)
-                continue
-            restricted = [[v[c] for c in comp] for v in w]
-            row.append(r - _rank(restricted, field_size))
-        rows.append(tuple(row))
+        cols = list(range(i, p)) + list(range(p + q - 1, p - 1, -1))
+        echelon, rank = rref([[v[c] for c in cols] for v in w], field_size)
+        pivots = [next(k for k, x in enumerate(row) if x) for row in echelon[:rank]]
+        rows.append(
+            tuple(
+                r - sum(k < p - i + q - j for k in pivots) for j in range(q + 1)
+            )
+        )
     return tuple(rows)
 
 
@@ -161,9 +169,6 @@ class OrbitClassification:
     orbit_of: dict  # RREF basis -> orbit index
     points: tuple  # points[k] = tuple of subspaces in orbit k
 
-    def representative(self, k: int):
-        return self.points[k][0]
-
 
 @lru_cache(maxsize=None)
 def classify_orbits(shape: Shape, field_size: int) -> OrbitClassification:
@@ -195,25 +200,18 @@ def classify_orbits(shape: Shape, field_size: int) -> OrbitClassification:
     )
 
 
-def _act_matrix(shape: Shape, side: str, i: int, c: int, field_size: int):
-    """The n x n matrix g = s_i u(c)^{-1} with u(c) = I + c E_{a,a+1}."""
-    n = shape.n
-    a = i - 1 if side == "+" else shape.p + i - 1
-    g = [[1 if x == y else 0 for y in range(n)] for x in range(n)]
-    g[a][a + 1] = (-c) % field_size  # u(c)^{-1} = u(-c)
-    g[a], g[a + 1] = g[a + 1], g[a]  # left-multiply by s_i
-    return g
+def _transform(w, a: int, c: int, p: int):
+    """Image of the subspace under s_i u(c)^{-1}, re-canonicalized.
 
-
-def _transform(w, g, p: int):
-    """Image of the subspace under v -> g v, re-canonicalized."""
-    if not w:
-        return ()
-    n = len(g)
-    rows = [
-        [sum(row[k] * g[x][k] for k in range(n)) % p for x in range(n)]
-        for row in w
-    ]
+    u(c)^{-1} = I - c E_{a,a+1} and s_i swaps coordinates a and a+1
+    (0-based), so each basis row changes in two coordinates only:
+    row[a], row[a+1] = row[a+1], row[a] - c row[a+1].
+    """
+    rows = []
+    for row in w:
+        row = list(row)
+        row[a], row[a + 1] = row[a + 1], (row[a] - c * row[a + 1]) % p
+        rows.append(row)
     return rref(rows, p)[0]
 
 
@@ -229,12 +227,12 @@ def convolution_action(
     cls = classify_orbits(shape, field_size)
     basis = Basis(shape)
     source = basis.index[g]
+    a = i - 1 if side == "+" else shape.p + i - 1
 
     def value_at(x) -> int:
         count = 0
         for c in range(field_size):
-            mat = _act_matrix(shape, side, i, c, field_size)
-            y = _transform(x, mat, field_size)
+            y = _transform(x, a, c, field_size)
             if cls.orbit_of.get(y, -1) == source:
                 count += 1
         return count
@@ -303,7 +301,7 @@ def certify_theorem(shape: Shape, field_sizes) -> CertificationReport:
     basis = Basis(shape)
     records = []
     for field_size in field_sizes:
-        _check_field(field_size)
+        grassmannian_size(shape, field_size)
         for side, i in generators(shape):
             table = basis.action[(side, i)]
             for idx, g in enumerate(basis.graphs):

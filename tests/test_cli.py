@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from doubleflag import cli
 from doubleflag.cli import main
 
 
@@ -95,6 +96,22 @@ def test_bad_generator_exits_2(capsys):
 
 def test_bad_field_exits_2(capsys):
     assert main(["verify", "--p", "1", "--q", "1", "--r", "1", "--field", "2"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--p", "4", "--q", "4", "--r", "4", "--field", "9"],
+        # 925,771 points over F_3: over the budget by closed form
+        ["--p", "4", "--q", "3", "--r", "3", "--field", "3"],
+    ],
+)
+def test_verify_checks_fields_before_relations(monkeypatch, argv):
+    def relations_not_reached(shape):
+        pytest.fail("verify_relations ran before the field check")
+
+    monkeypatch.setattr(cli, "verify_relations", relations_not_reached)
+    assert main(["verify", *argv]) == 2
 
 
 def test_out_file(tmp_path, capsys):

@@ -4,6 +4,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from doubleflag import (
     Shape,
@@ -16,7 +18,8 @@ from doubleflag import (
     rank_matrix,
     rank_profile,
 )
-from doubleflag.hecke import Basis
+from doubleflag import oracle
+from doubleflag.hecke import Basis, generators
 from doubleflag.oracle import graph_subspace, rref
 
 S222 = Shape(2, 2, 2)
@@ -98,6 +101,97 @@ class TestRankProfile:
         profiles = {rank_matrix(g).entries for g in Basis(S222).graphs}
         for w in enumerate_grassmannian(S222, 3):
             assert rank_profile(w, S222, 3) in profiles
+
+
+def _reference_rank_profile(w, shape, field_size):
+    """Test-only copy of the per-(i, j) rank profile: one elimination for
+    every complementary coordinate set."""
+    p, q, r = shape.p, shape.q, shape.r
+    rows = []
+    for i in range(p + 1):
+        row = []
+        for j in range(q + 1):
+            comp = list(range(i, p)) + list(range(p + j, p + q))
+            if not comp or r == 0:
+                row.append(r)
+                continue
+            restricted = [[v[c] for c in comp] for v in w]
+            row.append(r - rref(restricted, field_size)[1])
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _reference_transform(w, shape, side, i, c, field_size):
+    """Test-only copy of the dense transform: build the n x n matrix of
+    s_i u(c)^{-1} and multiply every basis row by it."""
+    n = shape.n
+    a = i - 1 if side == "+" else shape.p + i - 1
+    g = [[1 if x == y else 0 for y in range(n)] for x in range(n)]
+    g[a][a + 1] = (-c) % field_size  # u(c)^{-1} = u(-c)
+    g[a], g[a + 1] = g[a + 1], g[a]  # left-multiply by s_i
+    if not w:
+        return ()
+    rows = [
+        [sum(row[k] * g[x][k] for k in range(n)) % field_size for x in range(n)]
+        for row in w
+    ]
+    return rref(rows, field_size)[0]
+
+
+@st.composite
+def shape_field_point(draw):
+    """A shape with p+q <= 7, a field and the RREF of a random full-rank
+    r x n matrix over it."""
+    p = draw(st.integers(1, 6))
+    q = draw(st.integers(1, 7 - p))
+    shape = Shape(p, q, draw(st.integers(0, p + q)))
+    field = draw(st.sampled_from((3, 5, 7)))
+    entries = st.integers(0, field - 1)
+    mat = draw(
+        st.lists(
+            st.lists(entries, min_size=shape.n, max_size=shape.n),
+            min_size=shape.r,
+            max_size=shape.r,
+        )
+    )
+    w, rank = rref(mat, field)
+    assume(rank == shape.r)
+    return shape, field, w
+
+
+class TestDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(shape_field_point())
+    def test_rank_profile_matches_per_entry_elimination(self, case):
+        shape, field, w = case
+        assert rank_profile(w, shape, field) == _reference_rank_profile(
+            w, shape, field
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape_field_point())
+    def test_transform_matches_dense_product(self, case):
+        shape, field, w = case
+        for side, i in generators(shape):
+            a = i - 1 if side == "+" else shape.p + i - 1
+            for c in range(field):
+                assert oracle._transform(w, a, c, field) == _reference_transform(
+                    w, shape, side, i, c, field
+                )
+
+    def test_rank_profile_eliminations_per_point(self, monkeypatch):
+        calls = []
+
+        def counted(rows, p):
+            calls.append(1)
+            return rref(rows, p)
+
+        monkeypatch.setattr(oracle, "rref", counted)
+        shape = Shape(3, 2, 2)
+        for w in enumerate_grassmannian(shape, 3):
+            calls.clear()
+            rank_profile(w, shape, 3)
+            assert len(calls) <= shape.p + 1
 
 
 class TestClassifyOrbits:
