@@ -11,12 +11,38 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from .core import Shape, count_orbits, enumerate_graphs, invariants, rank_matrix
 from .hecke import operator_matrix, verify_relations, weyl_decompose
 from .oracle import certify_theorem, classify_orbits, grassmannian_size
 from .poset import build_poset, to_dot
+
+# Largest orbit count any subcommand accepts.  It admits every shape with
+# p+q <= 9 (at most 2,866 orbits); the dense n x n ``hecke-matrix`` output
+# is what grows fastest past it.
+ORBIT_BUDGET = 3000
+# Largest p! * q! that ``weyl-decomp`` brute-forces per stabilizer.
+STABILIZER_BUDGET = 10**4
+
+
+def _check_budgets(command: str, shape: Shape) -> None:
+    """Refuse an oversized run by closed forms, before any enumeration.
+
+    Raises ValueError if ``count_orbits(shape)`` is over ``ORBIT_BUDGET``,
+    or, for ``weyl-decomp``, if the group order p! * q! is over
+    ``STABILIZER_BUDGET``.
+    """
+    orbits = count_orbits(shape)
+    if orbits > ORBIT_BUDGET:
+        raise ValueError(f"shape has {orbits} orbits, over the budget of {ORBIT_BUDGET}")
+    if command == "weyl-decomp":
+        order = math.factorial(shape.p) * math.factorial(shape.q)
+        if order > STABILIZER_BUDGET:
+            raise ValueError(
+                f"Weyl group has {order} elements, over the budget of {STABILIZER_BUDGET}"
+            )
 
 
 def _shape_args(sub):
@@ -213,8 +239,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
+        _check_budgets(args.command, shape)
         return _COMMANDS[args.command](args, shape)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -4,6 +4,30 @@ The closure of an orbit contains another iff the rank matrix of the smaller
 orbit dominates (is entrywise >=) that of the bigger one.  The Hasse diagram
 is obtained by transitive reduction, and every cover raises the dimension by
 exactly one.
+
+Both steps run on big-integer bitsets, one bit per orbit.
+
+Dominance by threshold masks.  Flatten each rank matrix to a tuple of
+(p+1)(q+1) entries in 0..r.  For an entry position e and a value v, let
+``at_most[e][v]`` be the set of orbits whose entry e is <= v: put each orbit
+in ``at_most[e][its entry]``, then OR each mask into the next value up.  An
+orbit b is dominated by a iff entry e of b is <= entry e of a for every e,
+that is iff b lies in ``at_most[e][flat[a][e]]`` for every e; so the set of
+orbits a dominates, a's up-set in the closure order, is the AND of those
+(p+1)(q+1) masks.
+
+Covers by a walk in a linear extension.  If a < b then a's rank matrix
+dominates b's and differs from it (rank matrices separate orbits), so the
+entry sum of a is strictly larger.  Listing the orbits by decreasing entry
+sum is therefore a linear extension: every orbit strictly above a comes
+after a.  Give the bits of the masks positions in that list.  The lowest
+set bit b of a's strict up-set U is then minimal in U, since anything in U
+below b would come before b; so b covers a.  Clear b's whole up-set from U
+and repeat.  The lowest bit c left is again minimal in U: an element of U
+below c comes before c, so it was taken or cleared, and either way c lies
+above a taken cover and was cleared with that cover's up-set.  Every cover
+of a is reached, since a cover lies above no other element of U and so is
+never cleared.  This costs one step per cover, not one per comparable pair.
 """
 
 from __future__ import annotations
@@ -41,6 +65,27 @@ class OrbitPoset:
         return tops[0]
 
 
+def _dominated(flat, r: int) -> list:
+    """Bitsets of dominance: bit b of the a-th mask is set iff
+    flat[b][e] <= flat[a][e] for every position e (bit b stands for
+    flat[b]).  Entries lie in 0..r."""
+    at_most = [[0] * (r + 1) for _ in flat[0]]
+    for b, fb in enumerate(flat):
+        bit = 1 << b
+        for masks, v in zip(at_most, fb):
+            masks[v] |= bit
+    for masks in at_most:
+        for v in range(1, r + 1):
+            masks[v] |= masks[v - 1]
+    out = []
+    for fa in flat:
+        mask = -1
+        for masks, v in zip(at_most, fa):
+            mask &= masks[v]
+        out.append(mask)
+    return out
+
+
 def build_poset(shape: Shape) -> OrbitPoset:
     """Full closure order, Hasse covers and dimensions for one shape.
 
@@ -54,34 +99,26 @@ def build_poset(shape: Shape) -> OrbitPoset:
         raise AssertionError("rank matrices must separate orbits")
     dims = tuple(invariants(g).dim for g in orbits)
 
-    # leq[a] holds b as a bit iff profile[a] >= profile[b] entrywise.
-    leq = []
+    # leq[a] holds b as a bit iff profile[a] >= profile[b] entrywise: the
+    # AND over entries e of the threshold mask "entry e <= profile[a][e]".
     flat = [tuple(x for row in pr for x in row) for pr in profiles]
-    for a in range(n):
-        mask = 0
-        fa = flat[a]
-        for b in range(n):
-            if all(x >= y for x, y in zip(fa, flat[b])):
-                mask |= 1 << b
-        leq.append(mask)
+    leq = _dominated(flat, shape.r)
 
-    # Transitive reduction: b covers a iff a < b and nothing fits between.
-    above = [leq[a] & ~(1 << a) for a in range(n)]
-    below = [0] * n
-    for a in range(n):
-        m = above[a]
-        while m:
-            b = (m & -m).bit_length() - 1
-            below[b] |= 1 << a
-            m &= m - 1
+    # Covers, walked in a linear extension: position i of ``order`` holds
+    # the orbit with the i-th largest entry sum, and ``up[i]`` is its
+    # up-set with bits at positions of ``order``.  a < b forces a strictly
+    # larger entry sum for a (the profiles differ, checked above), so
+    # the lowest strict up-set bit is a minimal element, hence a cover;
+    # clearing that cover's up-set leaves the next cover lowest.
+    order = sorted(range(n), key=lambda a: -sum(flat[a]))
+    up = _dominated([flat[a] for a in order], shape.r)
     covers = []
-    for a in range(n):
-        m = above[a]
-        while m:
-            b = (m & -m).bit_length() - 1
-            if (above[a] & below[b]) == 0:
-                covers.append((a, b))
-            m &= m - 1
+    for i, a in enumerate(order):
+        rest = up[i] & ~(1 << i)
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            covers.append((a, order[j]))
+            rest &= ~up[j]
     covers.sort()
 
     for a, b in covers:

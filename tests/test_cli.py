@@ -1,4 +1,6 @@
 import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -127,3 +129,67 @@ def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--bogus", "1"])
     assert exc.value.code == 2
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "orbits.json"
+    code = main(["enumerate", "--p", "1", "--q", "1", "--r", "1", "--out", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not path.exists()
+
+
+# Every call by which a subcommand starts its work; an over-budget run must
+# exit before reaching any of them.
+WORK_ENTRY_POINTS = [
+    "enumerate_graphs",
+    "build_poset",
+    "operator_matrix",
+    "weyl_decompose",
+    "verify_relations",
+    "grassmannian_size",
+]
+
+SUBCOMMAND_FLAGS = {
+    "enumerate": [],
+    "invariants": [],
+    "hasse": [],
+    "hecke-matrix": ["--side", "+", "--index", "1"],
+    "weyl-decomp": [],
+    "verify": ["--field", "3"],
+}
+
+
+def _forbid_work(monkeypatch):
+    for name in WORK_ENTRY_POINTS:
+        def not_reached(*args, _name=name, **kwargs):
+            pytest.fail(f"{_name} ran before the budget check")
+
+        monkeypatch.setattr(cli, name, not_reached)
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+def test_orbit_budget_checked_before_work(monkeypatch, capsys, command):
+    # (5,5,5) has 10,922 orbits by the closed form, over ORBIT_BUDGET
+    assert cli.count_orbits(cli.Shape(5, 5, 5)) > cli.ORBIT_BUDGET
+    _forbid_work(monkeypatch)
+    argv = [command, "--p", "5", "--q", "5", "--r", "5", *SUBCOMMAND_FLAGS[command]]
+    assert main(argv) == 2
+    assert "over the budget" in capsys.readouterr().err
+
+
+def test_stabilizer_budget_checked_before_work(monkeypatch, capsys):
+    # (7,2,0) has a single orbit, but 7! * 2! = 10,080 group elements
+    assert cli.count_orbits(cli.Shape(7, 2, 0)) <= cli.ORBIT_BUDGET
+    assert math.factorial(7) * math.factorial(2) > cli.STABILIZER_BUDGET
+    _forbid_work(monkeypatch)
+    assert main(["weyl-decomp", "--p", "7", "--q", "2", "--r", "0"]) == 2
+    assert "over the budget" in capsys.readouterr().err
+
+
+def test_budgets_admit_every_benchmark_job():
+    golden = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
+    for job_id in json.loads(golden.read_text())["jobs"]:
+        argv = job_id.split()
+        shape = cli.Shape(*(int(argv[argv.index(flag) + 1]) for flag in ("--p", "--q", "--r")))
+        cli._check_budgets(argv[0], shape)  # raises ValueError if refused

@@ -1,8 +1,18 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from doubleflag import Shape, build_poset, closure_leq, enumerate_graphs, make_graph, to_dot
+from doubleflag import (
+    Shape,
+    build_poset,
+    closure_leq,
+    enumerate_graphs,
+    make_graph,
+    rank_matrix,
+    to_dot,
+)
 
 S222 = Shape(2, 2, 2)
 
@@ -81,3 +91,81 @@ def test_all_small_shapes_grade():
         for q in range(1, 4):
             for r in range(0, p + q + 1):
                 build_poset(Shape(p, q, r))  # raises on any grading violation
+
+
+@pytest.mark.parametrize("shape", [Shape(4, 4, 4), Shape(5, 3, 4), Shape(5, 4, 4)])
+def test_closure_shapes_grade_with_unique_top(shape):
+    poset = build_poset(shape)  # raises on a grading violation or several tops
+    n = len(poset.orbits)
+    for a, b in poset.covers:
+        assert poset.dims[b] == poset.dims[a] + 1
+    top = poset.top
+    assert poset.dims[top] == max(poset.dims)
+    # below a unique maximal orbit, every other orbit is covered by something
+    assert {a for a, _ in poset.covers} == set(range(n)) - {top}
+
+
+# Test-only copies of the pairwise dominance loop and the transitive
+# reduction that build_poset used before its bitset rewrite.
+def _reference_leq(shape):
+    flat = [
+        tuple(x for row in rank_matrix(g).entries for x in row)
+        for g in enumerate_graphs(shape)
+    ]
+    n = len(flat)
+    leq = []
+    for a in range(n):
+        mask = 0
+        for b in range(n):
+            if all(x >= y for x, y in zip(flat[a], flat[b])):
+                mask |= 1 << b
+        leq.append(mask)
+    return tuple(leq)
+
+
+def _reference_covers(leq):
+    n = len(leq)
+    above = [leq[a] & ~(1 << a) for a in range(n)]
+    below = [0] * n
+    for a in range(n):
+        m = above[a]
+        while m:
+            b = (m & -m).bit_length() - 1
+            below[b] |= 1 << a
+            m &= m - 1
+    covers = []
+    for a in range(n):
+        m = above[a]
+        while m:
+            b = (m & -m).bit_length() - 1
+            if (above[a] & below[b]) == 0:
+                covers.append((a, b))
+            m &= m - 1
+    return tuple(sorted(covers))
+
+
+@st.composite
+def shapes(draw, max_n=7):
+    n = draw(st.integers(2, max_n))
+    p = draw(st.integers(1, n - 1))
+    return Shape(p, n - p, draw(st.integers(0, n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes())
+def test_bitset_poset_matches_pairwise_reference(shape):
+    poset = build_poset(shape)
+    leq = _reference_leq(shape)
+    assert poset.leq == leq
+    assert poset.covers == _reference_covers(leq)
+
+
+def test_is_leq_matches_closure_leq():
+    for n in range(2, 6):
+        for p in range(1, n):
+            for r in range(n + 1):
+                poset = build_poset(Shape(p, n - p, r))
+                orbits = poset.orbits
+                for a, ga in enumerate(orbits):
+                    for b, gb in enumerate(orbits):
+                        assert poset.is_leq(a, b) == closure_leq(ga, gb), (a, b)
