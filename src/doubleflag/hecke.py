@@ -163,20 +163,23 @@ class ModuleVector:
 _Q_MINUS_ONE = Q - 1
 
 
+def _image_terms(idx: int, case: GeneratorCase, jdx: int) -> tuple:
+    """T_i xi_idx as (orbit index, coefficient) pairs, where jdx is the
+    reflected orbit: q xi, (q-1) xi + q xi' or xi' by the three cases."""
+    if case is GeneratorCase.CASE_I:
+        return ((idx, Q),)
+    if case is GeneratorCase.CASE_II:
+        return ((idx, _Q_MINUS_ONE), (jdx, Q))
+    return ((jdx, ONE),)
+
+
 def apply_generator(side: str, i: int, v: ModuleVector) -> ModuleVector:
     """T_i * v, extended linearly from the three-case rule on basis vectors."""
     _check_generator(v.shape, side, i)
     table = Basis(v.shape).action[(side, i)]
     out = {}
     for idx, coeff in v.coords.items():
-        case, jdx = table[idx]
-        if case is GeneratorCase.CASE_I:
-            terms = ((idx, Q),)
-        elif case is GeneratorCase.CASE_II:
-            terms = ((idx, _Q_MINUS_ONE), (jdx, Q))
-        else:
-            terms = ((jdx, ONE),)
-        for k, c in terms:
+        for k, c in _image_terms(idx, *table[idx]):
             out[k] = out.get(k, ZERO) + c * coeff
     return ModuleVector(v.shape, out)
 
@@ -196,13 +199,19 @@ def operator_matrix(shape: Shape, side: str, i: int) -> OperatorMatrix:
     """Dense matrix of T_i over the orbit basis, columns = images of basis
     vectors."""
     _check_generator(shape, side, i)
-    basis = Basis(shape)
-    n = len(basis)
-    cols = [apply_generator(side, i, ModuleVector.basis_vector(shape, c)) for c in range(n)]
-    entries = tuple(
-        tuple(cols[c].coords.get(r, ZERO) for c in range(n)) for r in range(n)
-    )
-    return OperatorMatrix(shape, side, i, entries)
+    table = Basis(shape).action[(side, i)]
+    n = len(table)
+    nonzero = [{} for _ in range(n)]  # nonzero[row][col]
+    for col, (case, jdx) in enumerate(table):
+        for row, coeff in _image_terms(col, case, jdx):
+            nonzero[row][col] = nonzero[row].get(col, ZERO) + coeff
+    entries = []
+    for terms in nonzero:
+        row = [ZERO] * n
+        for col, coeff in terms.items():
+            row[col] = coeff
+        entries.append(tuple(row))
+    return OperatorMatrix(shape, side, i, tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -284,11 +293,21 @@ def _expected_stabilizer_order(shape: Shape, triple) -> int:
 
 
 def q1_action_is_permutation(shape: Shape) -> bool:
-    """At q = 1 every generator acts as the vertex-relabelling permutation."""
-    for (side, i), table in Basis(shape).action.items():
-        for idx, (_, jdx) in enumerate(table):
-            image = apply_generator(side, i, ModuleVector.basis_vector(shape, idx))
-            if image.specialize(1) != {jdx: 1}:
+    """At q = 1 every generator acts as the vertex-relabelling permutation.
+
+    Read off the action table, where k' is the partner of orbit k.  At
+    q = 1 the three cases give T_i xi_k = q xi_k = xi_k (case I),
+    (q-1) xi_k + q xi_k' = xi_k' (case II, also when k' = k) and xi_k'
+    (case III).  So T_i maps xi_k to xi_k' for every k exactly when case I
+    has k' = k, which is checked first.  The map k -> k' is also checked
+    to be an involution, so it is a bijection of the basis and T_i at
+    q = 1 is a permutation of order at most 2, as for a transposition.
+    """
+    for table in Basis(shape).action.values():
+        for idx, (case, jdx) in enumerate(table):
+            if case is GeneratorCase.CASE_I and jdx != idx:
+                return False
+            if table[jdx][1] != idx:
                 return False
     return True
 

@@ -18,6 +18,7 @@ rank-profile equality, never by enumerating the Borel group.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,25 +41,60 @@ def gaussian_binomial(n: int, r: int, q: int) -> int:
     return num // den
 
 
-def rref(rows, p: int):
-    """Reduced row echelon form mod p; returns (canonical rows, rank)."""
-    mat = [list(row) for row in rows]
+def _echelon(mat: list, p: int) -> list:
+    """Forward elimination mod p, in place; returns the pivot columns.
+
+    ``mat`` is a list of row lists with entries already in range(p).
+    Afterwards ``mat[:rank]`` is in row echelon form with every pivot entry
+    1, and every other row is zero.  This is the oracle's one elimination
+    loop: ``rank_profile`` reads ranks off the pivots, and ``rref`` adds
+    back-substitution.
+    """
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
+    pivots = []
     rank = 0
     for col in range(ncols):
-        pivot = next((k for k in range(rank, nrows) if mat[k][col] % p), None)
-        if pivot is None:
+        for k in range(rank, nrows):
+            if mat[k][col]:
+                break
+        else:
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        mat[rank] = [x * inv % p for x in mat[rank]]
-        for k in range(nrows):
-            if k != rank and mat[k][col] % p:
-                f = mat[k][col]
-                mat[k] = [(a - f * b) % p for a, b in zip(mat[k], mat[rank])]
+        row = mat[k]
+        if k != rank:
+            mat[k] = mat[rank]
+        x = row[col]
+        if x != 1:
+            inv = pow(x, -1, p)
+            row = [v * inv % p for v in row]
+        mat[rank] = row
+        for j in range(rank + 1, nrows):
+            f = mat[j][col]
+            if f:
+                mat[j] = [(a - f * b) % p for a, b in zip(mat[j], row)]
+        pivots.append(col)
         rank += 1
-    return tuple(tuple(row) for row in mat), rank
+        if rank == nrows:
+            break
+    return pivots
+
+
+def _canonical(mat: list, p: int):
+    """``rref`` on rows already reduced mod p, which it overwrites."""
+    pivots = _echelon(mat, p)
+    for k, col in enumerate(pivots):
+        row = mat[k]
+        for j in range(k):
+            f = mat[j][col]
+            if f:
+                mat[j] = [(a - f * b) % p for a, b in zip(mat[j], row)]
+    return tuple(map(tuple, mat)), len(pivots)
+
+
+def rref(rows, p: int):
+    """Reduced row echelon form mod p of integer rows; returns (canonical
+    rows, rank).  Rows past the rank are zero."""
+    return _canonical([[x % p for x in row] for row in rows], p)
 
 
 def grassmannian_size(shape: Shape, field_size: int) -> int:
@@ -115,19 +151,18 @@ def rank_profile(w, shape: Shape, field_size: int) -> tuple:
     i+1..p and p+j+1..p+q.  With the columns ordered i+1..p, then p+q down
     to p+1, the complement for every j is the prefix of length
     (p-i)+(q-j).  The rank of W restricted to a column prefix is the number
-    of echelon pivots inside that prefix, so one elimination per i gives
-    the whole row.
+    of echelon pivots inside that prefix, so one forward elimination per i
+    gives the whole row.  ``w`` has entries in range(field_size), as every
+    Grassmannian point does.
     """
     p, q, r = shape.p, shape.q, shape.r
+    cols = list(range(p)) + list(range(p + q - 1, p - 1, -1))
+    permuted = [[v[c] for c in cols] for v in w]
     rows = []
     for i in range(p + 1):
-        cols = list(range(i, p)) + list(range(p + q - 1, p - 1, -1))
-        echelon, rank = rref([[v[c] for c in cols] for v in w], field_size)
-        pivots = [next(k for k, x in enumerate(row) if x) for row in echelon[:rank]]
+        pivots = _echelon([row[i:] for row in permuted], field_size)
         rows.append(
-            tuple(
-                r - sum(k < p - i + q - j for k in pivots) for j in range(q + 1)
-            )
+            tuple(r - bisect_left(pivots, p - i + q - j) for j in range(q + 1))
         )
     return tuple(rows)
 
@@ -212,7 +247,7 @@ def _transform(w, a: int, c: int, p: int):
         row = list(row)
         row[a], row[a + 1] = row[a + 1], (row[a] - c * row[a + 1]) % p
         rows.append(row)
-    return rref(rows, p)[0]
+    return _canonical(rows, p)[0]
 
 
 def convolution_action(

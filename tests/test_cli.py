@@ -178,6 +178,18 @@ def test_orbit_budget_checked_before_work(monkeypatch, capsys, command):
     assert "over the budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "shape_flags",
+    [["--p", "2", "--q", "1", "--r", "4"], ["--p", "-1", "--q", "2", "--r", "1"]],
+    ids=["r_over_p_plus_q", "negative_p"],
+)
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+def test_malformed_shape_exits_2(monkeypatch, capsys, command, shape_flags):
+    _forbid_work(monkeypatch)
+    assert main([command, *shape_flags, *SUBCOMMAND_FLAGS[command]]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_stabilizer_budget_checked_before_work(monkeypatch, capsys):
     # (7,2,0) has a single orbit, but 7! * 2! = 10,080 group elements
     assert cli.count_orbits(cli.Shape(7, 2, 0)) <= cli.ORBIT_BUDGET

@@ -159,6 +159,47 @@ def shape_field_point(draw):
     return shape, field, w
 
 
+def _reference_rref(rows, p):
+    """Test-only copy of the Gauss-Jordan rref: at each pivot every other
+    row is cleared, and an entry counts as nonzero by ``% p``."""
+    mat = [list(row) for row in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    rank = 0
+    for col in range(ncols):
+        pivot = next((k for k in range(rank, nrows) if mat[k][col] % p), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][col], -1, p)
+        mat[rank] = [x * inv % p for x in mat[rank]]
+        for k in range(nrows):
+            if k != rank and mat[k][col] % p:
+                f = mat[k][col]
+                mat[k] = [(a - f * b) % p for a, b in zip(mat[k], mat[rank])]
+        rank += 1
+    return tuple(tuple(row) for row in mat), rank
+
+
+@st.composite
+def integer_matrix(draw):
+    """A field size and an r x n integer matrix, r = 0 allowed, with
+    entries outside range(p), zero rows, rows that are multiples of p and
+    rows that are combinations of others (so rank-deficient input)."""
+    p = draw(st.sampled_from((3, 5, 7, 101)))
+    ncols = draw(st.integers(0, 8))
+    row = st.lists(st.integers(-3 * p, 3 * p), min_size=ncols, max_size=ncols)
+    base = draw(st.lists(row, max_size=5))
+    coeffs = st.lists(st.integers(-p, p), min_size=len(base), max_size=len(base))
+    rows = base + [
+        [sum(c * v[k] for c, v in zip(combo, base)) for k in range(ncols)]
+        for combo in draw(st.lists(coeffs, max_size=3))
+    ]
+    rows += [[0] * ncols] * draw(st.integers(0, 2))
+    rows += [[p * x for x in v] for v in draw(st.lists(row, max_size=2))]
+    return draw(st.permutations(rows)), p
+
+
 class TestDifferential:
     @settings(max_examples=200, deadline=None)
     @given(shape_field_point())
@@ -181,17 +222,29 @@ class TestDifferential:
 
     def test_rank_profile_eliminations_per_point(self, monkeypatch):
         calls = []
+        echelon = oracle._echelon
 
-        def counted(rows, p):
+        def counted(mat, p):
             calls.append(1)
-            return rref(rows, p)
+            return echelon(mat, p)
 
-        monkeypatch.setattr(oracle, "rref", counted)
+        monkeypatch.setattr(oracle, "_echelon", counted)
         shape = Shape(3, 2, 2)
         for w in enumerate_grassmannian(shape, 3):
             calls.clear()
             rank_profile(w, shape, 3)
-            assert len(calls) <= shape.p + 1
+            assert len(calls) == shape.p + 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(integer_matrix())
+    def test_rref_matches_gauss_jordan(self, case):
+        rows, p = case
+        ref_rows, ref_rank = _reference_rref(rows, p)
+        # The reference leaves a row that is 0 mod p from the start as given.
+        assert rref(rows, p) == (
+            tuple(tuple(x % p for x in row) for row in ref_rows),
+            ref_rank,
+        )
 
 
 class TestClassifyOrbits:
