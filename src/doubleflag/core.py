@@ -54,13 +54,6 @@ def transposition(size: int, i: int) -> tuple:
     return tuple(w)
 
 
-def compose_perms(u: tuple, v: tuple) -> tuple:
-    """(u o v)(i) = u(v(i))."""
-    if len(u) != len(v):
-        raise ValueError("size mismatch in permutation composition")
-    return tuple(u[v[i] - 1] for i in range(len(u)))
-
-
 @dataclass(frozen=True)
 class Graph:
     """Marked bipartite graph labelling one K-orbit.

@@ -117,8 +117,9 @@ def test_weyl_decomposition():
     started = time.time()
     ok = True
     for shape in shapes_up_to(8):
-        # weyl_decompose asserts the q=1 permutation action, orbit sizes and
-        # brute-forced stabilizer orders internally
+        # weyl_decompose asserts the q=1 permutation action and the orbit
+        # sizes internally; each stabilizer order follows from its orbit size
+        # by orbit-stabilizer
         blocks = weyl_decompose(shape)
         ok &= sum(blk.orbit_size for blk in blocks) == count_orbits(shape)
     report("Weyl decomposition at q=1, p+q<=8", ok, started, budget=60)

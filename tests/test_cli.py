@@ -190,13 +190,17 @@ def test_malformed_shape_exits_2(monkeypatch, capsys, command, shape_flags):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_stabilizer_budget_checked_before_work(monkeypatch, capsys):
-    # (7,2,0) has a single orbit, but 7! * 2! = 10,080 group elements
-    assert cli.count_orbits(cli.Shape(7, 2, 0)) <= cli.ORBIT_BUDGET
-    assert math.factorial(7) * math.factorial(2) > cli.STABILIZER_BUDGET
-    _forbid_work(monkeypatch)
-    assert main(["weyl-decomp", "--p", "7", "--q", "2", "--r", "0"]) == 2
-    assert "over the budget" in capsys.readouterr().err
+@pytest.mark.parametrize("p, q, r", [(7, 2, 0), (8, 1, 1)])
+def test_weyl_decomp_admits_every_orbit_budget_shape(capsys, p, q, r):
+    # p! * q! is 10,080 and 40,320 here; the orbit count alone decides what
+    # weyl-decomp accepts
+    assert cli.count_orbits(cli.Shape(p, q, r)) <= cli.ORBIT_BUDGET
+    code, out = run(capsys, "weyl-decomp", "--p", str(p), "--q", str(q), "--r", str(r))
+    assert code == 0
+    blocks = json.loads(out)["blocks"]
+    assert blocks
+    for blk in blocks:
+        assert blk["stabilizer_order"] * blk["orbit_size"] == math.factorial(p) * math.factorial(q)
 
 
 def test_budgets_admit_every_benchmark_job():
@@ -204,4 +208,4 @@ def test_budgets_admit_every_benchmark_job():
     for job_id in json.loads(golden.read_text())["jobs"]:
         argv = job_id.split()
         shape = cli.Shape(*(int(argv[argv.index(flag) + 1]) for flag in ("--p", "--q", "--r")))
-        cli._check_budgets(argv[0], shape)  # raises ValueError if refused
+        cli._check_budgets(shape)  # raises ValueError if refused

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from doubleflag import (
     make_graph,
     operator_matrix,
     verify_relations,
+    weyl_act,
     weyl_decompose,
 )
 from doubleflag.hecke import Basis, generators, reflect
@@ -197,10 +201,38 @@ class TestWeylDecompose:
         assert sum(sizes.values()) == 16
 
     def test_stabilizer_orbit_product(self):
-        import math
-
         for blk in weyl_decompose(Shape(3, 2, 3)):
             assert blk.orbit_size * blk.stabilizer_order == math.factorial(3) * math.factorial(2)
+
+    def test_stabilizer_order_matches_brute_force(self):
+        # Test-only reference: count the stabilizer of one member of each
+        # orbit over the whole group S_p x S_q, every shape with p+q <= 6.
+        for p in range(1, 6):
+            for q in range(1, 7 - p):
+                group = list(
+                    itertools.product(
+                        itertools.permutations(range(1, p + 1)),
+                        itertools.permutations(range(1, q + 1)),
+                    )
+                )
+                for r in range(p + q + 1):
+                    shape = Shape(p, q, r)
+                    member = {g.triple(): g for g in enumerate_graphs(shape)}
+                    for blk in weyl_decompose(shape):
+                        g = member[blk.triple]
+                        stab = sum(1 for w in group if weyl_act(w, g) == g)
+                        assert blk.stabilizer_order == stab, (shape, blk.triple)
+
+    def test_warm_basis_needs_no_group_action(self, monkeypatch):
+        shape = Shape(5, 3, 4)
+        Basis(shape)
+
+        def not_called(*args):
+            pytest.fail("weyl_decompose acted by a group element")
+
+        monkeypatch.setattr("doubleflag.hecke.weyl_act", not_called)
+        blocks = weyl_decompose(shape)
+        assert sum(blk.orbit_size for blk in blocks) == len(Basis(shape))
 
     def test_trivial_shape(self):
         blocks = weyl_decompose(Shape(3, 2, 0))
