@@ -41,19 +41,6 @@ def _check_perm(w, size, name):
         raise ValueError(f"{name} is not a permutation of 1..{size}: {w}")
 
 
-def identity_perm(size: int) -> tuple:
-    return tuple(range(1, size + 1))
-
-
-def transposition(size: int, i: int) -> tuple:
-    """The adjacent transposition (i, i+1) in one-line notation."""
-    if not 1 <= i <= size - 1:
-        raise ValueError(f"transposition index {i} out of range for size {size}")
-    w = list(range(1, size + 1))
-    w[i - 1], w[i] = w[i], w[i - 1]
-    return tuple(w)
-
-
 @dataclass(frozen=True)
 class Graph:
     """Marked bipartite graph labelling one K-orbit.

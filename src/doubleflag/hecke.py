@@ -13,9 +13,9 @@ Here xi' is the basis vector of the reflected orbit.  Extending linearly
 over integer polynomials in q gives the module structure; specializing at
 q = 1 gives the permutation representation of the Weyl group S_p x S_q.
 
-The rule is evaluated once per shape: ``Basis(shape).action`` holds, for
-every generator, the case and the reflected orbit's index at each orbit,
-and every consumer of the action reads that table.
+The rule is evaluated once per shape on the orbits' partner arrays:
+``Basis(shape).action`` holds, for every generator, the case and the
+reflected orbit's index at each orbit, and every consumer reads that table.
 """
 
 from __future__ import annotations
@@ -26,16 +26,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .core import (
-    Graph,
-    Shape,
-    admissible_triples,
-    enumerate_graphs,
-    identity_perm,
-    transposition,
-    triple_count,
-    weyl_act,
-)
+from .core import Graph, Shape, admissible_triples, enumerate_graphs, triple_count
 from .polynomial import ONE, Q, ZERO, IntPoly
 
 
@@ -43,6 +34,40 @@ class GeneratorCase(enum.Enum):
     CASE_I = "I"
     CASE_II = "II"
     CASE_III = "III"
+
+
+def _partners(g: Graph) -> tuple:
+    """The orbit as its two partner arrays, + side first.  Entry i of a
+    side's array is 0 if vertex i is free, -1 if it is marked, and the
+    label of its partner if it is an edge end; entry 0 is padding."""
+    to_minus = dict(g.edges)
+    to_plus = {j: i for i, j in g.edges}
+    return (
+        tuple(-1 if i in g.marked_plus else to_minus.get(i, 0) for i in range(g.shape.p + 1)),
+        tuple(-1 if j in g.marked_minus else to_plus.get(j, 0) for j in range(g.shape.q + 1)),
+    )
+
+
+def _case(a: tuple, i: int) -> GeneratorCase:
+    """The case of generator i at an orbit, from its side's partner array;
+    the degree of entry e is 0 free, 1 edge end, 2 marked."""
+    d, d2 = (2 if e < 0 else min(e, 1) for e in a[i : i + 2])
+    if d == d2 != 1:
+        return GeneratorCase.CASE_I
+    if d < d2:
+        return GeneratorCase.CASE_II
+    if d > d2:
+        return GeneratorCase.CASE_III
+    # Two edge ends: the edges cross when their partners are out of order.
+    return GeneratorCase.CASE_II if a[i] > a[i + 1] else GeneratorCase.CASE_III
+
+
+def _reflected(arrays: tuple, s: int, i: int) -> tuple:
+    """Partner arrays of s_i . g on side s (0 for +, 1 for -): swap entries
+    i, i+1 of that side's array and rename partners i <-> i+1 in the other."""
+    own = arrays[s][:i] + (arrays[s][i + 1], arrays[s][i]) + arrays[s][i + 2 :]
+    other = tuple(i + 1 if x == i else i if x == i + 1 else x for x in arrays[1 - s])
+    return (own, other) if s == 0 else (other, own)
 
 
 @lru_cache(maxsize=None)
@@ -59,13 +84,14 @@ class Basis:
         self.shape = shape
         self.graphs = enumerate_graphs(shape)
         self.index = {g: i for i, g in enumerate(self.graphs)}
-        self.action = {
-            (side, i): tuple(
-                (classify(g, side, i), self.index[reflect(g, side, i)])
-                for g in self.graphs
+        arrays = [_partners(g) for g in self.graphs]
+        by_arrays = {a: k for k, a in enumerate(arrays)}
+        self.action = {}
+        for side, i in generators(shape):
+            s = "+-".index(side)
+            self.action[(side, i)] = tuple(
+                (_case(a[s], i), by_arrays[_reflected(a, s, i)]) for a in arrays
             )
-            for side, i in generators(shape)
-        }
 
     def __len__(self):
         return len(self.graphs)
@@ -86,31 +112,10 @@ def _check_generator(shape: Shape, side: str, i: int):
         raise ValueError(f"generator index {i} out of range on side {side}")
 
 
-def reflect(g: Graph, side: str, i: int) -> Graph:
-    """The graph s_i . g obtained by swapping vertices i, i+1 on one side."""
-    _check_generator(g.shape, side, i)
-    if side == "+":
-        return weyl_act((transposition(g.shape.p, i), identity_perm(g.shape.q)), g)
-    return weyl_act((identity_perm(g.shape.p), transposition(g.shape.q, i)), g)
-
-
 def classify(g: Graph, side: str, i: int) -> GeneratorCase:
     """Which of the three cases the generator (side, i) is in at the orbit g."""
     _check_generator(g.shape, side, i)
-    d, d2 = g.degree(side, i), g.degree(side, i + 1)
-    if d == d2 and d in (0, 2):
-        return GeneratorCase.CASE_I
-    if d < d2:
-        return GeneratorCase.CASE_II
-    if d > d2:
-        return GeneratorCase.CASE_III
-    # Both are edge endpoints; compare the opposite endpoints.
-    if side == "+":
-        ends = {a: b for a, b in g.edges}
-    else:
-        ends = {b: a for a, b in g.edges}
-    crossing = ends[i] > ends[i + 1]
-    return GeneratorCase.CASE_II if crossing else GeneratorCase.CASE_III
+    return _case(_partners(g)["+-".index(side)], i)
 
 
 @dataclass
@@ -148,9 +153,6 @@ class ModuleVector:
             and self.coords == other.coords
         )
 
-    def is_zero(self) -> bool:
-        return not self.coords
-
     def specialize(self, value: int) -> dict:
         """Evaluate every coordinate at an integer, dropping zeros."""
         out = {k: v(value) for k, v in self.coords.items()}
@@ -176,6 +178,8 @@ def apply_generator(side: str, i: int, v: ModuleVector) -> ModuleVector:
     table = Basis(v.shape).action[(side, i)]
     out = {}
     for idx, coeff in v.coords.items():
+        if not 0 <= idx < len(table):
+            raise ValueError(f"orbit index {idx} out of range for {v.shape}")
         for k, c in _image_terms(idx, *table[idx]):
             out[k] = out.get(k, ZERO) + c * coeff
     return ModuleVector(v.shape, out)
@@ -217,11 +221,27 @@ class RelationCheck:
     ok: bool
 
 
-def _compose(ops, vec):
-    """Apply generators right-to-left; ops is a list of (side, i)."""
-    for side, i in reversed(ops):
-        vec = apply_generator(side, i, vec)
-    return vec
+_POINTS = (0, 1, 2, 3)
+
+
+def _vanishes(terms: tuple, action: dict, v: ModuleVector) -> bool:
+    """Whether the sum of c(x) * word(v) over the terms is zero at every x in _POINTS."""
+    for x in _POINTS:
+        start = v.specialize(x)
+        residue = {}
+        for coeff, word in terms:
+            vec = start
+            for gen in reversed(word):
+                out = {}
+                for idx, y in vec.items():
+                    for k, c in _image_terms(idx, *action[gen][idx]):
+                        out[k] = out.get(k, 0) + c(x) * y
+                vec = out
+            for k, y in vec.items():
+                residue[k] = residue.get(k, 0) + coeff(x) * y
+        if any(residue.values()):
+            return False
+    return True
 
 
 def verify_relations(shape: Shape) -> list:
@@ -231,42 +251,32 @@ def verify_relations(shape: Shape) -> list:
     non-adjacent (or opposite-side) pairs; braid for adjacent same-side
     pairs.  Checked on every basis vector; failures are reported, not
     raised.
+
+    A relation is a sum of terms c(q) * word that must vanish on every basis
+    vector.  Evaluation at q = x commutes with the arithmetic, so it is
+    checked with plain integers at q = 0, 1, 2, 3, and that decides it: the
+    entries of T_i (0, 1, q, q-1) have degree <= 1 in q, and a term is at
+    most three generators, or two times a c(q) of degree <= 1.  So each
+    coordinate of each residue is an integer polynomial of degree <= 3, and
+    one that vanishes at 4 points is zero.
     """
     gens = generators(shape)
-    n = len(Basis(shape))
+    # (T+1)(T-q) v = T^2 v + (1-q) T v - q v
+    relations = [
+        (f"quadratic {s}{i}", ((ONE, ((s, i), (s, i))), (1 - Q, ((s, i),)), (-Q, ())))
+        for s, i in gens
+    ]
+    for a, b in itertools.combinations(gens, 2):
+        braid = a[0] == b[0] and abs(a[1] - b[1]) == 1
+        lhs, rhs = ((a, b, a), (b, a, b)) if braid else ((a, b), (b, a))
+        name = f"{'braid' if braid else 'commute'} {a[0]}{a[1]},{b[0]}{b[1]}"
+        relations.append((name, ((ONE, lhs), (-ONE, rhs))))
+
+    basis = Basis(shape)
     report = []
-
-    for side, i in gens:
-        ok = True
-        for c in range(n):
-            v = ModuleVector.basis_vector(shape, c)
-            tv = apply_generator(side, i, v)
-            ttv = apply_generator(side, i, tv)
-            # (T+1)(T-q) v = T^2 v + (1-q) T v - q v
-            residue = ttv + tv.scale(1 - Q) + v.scale(-Q)
-            if not residue.is_zero():
-                ok = False
-                break
-        report.append(RelationCheck(f"quadratic {side}{i}", ok))
-
-    for (s1, i1), (s2, i2) in itertools.combinations(gens, 2):
-        adjacent = s1 == s2 and abs(i1 - i2) == 1
-        ok = True
-        for c in range(n):
-            v = ModuleVector.basis_vector(shape, c)
-            if adjacent:
-                lhs = _compose([(s1, i1), (s2, i2), (s1, i1)], v)
-                rhs = _compose([(s2, i2), (s1, i1), (s2, i2)], v)
-                name = f"braid {s1}{i1},{s2}{i2}"
-            else:
-                lhs = _compose([(s1, i1), (s2, i2)], v)
-                rhs = _compose([(s2, i2), (s1, i1)], v)
-                name = f"commute {s1}{i1},{s2}{i2}"
-            if lhs != rhs:
-                ok = False
-                break
-        report.append(RelationCheck(name, ok))
-
+    for name, terms in relations:
+        vectors = (ModuleVector.basis_vector(shape, c) for c in range(len(basis)))
+        report.append(RelationCheck(name, all(_vanishes(terms, basis.action, v) for v in vectors)))
     return report
 
 
@@ -308,8 +318,10 @@ def weyl_decompose(shape: Shape) -> list:
     triples.
 
     The stabilizer order needs no search of its own.  The walk follows the
-    partner maps in ``Basis.action``, which ``reflect`` builds by
-    ``weyl_act`` of each adjacent transposition; those generate W, so each
+    partner maps in ``Basis.action``, which swap vertices i and i+1 in the
+    partner arrays; that is ``weyl_act`` of the adjacent transposition, as
+    ``tests/test_hecke.py::test_action_table_matches_reference`` checks
+    exhaustively for p+q <= 7.  Those transpositions generate W, so each
     walk visits exactly the orbit W.g.  ``weyl_act`` is a group action
     (``tests/test_core.py::TestWeylAct::test_action_law``), so
     orbit-stabilizer gives |Stab(g)| = p! q! / |W.g|.  With the size check

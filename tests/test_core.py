@@ -18,7 +18,6 @@ from doubleflag import (
     rank_matrix,
     weyl_act,
 )
-from doubleflag.core import identity_perm, transposition
 from doubleflag.oracle import rref
 
 SHAPE_534 = Shape(5, 3, 4)
@@ -202,6 +201,17 @@ class TestRankMatrix:
         for shape in [Shape(2, 2, 2), Shape(3, 2, 2), Shape(2, 3, 4)]:
             mats = [rank_matrix(g).entries for g in enumerate_graphs(shape)]
             assert len(set(mats)) == len(mats)
+
+
+def identity_perm(size):
+    return tuple(range(1, size + 1))
+
+
+def transposition(size, i):
+    """The adjacent transposition (i, i+1) of 1..size in one-line notation."""
+    w = list(range(1, size + 1))
+    w[i - 1], w[i] = w[i], w[i - 1]
+    return tuple(w)
 
 
 class TestWeylAct:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from doubleflag import (
     GeneratorCase,
+    Graph,
     ModuleVector,
     Shape,
     apply_generator,
@@ -18,7 +20,8 @@ from doubleflag import (
     weyl_act,
     weyl_decompose,
 )
-from doubleflag.hecke import Basis, generators, reflect
+from doubleflag import hecke
+from doubleflag.hecke import Basis, RelationCheck, _image_terms, generators
 from doubleflag.polynomial import ONE, Q, ZERO, IntPoly
 
 S222 = Shape(2, 2, 2)
@@ -29,6 +32,33 @@ BOTH_MARKED = make_graph(S222, marked_plus=[1, 2])
 
 def idx(shape, g):
     return Basis(shape).index[g]
+
+
+def reference_classify(g, side, i):
+    """The three-case rule read off a Graph, as classify did before the
+    partner arrays."""
+    d, d2 = g.degree(side, i), g.degree(side, i + 1)
+    if d == d2 and d in (0, 2):
+        return GeneratorCase.CASE_I
+    if d < d2:
+        return GeneratorCase.CASE_II
+    if d > d2:
+        return GeneratorCase.CASE_III
+    # Both are edge endpoints; compare the opposite endpoints.
+    if side == "+":
+        ends = {a: b for a, b in g.edges}
+    else:
+        ends = {b: a for a, b in g.edges}
+    crossing = ends[i] > ends[i + 1]
+    return GeneratorCase.CASE_II if crossing else GeneratorCase.CASE_III
+
+
+def reference_reflect(g, side, i):
+    """The graph s_i . g, by weyl_act of the adjacent transposition (i, i+1)."""
+    w = [list(range(1, g.shape.p + 1)), list(range(1, g.shape.q + 1))]
+    t = w["+-".index(side)]
+    t[i - 1], t[i] = t[i], t[i - 1]
+    return weyl_act((tuple(w[0]), tuple(w[1])), g)
 
 
 class TestClassify:
@@ -48,7 +78,7 @@ class TestClassify:
     def test_degree_ascent_descent(self):
         g = make_graph(Shape(2, 1, 1), marked_plus=[2])
         assert classify(g, "+", 1) is GeneratorCase.CASE_II
-        assert classify(reflect(g, "+", 1), "+", 1) is GeneratorCase.CASE_III
+        assert classify(reference_reflect(g, "+", 1), "+", 1) is GeneratorCase.CASE_III
 
     def test_minus_side_mirror(self):
         # edges (1,1),(2,2): on the minus side sigma(1)=1 < sigma(2)=2, no crossing
@@ -59,8 +89,8 @@ class TestClassify:
         for shape in [S222, Shape(3, 2, 2), Shape(2, 3, 3)]:
             for g in enumerate_graphs(shape):
                 for side, i in generators(shape):
-                    case = classify(g, side, i)
-                    dual = classify(reflect(g, side, i), side, i)
+                    case = reference_classify(g, side, i)
+                    dual = reference_classify(reference_reflect(g, side, i), side, i)
                     if case is GeneratorCase.CASE_I:
                         assert dual is GeneratorCase.CASE_I
                     elif case is GeneratorCase.CASE_II:
@@ -96,6 +126,11 @@ class TestApplyGenerator:
             with pytest.raises(ValueError):
                 apply_generator(side, i, v)
 
+    def test_bad_orbit_index(self):
+        for orbit in (-1, len(Basis(S222))):
+            with pytest.raises(ValueError):
+                apply_generator("+", 1, ModuleVector(S222, {orbit: 1}))
+
     def test_linearity(self):
         a = ModuleVector.basis_vector(S222, idx(S222, CROSS)).scale(Q + 1)
         b = ModuleVector.basis_vector(S222, idx(S222, BOTH_MARKED)).scale(2)
@@ -105,17 +140,17 @@ class TestApplyGenerator:
 
 
 def reference_apply_generator(side, i, v):
-    """The three-case rule evaluated per basis vector with classify and
-    reflect, as apply_generator did before the per-shape table."""
+    """The three-case rule evaluated per basis vector on Graphs, as
+    apply_generator did before the per-shape table."""
     basis = Basis(v.shape)
     out = ModuleVector(v.shape)
     for k, coeff in v.coords.items():
         g = basis.graphs[k]
-        case = classify(g, side, i)
+        case = reference_classify(g, side, i)
         if case is GeneratorCase.CASE_I:
             term = ModuleVector(v.shape, {k: Q})
         else:
-            j = basis.index[reflect(g, side, i)]
+            j = basis.index[reference_reflect(g, side, i)]
             if case is GeneratorCase.CASE_II:
                 term = ModuleVector(v.shape, {k: Q - 1, j: Q})
             else:
@@ -140,6 +175,41 @@ def shape_and_vector(draw):
 def test_table_action_matches_three_case_rule(v):
     for side, i in generators(v.shape):
         assert apply_generator(side, i, v) == reference_apply_generator(side, i, v)
+
+
+def small_shapes(max_n):
+    return [
+        Shape(p, n - p, r) for n in range(2, max_n + 1) for p in range(1, n) for r in range(n + 1)
+    ]
+
+
+def test_action_table_matches_reference():
+    # Every partner is weyl_act of the adjacent transposition: the premise
+    # of the weyl_decompose orbit-stabilizer proof.
+    shapes = small_shapes(7)
+    assert len(shapes) == 133
+    for shape in shapes:
+        basis = Basis(shape)
+        for side, i in generators(shape):
+            expected = tuple(
+                (reference_classify(g, side, i), basis.index[reference_reflect(g, side, i)])
+                for g in basis.graphs
+            )
+            assert basis.action[(side, i)] == expected, (shape, side, i)
+
+
+def test_basis_builds_no_graph(monkeypatch):
+    shape = Shape(5, 3, 4)
+    enumerate_graphs(shape)
+
+    def no_graph(self):
+        pytest.fail("a Graph was built")
+
+    monkeypatch.setattr(Graph, "__post_init__", no_graph)
+    basis = Basis.__wrapped__(shape)
+    assert set(basis.action) == set(generators(shape))
+    blocks = weyl_decompose(shape)
+    assert sum(blk.orbit_size for blk in blocks) == len(basis)
 
 
 class TestOperatorMatrix:
@@ -185,6 +255,74 @@ class TestRelations:
         assert any(name.startswith("braid") for name in names)
         assert any(name.startswith("commute") for name in names)
 
+    def test_wrong_case_ii_coefficient_fails(self, monkeypatch):
+        monkeypatch.setattr(hecke, "_image_terms", case_ii_partner_one)
+        failed = [rc.name for rc in verify_relations(S222) if not rc.ok]
+        assert "quadratic +1" in failed
+
+
+def case_ii_partner_one(idx, case, jdx):
+    """_image_terms with the case II partner coefficient 1 in place of q."""
+    if case is GeneratorCase.CASE_II:
+        return ((idx, Q - 1), (jdx, ONE))
+    return _image_terms(idx, case, jdx)
+
+
+def reference_verify_relations(shape):
+    """verify_relations as IntPoly identities, before the integer
+    evaluation at four points."""
+
+    def compose(ops, vec):
+        for side, i in reversed(ops):
+            vec = apply_generator(side, i, vec)
+        return vec
+
+    gens = generators(shape)
+    n = len(Basis(shape))
+    report = []
+
+    for side, i in gens:
+        ok = True
+        for c in range(n):
+            v = ModuleVector.basis_vector(shape, c)
+            tv = apply_generator(side, i, v)
+            ttv = apply_generator(side, i, tv)
+            residue = ttv + tv.scale(1 - Q) + v.scale(-Q)
+            if residue.coords:
+                ok = False
+                break
+        report.append(RelationCheck(f"quadratic {side}{i}", ok))
+
+    for (s1, i1), (s2, i2) in itertools.combinations(gens, 2):
+        adjacent = s1 == s2 and abs(i1 - i2) == 1
+        ok = True
+        for c in range(n):
+            v = ModuleVector.basis_vector(shape, c)
+            if adjacent:
+                lhs = compose([(s1, i1), (s2, i2), (s1, i1)], v)
+                rhs = compose([(s2, i2), (s1, i1), (s2, i2)], v)
+                name = f"braid {s1}{i1},{s2}{i2}"
+            else:
+                lhs = compose([(s1, i1), (s2, i2)], v)
+                rhs = compose([(s2, i2), (s1, i1)], v)
+                name = f"commute {s1}{i1},{s2}{i2}"
+            if lhs != rhs:
+                ok = False
+                break
+        report.append(RelationCheck(name, ok))
+
+    return report
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(small_shapes(6)), st.booleans())
+def test_relations_match_polynomial_reference(shape, mutate):
+    # With the mutated coefficient both checks must also agree on which
+    # relations fail.
+    image_terms = case_ii_partner_one if mutate else _image_terms
+    with mock.patch.object(hecke, "_image_terms", image_terms):
+        assert verify_relations(shape) == reference_verify_relations(shape)
+
 
 class TestWeylDecompose:
     def test_2_2_2_blocks(self):
@@ -222,17 +360,6 @@ class TestWeylDecompose:
                         g = member[blk.triple]
                         stab = sum(1 for w in group if weyl_act(w, g) == g)
                         assert blk.stabilizer_order == stab, (shape, blk.triple)
-
-    def test_warm_basis_needs_no_group_action(self, monkeypatch):
-        shape = Shape(5, 3, 4)
-        Basis(shape)
-
-        def not_called(*args):
-            pytest.fail("weyl_decompose acted by a group element")
-
-        monkeypatch.setattr("doubleflag.hecke.weyl_act", not_called)
-        blocks = weyl_decompose(shape)
-        assert sum(blk.orbit_size for blk in blocks) == len(Basis(shape))
 
     def test_trivial_shape(self):
         blocks = weyl_decompose(Shape(3, 2, 0))
