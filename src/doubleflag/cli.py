@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import sys
+from functools import cache
 
 from .core import Shape, count_orbits, enumerate_graphs, invariants, rank_matrix
 from .hecke import operator_matrix, verify_relations, weyl_decompose
@@ -43,7 +44,9 @@ def _shape_args(sub):
     sub.add_argument("--out", help="output path (default: stdout)")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="doubleflag",
         description="K-orbit combinatorics and Hecke module structure "

@@ -5,8 +5,10 @@ q "-" vertices: edges pair a "+" vertex with a "-" vertex, marks single
 out vertices, and #edges + #marks = r.  Equivalently, orbits correspond to
 full-rank (p+q) x r partial-permutation pairs up to column permutation.
 
-This module owns the graph/matrix dictionary, enumeration, the orbital
-invariants (a+, a-, b, c), rank matrices and the dimension formula.
+This module owns the orbit encoding (``Graph``: one partner array per
+side, which every per-vertex question reads), the graph/matrix dictionary,
+enumeration, the orbital invariants (a+, a-, b, c), rank matrices and the
+dimension formula.
 """
 
 from __future__ import annotations
@@ -41,85 +43,108 @@ def _check_perm(w, size, name):
         raise ValueError(f"{name} is not a permutation of 1..{size}: {w}")
 
 
+def vertex_degree(entry: int) -> int:
+    """A vertex's degree from its partner-array entry: 0 free, 1 edge, 2 marked."""
+    return 2 if entry < 0 else 1 if entry else 0
+
+
 @dataclass(frozen=True)
 class Graph:
-    """Marked bipartite graph labelling one K-orbit.
-
-    ``edges`` is a set of pairs (i, j) joining vertex i+ to vertex j-;
-    ``marked_plus`` / ``marked_minus`` are the marked vertices on each side.
-    Every vertex carries at most one incidence (edge endpoint or mark), and
-    #edges + #marks = r.
+    """Marked bipartite graph labelling one K-orbit, as one partner array
+    per side.  Entry i of ``plus`` is 0 if vertex i+ is free, -1 if it is
+    marked, and j if the edge (i, j) joins it to vertex j-; ``minus`` is
+    the same for the - side, and entry 0 of each is padding, 0.  The arrays
+    must agree on every edge, and #edges + #marks = r.  ``edges``,
+    ``marked_plus`` and ``marked_minus`` give the same graph as sets.
     """
 
     shape: Shape
-    edges: frozenset
-    marked_plus: frozenset
-    marked_minus: frozenset
+    plus: tuple
+    minus: tuple
 
     def __post_init__(self):
         p, q, r = self.shape.p, self.shape.q, self.shape.r
-        plus_ends = [i for i, _ in self.edges]
-        minus_ends = [j for _, j in self.edges]
-        if any(not (1 <= i <= p) for i in plus_ends + list(self.marked_plus)):
-            raise ValueError("+ vertex label out of range")
-        if any(not (1 <= j <= q) for j in minus_ends + list(self.marked_minus)):
-            raise ValueError("- vertex label out of range")
-        if len(set(plus_ends)) != len(plus_ends) or len(set(minus_ends)) != len(minus_ends):
-            raise ValueError("two edges share a vertex")
-        if set(plus_ends) & self.marked_plus or set(minus_ends) & self.marked_minus:
-            raise ValueError("a vertex is both marked and an edge endpoint")
-        if len(self.edges) + len(self.marked_plus) + len(self.marked_minus) != r:
+        plus, minus = self.plus, self.minus
+        if type(plus) is not tuple or type(minus) is not tuple:
+            raise TypeError("partner arrays must be tuples, so that graphs hash and compare")
+        if len(plus) != p + 1 or len(minus) != q + 1:
+            raise ValueError(f"partner arrays must have lengths {p + 1} and {q + 1}")
+        if plus[0] or minus[0]:
+            raise ValueError("entry 0 of a partner array is padding and must be 0")
+        if any(not -1 <= e <= q for e in plus) or any(not -1 <= e <= p for e in minus):
+            raise ValueError("partner array entry out of range")
+        if any(j > 0 and minus[j] != i for i, j in enumerate(plus)) or any(
+            i > 0 and plus[i] != j for j, i in enumerate(minus)
+        ):
+            raise ValueError("the partner arrays disagree on an edge")
+        if p + 1 - plus.count(0) + minus.count(-1) != r:
             raise ValueError("#edges + #marks must equal r")
+
+    @property
+    def edges(self) -> frozenset:
+        return frozenset((i, j) for i, j in enumerate(self.plus) if j > 0)
+
+    @property
+    def marked_plus(self) -> frozenset:
+        return frozenset(i for i, j in enumerate(self.plus) if j < 0)
+
+    @property
+    def marked_minus(self) -> frozenset:
+        return frozenset(j for j, i in enumerate(self.minus) if i < 0)
 
     def degree(self, side: str, i: int) -> int:
         """Degree of a vertex: 0 free, 1 edge endpoint, 2 marked."""
-        if side == "+":
-            if not 1 <= i <= self.shape.p:
-                raise ValueError(f"vertex {i}+ out of range")
-            if i in self.marked_plus:
-                return 2
-            return 1 if any(a == i for a, _ in self.edges) else 0
-        if side == "-":
-            if not 1 <= i <= self.shape.q:
-                raise ValueError(f"vertex {i}- out of range")
-            if i in self.marked_minus:
-                return 2
-            return 1 if any(b == i for _, b in self.edges) else 0
-        raise ValueError(f"side must be '+' or '-', got {side!r}")
+        if side not in ("+", "-"):
+            raise ValueError(f"side must be '+' or '-', got {side!r}")
+        array = self.plus if side == "+" else self.minus
+        if not 1 <= i < len(array):
+            raise ValueError(f"vertex {i}{side} out of range")
+        return vertex_degree(array[i])
 
     def triple(self) -> tuple:
         """The (k, s, t) = (#edges, #marked+, #marked-) type of the orbit."""
-        return (len(self.edges), len(self.marked_plus), len(self.marked_minus))
+        s, t = self.plus.count(-1), self.minus.count(-1)
+        return (self.shape.r - s - t, s, t)
 
     def to_json(self) -> dict:
         return {
             "p": self.shape.p,
             "q": self.shape.q,
             "r": self.shape.r,
-            "edges": [list(e) for e in sorted(self.edges)],
-            "marked_plus": sorted(self.marked_plus),
-            "marked_minus": sorted(self.marked_minus),
+            "edges": [[i, j] for i, j in enumerate(self.plus) if j > 0],
+            "marked_plus": [i for i, j in enumerate(self.plus) if j < 0],
+            "marked_minus": [j for j, i in enumerate(self.minus) if i < 0],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "Graph":
-        shape = Shape(data["p"], data["q"], data["r"])
-        return cls(
-            shape,
-            frozenset((int(i), int(j)) for i, j in data["edges"]),
-            frozenset(int(i) for i in data["marked_plus"]),
-            frozenset(int(j) for j in data["marked_minus"]),
+        return make_graph(
+            Shape(data["p"], data["q"], data["r"]),
+            ((int(i), int(j)) for i, j in data["edges"]),
+            (int(i) for i in data["marked_plus"]),
+            (int(j) for j in data["marked_minus"]),
         )
 
 
 def make_graph(shape, edges=(), marked_plus=(), marked_minus=()) -> Graph:
-    """Convenience constructor from plain iterables."""
-    return Graph(
-        shape,
-        frozenset(tuple(e) for e in edges),
-        frozenset(marked_plus),
-        frozenset(marked_minus),
-    )
+    """The graph with edges (i, j), joining i+ to j-, and marks, from plain
+    iterables.  Raises ValueError for a label out of range, two edges on one
+    vertex, a marked edge end, or #edges + #marks != r."""
+    plus, minus = [0] * (shape.p + 1), [0] * (shape.q + 1)
+    for i, j in frozenset(tuple(e) for e in edges):
+        if not (1 <= i <= shape.p and 1 <= j <= shape.q):
+            raise ValueError(f"edge ({i}, {j}) has a vertex label out of range")
+        if plus[i] or minus[j]:
+            raise ValueError("two edges share a vertex")
+        plus[i], minus[j] = j, i
+    for array, marks in ((plus, marked_plus), (minus, marked_minus)):
+        for k in frozenset(marks):
+            if not 1 <= k < len(array):
+                raise ValueError(f"marked vertex {k} out of range")
+            if array[k] > 0:
+                raise ValueError("a vertex is both marked and an edge endpoint")
+            array[k] = -1
+    return Graph(shape, tuple(plus), tuple(minus))
 
 
 @dataclass(frozen=True)
@@ -178,20 +203,14 @@ def graph_from_matrix(m: PartialPermutationPair) -> Graph:
 def matrix_from_graph(g: Graph) -> PartialPermutationPair:
     """Canonical matrix representative: edge columns sorted by + endpoint,
     then marked + columns ascending, then marked - columns ascending."""
-    p, q, r = g.shape.p, g.shape.q, g.shape.r
-    cols = []
-    for i, j in sorted(g.edges):
-        cols.append((i, j))
-    for i in sorted(g.marked_plus):
-        cols.append((i, None))
-    for j in sorted(g.marked_minus):
-        cols.append((None, j))
-    rows = [[0] * r for _ in range(p + q)]
-    for c, (i, j) in enumerate(cols):
-        if i is not None:
-            rows[i - 1][c] = 1
-        if j is not None:
-            rows[p + j - 1][c] = 1
+    p = g.shape.p
+    cols = [(i - 1, p + j - 1) for i, j in enumerate(g.plus) if j > 0]
+    cols += [(i - 1,) for i, j in enumerate(g.plus) if j < 0]
+    cols += [(p + j - 1,) for j, i in enumerate(g.minus) if i < 0]
+    rows = [[0] * g.shape.r for _ in range(g.shape.n)]
+    for c, ones in enumerate(cols):
+        for k in ones:
+            rows[k][c] = 1
     return PartialPermutationPair(g.shape, tuple(tuple(row) for row in rows))
 
 
@@ -259,24 +278,22 @@ def invariants(g: Graph) -> Invariants:
     p(p-1)/2 + q(q-1)/2 + a+ + a- + b(b+1)/2 + c.
     """
     p, q = g.shape.p, g.shape.q
-    dplus = [g.degree("+", i) for i in range(1, p + 1)]
-    dminus = [g.degree("-", j) for j in range(1, q + 1)]
+    dplus = [vertex_degree(e) for e in g.plus[1:]]
+    dminus = [vertex_degree(e) for e in g.minus[1:]]
     a_plus = sum(1 for i in range(p) for j in range(i + 1, p) if dplus[i] < dplus[j])
     a_minus = sum(1 for i in range(q) for j in range(i + 1, q) if dminus[i] < dminus[j])
-    b = len(g.edges)
+    b = g.triple()[0]
     c = crossings(g)
     dim = p * (p - 1) // 2 + q * (q - 1) // 2 + a_plus + a_minus + b * (b + 1) // 2 + c
     return Invariants(a_plus, a_minus, b, c, dim)
 
 
 def crossings(g: Graph) -> int:
-    """Pairs of edges (i,j), (k,l) with i < k and j > l."""
-    es = sorted(g.edges)
+    """Pairs of edges (i,j), (k,l) with i < k and j > l: the inversions of
+    the - partners read along the + array."""
+    ends = [j for j in g.plus if j > 0]
     return sum(
-        1
-        for a in range(len(es))
-        for b in range(a + 1, len(es))
-        if es[a][1] > es[b][1]
+        1 for a in range(len(ends)) for b in range(a + 1, len(ends)) if ends[a] > ends[b]
     )
 
 
@@ -311,19 +328,16 @@ class RankMatrix:
 
 @lru_cache(maxsize=None)
 def rank_matrix(g: Graph) -> RankMatrix:
-    """entries[i][j] = #edges within {1..i}+ x {1..j}- plus marks below i / j."""
-    p, q = g.shape.p, g.shape.q
-    rows = []
-    for i in range(p + 1):
-        row = []
-        for j in range(q + 1):
-            v = sum(1 for a, b in g.edges if a <= i and b <= j)
-            v += sum(1 for a in g.marked_plus if a <= i)
-            v += sum(1 for b in g.marked_minus if b <= j)
-            row.append(v)
+    """entries[i][j] = #edges within {1..i}+ x {1..j}- plus marks below i / j:
+    prefix counts of - marks, plus 1 from column 0 (i+ marked) or j (edge)."""
+    row = list(itertools.accumulate(int(e < 0) for e in g.minus))
+    rows = [tuple(row)]
+    for e in g.plus[1:]:
+        if e:
+            row[max(e, 0) :] = [v + 1 for v in row[max(e, 0) :]]
         rows.append(tuple(row))
     m = RankMatrix(tuple(rows))
-    if m.entries[p][q] != g.shape.r:
+    if m.entries[g.shape.p][g.shape.q] != g.shape.r:
         raise AssertionError("rank matrix corner must equal r")
     return m
 
@@ -333,9 +347,9 @@ def weyl_act(w, g: Graph) -> Graph:
     w1, w2 = w
     _check_perm(w1, g.shape.p, "w1")
     _check_perm(w2, g.shape.q, "w2")
-    return make_graph(
-        g.shape,
-        ((w1[i - 1], w2[j - 1]) for i, j in g.edges),
-        (w1[i - 1] for i in g.marked_plus),
-        (w2[j - 1] for j in g.marked_minus),
-    )
+    plus, minus = [0] * len(g.plus), [0] * len(g.minus)
+    for i, j in enumerate(g.plus[1:], 1):
+        plus[w1[i - 1]] = w2[j - 1] if j > 0 else j
+    for j, i in enumerate(g.minus[1:], 1):
+        minus[w2[j - 1]] = w1[i - 1] if i > 0 else i
+    return Graph(g.shape, tuple(plus), tuple(minus))

@@ -13,8 +13,8 @@ Here xi' is the basis vector of the reflected orbit.  Extending linearly
 over integer polynomials in q gives the module structure; specializing at
 q = 1 gives the permutation representation of the Weyl group S_p x S_q.
 
-The rule is evaluated once per shape on the orbits' partner arrays:
-``Basis(shape).action`` holds, for every generator, the case and the
+The rule is evaluated once per shape on the partner arrays ``core.Graph``
+stores: ``Basis(shape).action`` holds, for every generator, the case and the
 reflected orbit's index at each orbit, and every consumer reads that table.
 """
 
@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .core import Graph, Shape, admissible_triples, enumerate_graphs, triple_count
+from .core import Graph, Shape, admissible_triples, enumerate_graphs, triple_count, vertex_degree
 from .polynomial import ONE, Q, ZERO, IntPoly
 
 
@@ -36,22 +36,10 @@ class GeneratorCase(enum.Enum):
     CASE_III = "III"
 
 
-def _partners(g: Graph) -> tuple:
-    """The orbit as its two partner arrays, + side first.  Entry i of a
-    side's array is 0 if vertex i is free, -1 if it is marked, and the
-    label of its partner if it is an edge end; entry 0 is padding."""
-    to_minus = dict(g.edges)
-    to_plus = {j: i for i, j in g.edges}
-    return (
-        tuple(-1 if i in g.marked_plus else to_minus.get(i, 0) for i in range(g.shape.p + 1)),
-        tuple(-1 if j in g.marked_minus else to_plus.get(j, 0) for j in range(g.shape.q + 1)),
-    )
-
-
 def _case(a: tuple, i: int) -> GeneratorCase:
-    """The case of generator i at an orbit, from its side's partner array;
-    the degree of entry e is 0 free, 1 edge end, 2 marked."""
-    d, d2 = (2 if e < 0 else min(e, 1) for e in a[i : i + 2])
+    """The case of generator i at an orbit, from its side's partner array
+    (``Graph.plus`` or ``Graph.minus``), with degrees by ``vertex_degree``."""
+    d, d2 = vertex_degree(a[i]), vertex_degree(a[i + 1])
     if d == d2 != 1:
         return GeneratorCase.CASE_I
     if d < d2:
@@ -84,7 +72,7 @@ class Basis:
         self.shape = shape
         self.graphs = enumerate_graphs(shape)
         self.index = {g: i for i, g in enumerate(self.graphs)}
-        arrays = [_partners(g) for g in self.graphs]
+        arrays = [(g.plus, g.minus) for g in self.graphs]
         by_arrays = {a: k for k, a in enumerate(arrays)}
         self.action = {}
         for side, i in generators(shape):
@@ -115,7 +103,7 @@ def _check_generator(shape: Shape, side: str, i: int):
 def classify(g: Graph, side: str, i: int) -> GeneratorCase:
     """Which of the three cases the generator (side, i) is in at the orbit g."""
     _check_generator(g.shape, side, i)
-    return _case(_partners(g)["+-".index(side)], i)
+    return _case(g.plus if side == "+" else g.minus, i)
 
 
 @dataclass

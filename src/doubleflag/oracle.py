@@ -22,7 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Graph, Shape, enumerate_graphs, rank_matrix
+from .core import Graph, Shape, enumerate_graphs, matrix_from_graph, rank_matrix
 from .hecke import Basis, ModuleVector, apply_generator, generators
 
 ENUMERATION_BUDGET = 10**5
@@ -168,23 +168,9 @@ def rank_profile(w, shape: Shape, field_size: int) -> tuple:
 
 
 def graph_subspace(g: Graph, field_size: int) -> tuple:
-    """The base point of the orbit: span of e_i + e_{p+j} per edge, e_i per
-    + mark, e_{p+j} per - mark, in RREF."""
-    n = g.shape.n
-    rows = []
-    for i, j in sorted(g.edges):
-        v = [0] * n
-        v[i - 1] = 1
-        v[g.shape.p + j - 1] = 1
-        rows.append(v)
-    for i in sorted(g.marked_plus):
-        v = [0] * n
-        v[i - 1] = 1
-        rows.append(v)
-    for j in sorted(g.marked_minus):
-        v = [0] * n
-        v[g.shape.p + j - 1] = 1
-        rows.append(v)
+    """The base point of the orbit: the column span of ``matrix_from_graph``
+    (e_i + e_{p+j} per edge, e_i per + mark, e_{p+j} per - mark), in RREF."""
+    rows = list(zip(*matrix_from_graph(g).matrix))
     if not rows:
         return ()
     canon, rank = rref(rows, field_size)

@@ -131,6 +131,25 @@ def test_unknown_flag_exits_2():
     assert exc.value.code == 2
 
 
+def test_main_calls_share_no_parser_state(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    shape = ["--p", "1", "--q", "1", "--r", "1"]
+    code, out = run(capsys, "verify", *shape, "--field", "5")
+    assert code == 0 and json.loads(out)["fields"] == [5]
+    code, out = run(capsys, "verify", *shape)
+    assert code == 0 and json.loads(out)["fields"] == [3]
+
+
+def test_rejected_call_leaves_parser_usable(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--p", "2", "--bogus", "1"])
+    assert exc.value.code == 2
+    assert main(["enumerate", "--p", "0", "--q", "1", "--r", "0"]) == 2
+    code, out = run(capsys, "enumerate", "--p", "2", "--q", "2", "--r", "2")
+    assert code == 0
+    assert len(json.loads(out)) == 16
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys):
     path = tmp_path / "missing" / "orbits.json"
     code = main(["enumerate", "--p", "1", "--q", "1", "--r", "1", "--out", str(path)])

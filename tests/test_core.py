@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from doubleflag import (
     Graph,
+    Invariants,
     PartialPermutationPair,
+    RankMatrix,
     Shape,
     count_orbits,
     enumerate_graphs,
@@ -18,9 +20,11 @@ from doubleflag import (
     rank_matrix,
     weyl_act,
 )
+from doubleflag.core import crossings
 from doubleflag.oracle import rref
 
 SHAPE_534 = Shape(5, 3, 4)
+S222 = Shape(2, 2, 2)
 
 # (p+q) x r matrix with columns e2+e3', e4+e1', e5, e2' (primes = minus side)
 MATRIX_534 = (
@@ -67,6 +71,44 @@ class TestGraphValidation:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             make_graph(Shape(2, 2, 1), [(3, 1)])
+
+    def test_arrays_of_paper_example(self):
+        assert GRAPH_534.plus == (0, 0, 3, 0, 1, -1)
+        assert GRAPH_534.minus == (0, 4, -1, 2)
+
+    # Raw partner arrays for Shape(2, 2, 2).  Each rejected pair before the
+    # r cases has #edges + #marks = 2, so the r check alone passes it.
+    @pytest.mark.parametrize(
+        "plus,minus",
+        [((0, 2, 1), (0, 2, 1)), ((0, -1, 0), (0, 0, -1)), ((0, 1, -1), (0, 1, 0))],
+    )
+    def test_raw_arrays_accepted(self, plus, minus):
+        g = Graph(S222, plus, minus)
+        assert g == make_graph(S222, g.edges, g.marked_plus, g.marked_minus)
+
+    @pytest.mark.parametrize(
+        "plus,minus",
+        [
+            ((1, 1, 0), (0, 1, 0)),  # nonzero padding on the + side
+            ((0, 1, 0), (-1, 1, 0)),  # nonzero padding on the - side
+            ((0, 1, -1), (0, 0, 0)),  # partner listed on the + side only
+            ((0, -1, -1), (0, 1, 0)),  # partner listed on the - side only
+            ((0, 1, -1), (0, 2, 0)),  # the sides name different partners
+            ((0, 3, -1), (0, 0, 0)),  # + entry past q
+            ((0, -2, 0), (0, 0, -1)),  # entry below -1
+            ((0, -1, 0), (0, 0, 0)),  # r = 1, not 2
+            ((0, -1, -1), (0, -1, 0)),  # r = 3, not 2
+            ((0, -1, -1), (0, 0)),  # - array too short
+        ],
+    )
+    def test_raw_arrays_rejected(self, plus, minus):
+        with pytest.raises(ValueError):
+            Graph(S222, plus, minus)
+
+    def test_list_arrays_rejected(self):
+        # a list would pass every check but leave the graph unhashable
+        with pytest.raises(TypeError):
+            Graph(S222, [0, 2, 1], (0, 2, 1))
 
 
 class TestGraphFromMatrix:
@@ -290,3 +332,108 @@ def test_rank_matrix_invariants(sg):
 def test_json_round_trip():
     for g in enumerate_graphs(Shape(2, 3, 3)):
         assert Graph.from_json(g.to_json()) == g
+
+
+# Test-only references: the edge-set versions of the per-vertex questions,
+# as core answered them before a Graph was stored as its partner arrays.
+
+
+def reference_degree(g, side, i):
+    marked, ends = (g.marked_plus, 0) if side == "+" else (g.marked_minus, 1)
+    if i in marked:
+        return 2
+    return 1 if any(e[ends] == i for e in g.edges) else 0
+
+
+def reference_crossings(g):
+    es = sorted(g.edges)
+    return sum(
+        1 for a in range(len(es)) for b in range(a + 1, len(es)) if es[a][1] > es[b][1]
+    )
+
+
+def reference_invariants(g):
+    p, q = g.shape.p, g.shape.q
+    dplus = [reference_degree(g, "+", i) for i in range(1, p + 1)]
+    dminus = [reference_degree(g, "-", j) for j in range(1, q + 1)]
+    a_plus = sum(1 for i in range(p) for j in range(i + 1, p) if dplus[i] < dplus[j])
+    a_minus = sum(1 for i in range(q) for j in range(i + 1, q) if dminus[i] < dminus[j])
+    b = len(g.edges)
+    c = reference_crossings(g)
+    dim = p * (p - 1) // 2 + q * (q - 1) // 2 + a_plus + a_minus + b * (b + 1) // 2 + c
+    return Invariants(a_plus, a_minus, b, c, dim)
+
+
+def reference_rank_matrix(g):
+    rows = []
+    for i in range(g.shape.p + 1):
+        row = []
+        for j in range(g.shape.q + 1):
+            v = sum(1 for a, b in g.edges if a <= i and b <= j)
+            v += sum(1 for a in g.marked_plus if a <= i)
+            v += sum(1 for b in g.marked_minus if b <= j)
+            row.append(v)
+        rows.append(tuple(row))
+    return RankMatrix(tuple(rows))
+
+
+def reference_weyl_act(w, g):
+    w1, w2 = w
+    return make_graph(
+        g.shape,
+        ((w1[i - 1], w2[j - 1]) for i, j in g.edges),
+        (w1[i - 1] for i in g.marked_plus),
+        (w2[j - 1] for j in g.marked_minus),
+    )
+
+
+def reference_partners(g):
+    """The partner arrays built from the edge sets."""
+    to_minus = dict(g.edges)
+    to_plus = {j: i for i, j in g.edges}
+    return (
+        tuple(-1 if i in g.marked_plus else to_minus.get(i, 0) for i in range(g.shape.p + 1)),
+        tuple(-1 if j in g.marked_minus else to_plus.get(j, 0) for j in range(g.shape.q + 1)),
+    )
+
+
+SMALL_SHAPES = [
+    Shape(p, n - p, r) for n in range(2, 8) for p in range(1, n) for r in range(n + 1)
+]
+
+
+def small_orbits():
+    return [g for shape in SMALL_SHAPES for g in enumerate_graphs(shape)]
+
+
+def test_small_shapes_cover_every_orbit():
+    assert len(SMALL_SHAPES) == 133
+    assert len(small_orbits()) == sum(count_orbits(shape) for shape in SMALL_SHAPES) == 5037
+
+
+def test_arrays_match_edge_sets():
+    for g in small_orbits():
+        assert (g.plus, g.minus) == reference_partners(g), g
+        assert g.triple() == (len(g.edges), len(g.marked_plus), len(g.marked_minus)), g
+        for side, size in (("+", g.shape.p), ("-", g.shape.q)):
+            for i in range(1, size + 1):
+                assert g.degree(side, i) == reference_degree(g, side, i), (g, side, i)
+
+
+def test_invariants_match_reference():
+    for g in small_orbits():
+        assert crossings(g) == reference_crossings(g), g
+        assert invariants(g) == reference_invariants(g), g
+
+
+def test_rank_matrix_matches_reference():
+    for g in small_orbits():
+        assert rank_matrix(g) == reference_rank_matrix(g), g
+
+
+def test_weyl_act_matches_reference():
+    rng = random.Random(11)
+    for g in small_orbits():
+        p, q = g.shape.p, g.shape.q
+        w = (tuple(rng.sample(range(1, p + 1), p)), tuple(rng.sample(range(1, q + 1), q)))
+        assert weyl_act(w, g) == reference_weyl_act(w, g), (g, w)
