@@ -196,7 +196,12 @@ def _cmd_verify(args, shape) -> int:
     ok &= payload["orbit_count"]["ok"]
 
     relations = verify_relations(shape)
-    payload["relations"] = [{"name": rc.name, "ok": rc.ok} for rc in relations]
+    payload["relations"] = []
+    for rc in relations:
+        entry = {"name": rc.name, "ok": rc.ok}
+        if not rc.ok:
+            entry["witness"] = rc.witness
+        payload["relations"].append(entry)
     ok &= all(rc.ok for rc in relations)
 
     payload["certification"] = []

@@ -207,47 +207,17 @@ def operator_matrix(shape: Shape, side: str, i: int) -> OperatorMatrix:
 class RelationCheck:
     name: str
     ok: bool
+    witness: int | None = None  # first orbit index with a nonzero residue
 
 
-_POINTS = (0, 1, 2, 3)
+# The integer point every relation is decided at; see verify_relations.
+_Q0 = 64
 
 
-def _vanishes(terms: tuple, action: dict, v: ModuleVector) -> bool:
-    """Whether the sum of c(x) * word(v) over the terms is zero at every x in _POINTS."""
-    for x in _POINTS:
-        start = v.specialize(x)
-        residue = {}
-        for coeff, word in terms:
-            vec = start
-            for gen in reversed(word):
-                out = {}
-                for idx, y in vec.items():
-                    for k, c in _image_terms(idx, *action[gen][idx]):
-                        out[k] = out.get(k, 0) + c(x) * y
-                vec = out
-            for k, y in vec.items():
-                residue[k] = residue.get(k, 0) + coeff(x) * y
-        if any(residue.values()):
-            return False
-    return True
-
-
-def verify_relations(shape: Shape) -> list:
-    """Check the defining Hecke relations as exact polynomial identities.
-
-    Quadratic (T+1)(T-q) = 0 for every generator; commutation for distinct
-    non-adjacent (or opposite-side) pairs; braid for adjacent same-side
-    pairs.  Checked on every basis vector; failures are reported, not
-    raised.
-
-    A relation is a sum of terms c(q) * word that must vanish on every basis
-    vector.  Evaluation at q = x commutes with the arithmetic, so it is
-    checked with plain integers at q = 0, 1, 2, 3, and that decides it: the
-    entries of T_i (0, 1, q, q-1) have degree <= 1 in q, and a term is at
-    most three generators, or two times a c(q) of degree <= 1.  So each
-    coordinate of each residue is an integer polynomial of degree <= 3, and
-    one that vanishes at 4 points is zero.
-    """
+def _relations(shape: Shape) -> list:
+    """The defining relations as (name, terms): each term is (c(q), word),
+    and the relation says the sum of c(q) * word vanishes.  A word lists
+    generators left to right and acts right to left."""
     gens = generators(shape)
     # (T+1)(T-q) v = T^2 v + (1-q) T v - q v
     relations = [
@@ -259,12 +229,82 @@ def verify_relations(shape: Shape) -> list:
         lhs, rhs = ((a, b, a), (b, a, b)) if braid else ((a, b), (b, a))
         name = f"{'braid' if braid else 'commute'} {a[0]}{a[1]},{b[0]}{b[1]}"
         relations.append((name, ((ONE, lhs), (-ONE, rhs))))
+    return relations
 
+
+def _vanishes(terms: tuple, table: dict, v: ModuleVector) -> bool:
+    """Whether the sum of c * word(v) over the terms is zero at q = _Q0.
+    Each c is an int, already evaluated at _Q0, and ``table[gen][k]`` holds
+    the (orbit, coefficient at _Q0) pairs of T_gen xi_k."""
+    start = v.specialize(_Q0)
+    residue = {}
+    for coeff, word in terms:
+        vec = start
+        for gen in reversed(word):
+            column = table[gen]
+            out = {}
+            for idx, y in vec.items():
+                for k, c in column[idx]:
+                    out[k] = out.get(k, 0) + c * y
+            vec = out
+        for k, y in vec.items():
+            residue[k] = residue.get(k, 0) + coeff * y
+    return not any(residue.values())
+
+
+def verify_relations(shape: Shape) -> list:
+    """Check the defining Hecke relations as exact polynomial identities.
+
+    Quadratic (T+1)(T-q) = 0 for every generator; commutation for distinct
+    non-adjacent (or opposite-side) pairs; braid for adjacent same-side
+    pairs.  Checked on every basis vector; failures are reported, not
+    raised.  A failed relation's ``witness`` is the first orbit index
+    whose residue is nonzero.
+
+    A relation is a sum of terms c(q) * word that must vanish on every basis
+    vector.  Evaluation at q = x commutes with the arithmetic, so it is
+    checked with plain integers at the single point q = _Q0 = 64, and that
+    decides it.  Write |f| for the sum of the absolute values of the
+    coefficients of an integer polynomial f; |fg| <= |f| |g|.
+
+    * Each column of T_i has summed |coefficient| <= 3: case I gives
+      |q| = 1, case II |q-1| + |q| = 3 (|2q-1| = 3 when the partner is the
+      orbit itself) and case III |1| = 1.
+      So T_i at most triples the summed |coordinate| of a vector, and a
+      word of length l applied to a basis vector gives coordinates whose
+      summed |.| is at most 3^l.
+    * Relation coefficients have |c| <= 2 and words have length <= 3, so
+      every coordinate of a residue is an integer polynomial f with
+      |f| <= 27 + 27 = 54 (braid; quadratic gives 9 + 2*3 + 1 = 16 and
+      commutation 9 + 9 = 18).
+    * A nonzero integer polynomial f of degree d with |f| < x cannot
+      vanish at x: its top coefficient contributes at least x^d, and the
+      others at most (|f| - 1) x^(d-1) < x^d.
+
+    Since 54 < 64, a residue vanishes at _Q0 exactly when it is zero.
+    Every intermediate value is below 2^30 (columns at most 2q - 1 = 127
+    at _Q0, words of three letters, coefficients at most 64), so all of it
+    is small-int arithmetic.  ``tests/test_hecke.py`` checks the premises
+    on ``_image_terms`` and the relation coefficients.
+    """
     basis = Basis(shape)
+    table = {
+        gen: tuple(
+            tuple((k, c(_Q0)) for k, c in _image_terms(idx, case, jdx))
+            for idx, (case, jdx) in enumerate(action)
+        )
+        for gen, action in basis.action.items()
+    }
     report = []
-    for name, terms in relations:
-        vectors = (ModuleVector.basis_vector(shape, c) for c in range(len(basis)))
-        report.append(RelationCheck(name, all(_vanishes(terms, basis.action, v) for v in vectors)))
+    for name, terms in _relations(shape):
+        terms = tuple((coeff(_Q0), word) for coeff, word in terms)
+        failed = (
+            c
+            for c in range(len(basis))
+            if not _vanishes(terms, table, ModuleVector.basis_vector(shape, c))
+        )
+        witness = next(failed, None)
+        report.append(RelationCheck(name, witness is None, witness))
     return report
 
 

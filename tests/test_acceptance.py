@@ -88,9 +88,9 @@ def test_poset_grading():
 def test_hecke_relations():
     started = time.time()
     ok = True
-    for shape in shapes_up_to(7):
+    for shape in shapes_up_to(8):
         ok &= all(rc.ok for rc in verify_relations(shape))
-    report("Hecke quadratic/braid/commutation relations, p+q<=7", ok, started, budget=300)
+    report("Hecke quadratic/braid/commutation relations, p+q<=8", ok, started, budget=300)
 
 
 def test_oracle_certification():

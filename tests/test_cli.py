@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from doubleflag import cli
+from doubleflag import GeneratorCase, Shape, cli, hecke
 from doubleflag.cli import main
+from doubleflag.polynomial import ONE, Q
 
 
 def run(capsys, *argv):
@@ -85,6 +86,32 @@ def test_verify_passes(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["ok"] is True
+
+
+def test_verify_names_relation_witness(monkeypatch, capsys):
+    # Passing relations print only name and ok; a failed one adds the first
+    # orbit index whose residue is nonzero.
+    def case_ii_partner_one(idx, case, jdx):
+        if case is GeneratorCase.CASE_II:
+            return ((idx, Q - 1), (jdx, ONE))
+        return image_terms(idx, case, jdx)
+
+    image_terms = hecke._image_terms
+    argv = ["verify", "--p", "2", "--q", "2", "--r", "2", "--field", "3"]
+    _, out = run(capsys, *argv)
+    assert all(set(rel) == {"name", "ok"} for rel in json.loads(out)["relations"])
+
+    monkeypatch.setattr(hecke, "_image_terms", case_ii_partner_one)
+    code, out = run(capsys, *argv)
+    assert code == 1
+    expected = {rc.name: rc.witness for rc in hecke.verify_relations(Shape(2, 2, 2))}
+    relations = json.loads(out)["relations"]
+    assert any(not rel["ok"] for rel in relations)
+    for rel in relations:
+        if rel["ok"]:
+            assert set(rel) == {"name", "ok"}
+        else:
+            assert rel["witness"] == expected[rel["name"]] is not None
 
 
 def test_bad_shape_exits_2(capsys):

@@ -270,7 +270,7 @@ def case_ii_partner_one(idx, case, jdx):
 
 def reference_verify_relations(shape):
     """verify_relations as IntPoly identities, before the integer
-    evaluation at four points."""
+    evaluation."""
 
     def compose(ops, vec):
         for side, i in reversed(ops):
@@ -282,20 +282,20 @@ def reference_verify_relations(shape):
     report = []
 
     for side, i in gens:
-        ok = True
+        witness = None
         for c in range(n):
             v = ModuleVector.basis_vector(shape, c)
             tv = apply_generator(side, i, v)
             ttv = apply_generator(side, i, tv)
             residue = ttv + tv.scale(1 - Q) + v.scale(-Q)
             if residue.coords:
-                ok = False
+                witness = c
                 break
-        report.append(RelationCheck(f"quadratic {side}{i}", ok))
+        report.append(RelationCheck(f"quadratic {side}{i}", witness is None, witness))
 
     for (s1, i1), (s2, i2) in itertools.combinations(gens, 2):
         adjacent = s1 == s2 and abs(i1 - i2) == 1
-        ok = True
+        witness = None
         for c in range(n):
             v = ModuleVector.basis_vector(shape, c)
             if adjacent:
@@ -307,9 +307,9 @@ def reference_verify_relations(shape):
                 rhs = compose([(s2, i2), (s1, i1)], v)
                 name = f"commute {s1}{i1},{s2}{i2}"
             if lhs != rhs:
-                ok = False
+                witness = c
                 break
-        report.append(RelationCheck(name, ok))
+        report.append(RelationCheck(name, witness is None, witness))
 
     return report
 
@@ -322,6 +322,128 @@ def test_relations_match_polynomial_reference(shape, mutate):
     image_terms = case_ii_partner_one if mutate else _image_terms
     with mock.patch.object(hecke, "_image_terms", image_terms):
         assert verify_relations(shape) == reference_verify_relations(shape)
+
+
+def four_point_verify_relations(shape):
+    """verify_relations as it was before the single point: every relation
+    evaluated with plain integers at q = 0, 1, 2, 3 (residue coordinates
+    have degree <= 3), coefficients re-derived through _image_terms."""
+
+    def vanishes(terms, action, v):
+        for x in (0, 1, 2, 3):
+            start = v.specialize(x)
+            residue = {}
+            for coeff, word in terms:
+                vec = start
+                for gen in reversed(word):
+                    out = {}
+                    for idx, y in vec.items():
+                        for k, c in hecke._image_terms(idx, *action[gen][idx]):
+                            out[k] = out.get(k, 0) + c(x) * y
+                    vec = out
+                for k, y in vec.items():
+                    residue[k] = residue.get(k, 0) + coeff(x) * y
+            if any(residue.values()):
+                return False
+        return True
+
+    basis = Basis(shape)
+    report = []
+    for name, terms in hecke._relations(shape):
+        witness = next(
+            (
+                c
+                for c in range(len(basis))
+                if not vanishes(terms, basis.action, ModuleVector.basis_vector(shape, c))
+            ),
+            None,
+        )
+        report.append(RelationCheck(name, witness is None, witness))
+    return report
+
+
+@pytest.mark.parametrize("mutate", [False, True])
+def test_relations_match_four_point_reference(mutate):
+    image_terms = case_ii_partner_one if mutate else _image_terms
+    shapes = small_shapes(6)
+    assert len(shapes) == 85
+    failed = 0
+    with mock.patch.object(hecke, "_image_terms", image_terms):
+        for shape in shapes:
+            report = verify_relations(shape)
+            assert report == four_point_verify_relations(shape), shape
+            failed += sum(not rc.ok for rc in report)
+    assert (failed > 0) == mutate
+
+
+def l1(poly):
+    return sum(abs(c) for c in poly.coeffs)
+
+
+@pytest.mark.parametrize("case", list(GeneratorCase))
+@pytest.mark.parametrize("partner", [3, 5])
+def test_single_point_premise_image_terms(case, partner):
+    # The exactness proof in verify_relations needs every column of T_i to
+    # have summed coefficient l1 norm <= 3, also when the partner is the
+    # orbit itself (3 here).
+    terms = _image_terms(3, case, partner)
+    assert sum(l1(c) for _, c in terms) <= 3
+    assert all(c.degree <= 1 for _, c in terms)
+
+
+def test_single_point_premise_relations():
+    assert hecke._Q0 > 2 * 3**3
+    for shape in [Shape(3, 3, 2), Shape(4, 2, 3)]:
+        for name, terms in hecke._relations(shape):
+            assert all(l1(c) <= 2 and len(word) <= 3 for c, word in terms), name
+            # The bound on each residue coordinate's l1 norm, directly.
+            assert sum(l1(c) * 3 ** len(word) for c, word in terms) < hecke._Q0, name
+
+
+@pytest.mark.parametrize("shape", [Shape(3, 3, 2), S222])
+def test_one_basis_vector_per_relation_and_orbit(monkeypatch, shape):
+    # The benchmark counts these calls as its relation checks: 690 on
+    # (3,3,2), 10 relations x 69 orbits, in bench/golden.json.
+    calls = []
+    original = ModuleVector.basis_vector
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ModuleVector, "basis_vector", staticmethod(counted))
+    report = verify_relations(shape)
+    n = len(Basis(shape))
+    assert all(rc.ok for rc in report)
+    assert sorted(calls) == sorted((shape, c) for c in range(n) for _ in report)
+    if shape == Shape(3, 3, 2):
+        assert len(calls) == 690
+
+
+def relation_residue(terms, v):
+    """The sum of c(q) * word(v) over the terms, as an IntPoly vector."""
+    total = ModuleVector(v.shape)
+    for coeff, word in terms:
+        vec = v
+        for side, i in reversed(word):
+            vec = apply_generator(side, i, vec)
+        total = total + vec.scale(coeff)
+    return total
+
+
+@pytest.mark.parametrize("shape", [S222, Shape(3, 2, 2)])
+def test_witness_is_first_orbit_with_nonzero_residue(monkeypatch, shape):
+    monkeypatch.setattr(hecke, "_image_terms", case_ii_partner_one)
+    terms = dict(hecke._relations(shape))
+    failed = [rc for rc in verify_relations(shape) if not rc.ok]
+    assert failed
+    for rc in failed:
+        residues = [
+            relation_residue(terms[rc.name], ModuleVector.basis_vector(shape, c))
+            for c in range(rc.witness + 1)
+        ]
+        assert residues[-1].coords, rc
+        assert not any(r.coords for r in residues[:-1]), rc
 
 
 class TestWeylDecompose:
