@@ -232,20 +232,41 @@ def _relations(shape: Shape) -> list:
     return relations
 
 
-def _vanishes(terms: tuple, table: dict, v: ModuleVector) -> bool:
-    """Whether the sum of c * word(v) over the terms is zero at q = _Q0.
-    Each c is an int, already evaluated at _Q0, and ``table[gen][k]`` holds
-    the (orbit, coefficient at _Q0) pairs of T_gen xi_k."""
-    start = v.specialize(_Q0)
-    residue = {}
+def _suffix_plan(terms: tuple) -> tuple:
+    """The terms (c, word) of a relation as (c, source, gens) for
+    ``_vanishes``.  Each word suffix applied to v is kept, under the next
+    index (v itself is 0), and a word starts from the longest suffix kept
+    before it: ``source`` is that suffix's index, and ``gens`` the rest of
+    the word in the order it acts.  So the quadratic relation applies T to
+    v once, not twice."""
+    kept = {(): 0}
+    plan = []
     for coeff, word in terms:
-        vec = start
-        for gen in reversed(word):
+        start = 0
+        while word[start:] not in kept:
+            start += 1
+        plan.append((coeff, kept[word[start:]], tuple(reversed(word[:start]))))
+        for s in range(start - 1, -1, -1):
+            kept[word[s:]] = len(kept)
+    return tuple(plan)
+
+
+def _vanishes(plan: tuple, table: dict, v: ModuleVector) -> bool:
+    """Whether the sum of c * word(v) over the terms is zero at q = _Q0.
+    ``plan`` holds the terms as ``_suffix_plan`` gives them, each c an int
+    already evaluated at _Q0, and ``table[gen][k]`` holds the (orbit,
+    coefficient at _Q0) pairs of T_gen xi_k."""
+    kept = [v.specialize(_Q0)]
+    residue = {}
+    for coeff, source, gens in plan:
+        vec = kept[source]
+        for gen in gens:
             column = table[gen]
             out = {}
             for idx, y in vec.items():
                 for k, c in column[idx]:
                     out[k] = out.get(k, 0) + c * y
+            kept.append(out)
             vec = out
         for k, y in vec.items():
             residue[k] = residue.get(k, 0) + coeff * y
@@ -297,11 +318,11 @@ def verify_relations(shape: Shape) -> list:
     }
     report = []
     for name, terms in _relations(shape):
-        terms = tuple((coeff(_Q0), word) for coeff, word in terms)
+        plan = _suffix_plan(tuple((coeff(_Q0), word) for coeff, word in terms))
         failed = (
             c
             for c in range(len(basis))
-            if not _vanishes(terms, table, ModuleVector.basis_vector(shape, c))
+            if not _vanishes(plan, table, ModuleVector.basis_vector(shape, c))
         )
         witness = next(failed, None)
         report.append(RelationCheck(name, witness is None, witness))

@@ -47,8 +47,9 @@ def _echelon(mat: list, p: int) -> list:
     ``mat`` is a list of row lists with entries already in range(p).
     Afterwards ``mat[:rank]`` is in row echelon form with every pivot entry
     1, and every other row is zero.  This is the oracle's one elimination
-    loop: ``rank_profile`` reads ranks off the pivots, and ``rref`` adds
-    back-substitution.
+    loop, with two callers: ``rank_profile`` reads ranks off the pivots, and
+    ``rref`` adds back-substitution.  ``_transform`` moves a point without
+    it, by a local fix-up of its RREF.
     """
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
@@ -79,8 +80,10 @@ def _echelon(mat: list, p: int) -> list:
     return pivots
 
 
-def _canonical(mat: list, p: int):
-    """``rref`` on rows already reduced mod p, which it overwrites."""
+def rref(rows, p: int):
+    """Reduced row echelon form mod p of integer rows; returns (canonical
+    rows, rank).  Rows past the rank are zero."""
+    mat = [[x % p for x in row] for row in rows]
     pivots = _echelon(mat, p)
     for k, col in enumerate(pivots):
         row = mat[k]
@@ -89,12 +92,6 @@ def _canonical(mat: list, p: int):
             if f:
                 mat[j] = [(a - f * b) % p for a, b in zip(mat[j], row)]
     return tuple(map(tuple, mat)), len(pivots)
-
-
-def rref(rows, p: int):
-    """Reduced row echelon form mod p of integer rows; returns (canonical
-    rows, rank).  Rows past the rank are zero."""
-    return _canonical([[x % p for x in row] for row in rows], p)
 
 
 def grassmannian_size(shape: Shape, field_size: int) -> int:
@@ -222,18 +219,75 @@ def classify_orbits(shape: Shape, field_size: int) -> OrbitClassification:
 
 
 def _transform(w, a: int, c: int, p: int):
-    """Image of the subspace under s_i u(c)^{-1}, re-canonicalized.
+    """Image of the subspace under s_i u(c)^{-1}, in RREF.
 
-    u(c)^{-1} = I - c E_{a,a+1} and s_i swaps coordinates a and a+1
+    u(c)^{-1} = I - c E_{a,a+1} and s_i swaps coordinates a and b = a+1
     (0-based), so each basis row changes in two coordinates only:
-    row[a], row[a+1] = row[a+1], row[a] - c row[a+1].
+    row[a], row[b] = row[b], row[a] - c row[b].
+
+    ``w`` must be in RREF with entries in range(p), as every Grassmannian
+    point is.  Then only a pivot at a or at b can move, and the image is
+    put back in RREF by a local fix-up instead of a new elimination.  A
+    row with a pivot after b is zero at a and b and does not change, and
+    a row with a pivot before a keeps it.  Pivot columns other than a and
+    b keep their single nonzero entry.  By the pivots at a and b:
+
+    * Neither: a and b are not pivot columns before or after, so the
+      changed rows are already in RREF.
+    * b only, in row k: row k was (0, 1) at (a, b) and becomes (1, -c),
+      with only zeros before a; every other row was 0 at b, so it becomes
+      0 at a.  The pivot moves to a, between the same neighbours, and the
+      rows are in RREF.
+    * a only, in row k: row k was (1, x) and becomes (x, 1 - c x); a row
+      j < k with entry y at b becomes (y, -c y).  If x != 0, scale row k
+      by 1/x and clear column a in rows 0..k-1.  Otherwise row k is
+      (0, 1): the pivot moves to b, and column b is cleared in rows
+      0..k-1.
+    * Both, in rows k and k+1: they were (1, 0) and (0, 1) and become
+      (0, 1) and (1, -c).  Swap the two rows, then add c times the lower
+      one to the upper one, which clears -c at b.
+
+    Each case needs at most one row swap, one row scaling and one column
+    cleared above that row; only rows nonzero at a or b are rebuilt.  In
+    RREF every entry before a row's pivot is 0 and the pivot is 1, so the
+    pivot is ``row.index(1)``.
     """
-    rows = []
-    for row in w:
-        row = list(row)
-        row[a], row[a + 1] = row[a + 1], (row[a] - c * row[a + 1]) % p
-        rows.append(row)
-    return _canonical(rows, p)[0]
+    b = a + 1
+    rows = list(w)
+    ka = kb = -1
+    for k, row in enumerate(w):
+        x, y = row[a], row[b]
+        if x or y:
+            pivot = row.index(1)
+            if pivot == a:
+                ka = k
+            elif pivot == b:
+                kb = k
+            row = list(row)
+            row[a], row[b] = y, (x - c * y) % p
+            rows[k] = tuple(row)
+    if ka < 0:
+        return tuple(rows)
+    if kb >= 0:
+        upper, lower = rows[kb], rows[ka]
+        if c:
+            upper = tuple((u + c * v) % p for u, v in zip(upper, lower))
+        rows[ka], rows[kb] = upper, lower
+        return tuple(rows)
+    row = rows[ka]
+    x = row[a]
+    if x:
+        if x != 1:
+            inv = pow(x, -1, p)
+            row = rows[ka] = tuple(v * inv % p for v in row)
+        col = a
+    else:
+        col = b
+    for j in range(ka):
+        f = rows[j][col]
+        if f:
+            rows[j] = tuple((u - f * v) % p for u, v in zip(rows[j], row))
+    return tuple(rows)
 
 
 def convolution_action(

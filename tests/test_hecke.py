@@ -400,6 +400,22 @@ def test_single_point_premise_relations():
             assert sum(l1(c) * 3 ** len(word) for c, word in terms) < hecke._Q0, name
 
 
+def test_suffix_plan_applies_each_suffix_once():
+    # A quadratic relation applies T to v once, for T v, and once more for
+    # T^2 v; braid and commutation words share no suffix.
+    for name, terms in hecke._relations(Shape(3, 3, 2)):
+        plan = hecke._suffix_plan(terms)
+        suffixes = {word[s:] for _, word in terms for s in range(len(word))}
+        assert sum(len(gens) for _, _, gens in plan) == len(suffixes), name
+        if name.startswith("quadratic"):
+            gen = terms[0][1][0]
+            assert [(source, gens) for _, source, gens in plan] == [
+                (0, (gen, gen)),
+                (1, ()),
+                (0, ()),
+            ]
+
+
 @pytest.mark.parametrize("shape", [Shape(3, 3, 2), S222])
 def test_one_basis_vector_per_relation_and_orbit(monkeypatch, shape):
     # The benchmark counts these calls as its relation checks: 690 on

@@ -138,6 +138,28 @@ def _reference_transform(w, shape, side, i, c, field_size):
     return rref(rows, field_size)[0]
 
 
+def _reference_canonical_transform(w, a, c, p):
+    """Test-only copy of the transform before the local fix-up: the
+    two-coordinate row operation, then a full elimination."""
+    rows = []
+    for row in w:
+        row = list(row)
+        row[a], row[a + 1] = row[a + 1], (row[a] - c * row[a + 1]) % p
+        rows.append(row)
+    return rref(rows, p)[0]
+
+
+def _transform_case(w, a, c):
+    """Which branch of ``oracle._transform`` the triple (w, a, c) takes."""
+    pivots = {row.index(1): k for k, row in enumerate(w)}
+    if a in pivots and a + 1 in pivots:
+        return "both, c = 0" if c == 0 else "both, c != 0"
+    if a in pivots:
+        x = w[pivots[a]][a + 1]
+        return f"a only, new entry at a {x if x < 2 else '> 1'}"
+    return "b only" if a + 1 in pivots else "neither"
+
+
 @st.composite
 def shape_field_point(draw):
     """A shape with p+q <= 7, a field and the RREF of a random full-rank
@@ -219,6 +241,47 @@ class TestDifferential:
                 assert oracle._transform(w, a, c, field) == _reference_transform(
                     w, shape, side, i, c, field
                 )
+
+    def test_transform_matches_elimination_exhaustively(self):
+        jobs = [
+            (Shape(p, q, r), 3)
+            for p in range(1, 5)
+            for q in range(1, 6 - p)
+            for r in range(p + q + 1)
+        ]
+        cases = set()
+        for shape, field in jobs + [(S222, 5)]:
+            for w in enumerate_grassmannian(shape, field):
+                for a in range(shape.n - 1):
+                    for c in range(field):
+                        got = oracle._transform(w, a, c, field)
+                        want = _reference_canonical_transform(w, a, c, field)
+                        assert got == want, (shape, field, w, a, c)
+                        cases.add(_transform_case(w, a, c))
+        assert cases == {
+            "neither",
+            "b only",
+            "a only, new entry at a 0",
+            "a only, new entry at a 1",
+            "a only, new entry at a > 1",
+            "both, c = 0",
+            "both, c != 0",
+        }
+
+    def test_certification_transforms_every_sample(self, monkeypatch):
+        # The count bench/golden.json records for verify (2,2,2) over F_11.
+        # convolution_action must look _transform up at each call, so a
+        # cached or batched transform changes the count.
+        calls = []
+        transform = oracle._transform
+
+        def counted(w, a, c, p):
+            calls.append(1)
+            return transform(w, a, c, p)
+
+        monkeypatch.setattr(oracle, "_transform", counted)
+        assert certify_theorem(S222, [11]).ok
+        assert len(calls) == 14784
 
     def test_rank_profile_eliminations_per_point(self, monkeypatch):
         calls = []
