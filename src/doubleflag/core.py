@@ -215,31 +215,37 @@ def matrix_from_graph(g: Graph) -> PartialPermutationPair:
 
 
 def admissible_triples(shape: Shape) -> list:
-    """All (k, s, t) with k+s <= p, k+t <= q and k+s+t = r, in lex order."""
+    """All (k, s, t) with k+s <= p, k+t <= q and k+s+t = r, in lex order:
+    k ascends, then s, and t is fixed by k and s."""
     out = []
     for k in range(0, min(shape.p, shape.q, shape.r) + 1):
         for s in range(0, min(shape.p - k, shape.r - k) + 1):
             t = shape.r - k - s
             if 0 <= t <= shape.q - k:
                 out.append((k, s, t))
-    return sorted(out)
+    return out
 
 
 @lru_cache(maxsize=None)
 def enumerate_graphs(shape: Shape) -> tuple:
-    """All orbit graphs for the shape, in a fixed lexicographic order."""
+    """All orbit graphs for the shape, in a fixed lexicographic order.  The
+    partner arrays are written directly, and ``Graph`` checks each once."""
     p, q = shape.p, shape.q
     out = []
     for k, s, t in admissible_triples(shape):
         for plus_ends in itertools.combinations(range(1, p + 1), k):
+            rest_plus = [i for i in range(1, p + 1) if i not in plus_ends]
             for minus_ends in itertools.combinations(range(1, q + 1), k):
+                rest_minus = [j for j in range(1, q + 1) if j not in minus_ends]
                 for sigma in itertools.permutations(plus_ends):
-                    edges = frozenset(zip(sigma, minus_ends))
-                    rest_plus = [i for i in range(1, p + 1) if i not in plus_ends]
-                    rest_minus = [j for j in range(1, q + 1) if j not in minus_ends]
+                    plus, minus = [0] * (p + 1), [0] * (q + 1)
+                    for i, j in zip(sigma, minus_ends):
+                        plus[i], minus[j] = j, i
                     for mp in itertools.combinations(rest_plus, s):
+                        marked_plus = tuple(-1 if i in mp else e for i, e in enumerate(plus))
                         for mm in itertools.combinations(rest_minus, t):
-                            out.append(make_graph(shape, edges, mp, mm))
+                            marked_minus = tuple(-1 if j in mm else e for j, e in enumerate(minus))
+                            out.append(Graph(shape, marked_plus, marked_minus))
     return tuple(out)
 
 
@@ -299,23 +305,12 @@ def crossings(g: Graph) -> int:
 
 @dataclass(frozen=True)
 class RankMatrix:
-    """The (p+1) x (q+1) rank profile of an orbit; a complete invariant."""
+    """The (p+1) x (q+1) rank profile of an orbit; a complete invariant.
+    Only ``rank_matrix`` builds one, and no function of the library takes
+    one built by hand, so it carries no checks of its own: its properties
+    are proved in ``rank_matrix``."""
 
     entries: tuple  # (p+1) rows, each a tuple of length q+1
-
-    def __post_init__(self):
-        e = self.entries
-        rows, cols = len(e), len(e[0])
-        if e[0][0] != 0:
-            raise ValueError("corner (0,0) must be 0")
-        for i in range(rows):
-            for j in range(cols):
-                if i > 0 and e[i][j] - e[i - 1][j] not in (0, 1):
-                    raise ValueError("row steps must be 0 or 1")
-                if j > 0 and e[i][j] - e[i][j - 1] not in (0, 1):
-                    raise ValueError("column steps must be 0 or 1")
-                if i > 0 and j > 0 and e[i][j] + e[i - 1][j - 1] < e[i - 1][j] + e[i][j - 1]:
-                    raise ValueError("rank matrix must be supermodular")
 
     def __getitem__(self, idx):
         return self.entries[idx]
@@ -329,17 +324,31 @@ class RankMatrix:
 @lru_cache(maxsize=None)
 def rank_matrix(g: Graph) -> RankMatrix:
     """entries[i][j] = #edges within {1..i}+ x {1..j}- plus marks below i / j:
-    prefix counts of - marks, plus 1 from column 0 (i+ marked) or j (edge)."""
+    prefix counts of - marks, plus 1 from column 0 (i+ marked) or j (edge).
+
+    The matrix is a rank profile by construction, from the checks that
+    ``Graph`` already made on g's partner arrays:
+
+    - Row 0 is the prefix counts of - marks.  Entry 0 of ``minus`` is
+      padding 0, so corner (0,0) is 0, and each column step of row 0 is 0/1.
+    - Row i adds to row i-1 the indicator of j >= e, where e is the partner
+      of i+, or 0 if i+ is marked (a free i+ adds nothing).  So each row
+      step is 0/1.
+    - That increment does not decrease in j, which is supermodularity:
+      entries[i][j] - entries[i-1][j] >= entries[i][j-1] - entries[i-1][j-1].
+    - The increment moves a column step only at column e >= 1, and only
+      i+ is joined to e-, which is then unmarked; so column e's step rises
+      from 0 once, and every column step stays 0/1.
+    - Corner (p,q) counts every edge and mark once, and ``Graph`` forces
+      #edges + #marks = r.
+    """
     row = list(itertools.accumulate(int(e < 0) for e in g.minus))
     rows = [tuple(row)]
     for e in g.plus[1:]:
         if e:
             row[max(e, 0) :] = [v + 1 for v in row[max(e, 0) :]]
         rows.append(tuple(row))
-    m = RankMatrix(tuple(rows))
-    if m.entries[g.shape.p][g.shape.q] != g.shape.r:
-        raise AssertionError("rank matrix corner must equal r")
-    return m
+    return RankMatrix(tuple(rows))
 
 
 def weyl_act(w, g: Graph) -> Graph:

@@ -116,7 +116,7 @@ class ModuleVector:
     coords: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.coords = {k: IntPoly.coerce(v) for k, v in self.coords.items() if IntPoly.coerce(v)}
+        self.coords = {k: c for k, v in self.coords.items() if (c := IntPoly.coerce(v))}
 
     @staticmethod
     def basis_vector(shape: Shape, index: int) -> "ModuleVector":

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import Graph, Shape, enumerate_graphs, matrix_from_graph, rank_matrix
-from .hecke import Basis, ModuleVector, apply_generator, generators
+from .hecke import Basis, ModuleVector, _check_generator, apply_generator, generators
 
 ENUMERATION_BUDGET = 10**5
 
@@ -297,8 +297,12 @@ def convolution_action(
 
     Evaluates the convolved function at a representative of every orbit and
     asserts (a) constancy on sampled points of each orbit and (b) total mass
-    q * #orbit(g), which pins the support exactly.
+    q * #orbit(g), which pins the support exactly.  Raises ValueError for a
+    generator outside the shape or an orbit g of another shape.
     """
+    _check_generator(shape, side, i)
+    if g.shape != shape:
+        raise ValueError(f"orbit of shape {g.shape} given for shape {shape}")
     cls = classify_orbits(shape, field_size)
     basis = Basis(shape)
     source = basis.index[g]

@@ -11,6 +11,7 @@ from doubleflag import (
     PartialPermutationPair,
     RankMatrix,
     Shape,
+    admissible_triples,
     count_orbits,
     enumerate_graphs,
     graph_from_matrix,
@@ -20,6 +21,7 @@ from doubleflag import (
     rank_matrix,
     weyl_act,
 )
+from doubleflag import core
 from doubleflag.core import crossings
 from doubleflag.oracle import rref
 
@@ -320,13 +322,28 @@ def test_round_trip_and_column_invariance(sg, rnd):
     assert graph_from_matrix(shuffled) == g
 
 
+def assert_rank_profile(g):
+    """The properties that ``rank_matrix``'s docstring proves: corners 0
+    and r, row and column steps 0/1, and supermodularity."""
+    e = rank_matrix(g).entries
+    p, q = g.shape.p, g.shape.q
+    assert len(e) == p + 1 and all(len(row) == q + 1 for row in e), g
+    assert e[0][0] == 0, g
+    assert e[p][q] == g.shape.r, g
+    for i in range(p + 1):
+        for j in range(q + 1):
+            if i:
+                assert e[i][j] - e[i - 1][j] in (0, 1), (g, i, j)
+            if j:
+                assert e[i][j] - e[i][j - 1] in (0, 1), (g, i, j)
+            if i and j:
+                assert e[i][j] + e[i - 1][j - 1] >= e[i - 1][j] + e[i][j - 1], (g, i, j)
+
+
 @settings(max_examples=60, deadline=None)
 @given(shape_and_graph())
 def test_rank_matrix_invariants(sg):
-    shape, g = sg
-    entries = rank_matrix(g).entries  # constructor validates steps etc.
-    assert entries[0][0] == 0
-    assert entries[shape.p][shape.q] == shape.r
+    assert_rank_profile(sg[1])
 
 
 def test_json_round_trip():
@@ -375,6 +392,24 @@ def reference_rank_matrix(g):
             row.append(v)
         rows.append(tuple(row))
     return RankMatrix(tuple(rows))
+
+
+def reference_enumerate_graphs(shape):
+    """Enumeration through ``make_graph`` on edge and mark sets, in the same
+    loop order as ``enumerate_graphs``."""
+    p, q = shape.p, shape.q
+    out = []
+    for k, s, t in admissible_triples(shape):
+        for plus_ends in itertools.combinations(range(1, p + 1), k):
+            for minus_ends in itertools.combinations(range(1, q + 1), k):
+                for sigma in itertools.permutations(plus_ends):
+                    edges = frozenset(zip(sigma, minus_ends))
+                    rest_plus = [i for i in range(1, p + 1) if i not in plus_ends]
+                    rest_minus = [j for j in range(1, q + 1) if j not in minus_ends]
+                    for mp in itertools.combinations(rest_plus, s):
+                        for mm in itertools.combinations(rest_minus, t):
+                            out.append(make_graph(shape, edges, mp, mm))
+    return tuple(out)
 
 
 def reference_weyl_act(w, g):
@@ -429,6 +464,22 @@ def test_invariants_match_reference():
 def test_rank_matrix_matches_reference():
     for g in small_orbits():
         assert rank_matrix(g) == reference_rank_matrix(g), g
+
+
+def test_rank_matrix_is_a_rank_profile():
+    for g in small_orbits():
+        assert_rank_profile(g)
+
+
+def test_enumeration_matches_reference(monkeypatch):
+    expected = {shape: reference_enumerate_graphs(shape) for shape in SMALL_SHAPES}
+
+    def fail(*args):
+        raise AssertionError("enumerate_graphs called make_graph")
+
+    monkeypatch.setattr(core, "make_graph", fail)
+    for shape in SMALL_SHAPES:
+        assert enumerate_graphs.__wrapped__(shape) == expected[shape], shape
 
 
 def test_weyl_act_matches_reference():

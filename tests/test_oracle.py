@@ -337,6 +337,9 @@ class TestClassifyOrbits:
             assert cls.sizes[top] == max(cls.sizes)
 
 
+NONCROSSING_222 = make_graph(S222, [(1, 1), (2, 2)])
+
+
 class TestConvolution:
     def test_case_ii_counts(self):
         g = make_graph(S222, [(1, 2), (2, 1)])
@@ -358,6 +361,24 @@ class TestConvolution:
         out = convolution_action(S222, 3, "+", 1, g)
         cross = make_graph(S222, [(1, 2), (2, 1)])
         assert out.specialize(0) == {Basis(S222).index[cross]: 1}
+
+    @pytest.mark.parametrize(
+        "side,i,g",
+        [
+            ("x", 1, NONCROSSING_222),  # no such side
+            ("+", 2, NONCROSSING_222),  # index past p-1
+            ("+", 0, NONCROSSING_222),  # index below 1
+            ("-", 0, NONCROSSING_222),
+            ("+", 1, make_graph(Shape(2, 2, 1), [(1, 1)])),  # orbit of another shape
+        ],
+    )
+    def test_bad_input_rejected_before_counting(self, monkeypatch, side, i, g):
+        def fail(*args):
+            raise RuntimeError("classified points for a rejected input")
+
+        monkeypatch.setattr(oracle, "classify_orbits", fail)
+        with pytest.raises(ValueError):
+            convolution_action(S222, 3, side, i, g)
 
 
 class TestCertification:

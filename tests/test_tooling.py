@@ -20,3 +20,48 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+PUBLIC_API = [
+    "Graph",
+    "Invariants",
+    "PartialPermutationPair",
+    "RankMatrix",
+    "Shape",
+    "admissible_triples",
+    "count_orbits",
+    "enumerate_graphs",
+    "graph_from_matrix",
+    "invariants",
+    "make_graph",
+    "matrix_from_graph",
+    "rank_matrix",
+    "weyl_act",
+    "GeneratorCase",
+    "ModuleVector",
+    "OperatorMatrix",
+    "apply_generator",
+    "classify",
+    "generators",
+    "operator_matrix",
+    "verify_relations",
+    "weyl_decompose",
+    "certify_theorem",
+    "classify_orbits",
+    "convolution_action",
+    "enumerate_grassmannian",
+    "gaussian_binomial",
+    "rank_profile",
+    "IntPoly",
+    "OrbitPoset",
+    "build_poset",
+    "closure_leq",
+    "to_dot",
+]
+
+
+def test_public_api_pinned():
+    # a change that drops or renames a public name must say so here
+    assert doubleflag.__all__ == PUBLIC_API
+    for name in PUBLIC_API:
+        assert getattr(doubleflag, name) is not None, name
