@@ -18,7 +18,6 @@ rank-profile equality, never by enumerating the Borel group.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,19 +40,21 @@ def gaussian_binomial(n: int, r: int, q: int) -> int:
     return num // den
 
 
-def _echelon(mat: list, p: int) -> list:
-    """Forward elimination mod p, in place; returns the pivot columns.
+def rref(rows, p: int):
+    """Reduced row echelon form mod p of integer rows; returns (canonical
+    rows, rank).  Rows past the rank are zero.
 
-    ``mat`` is a list of row lists with entries already in range(p).
-    Afterwards ``mat[:rank]`` is in row echelon form with every pivot entry
-    1, and every other row is zero.  This is the oracle's one elimination
-    loop, with two callers: ``rank_profile`` reads ranks off the pivots, and
-    ``rref`` adds back-substitution.  ``_transform`` moves a point without
-    it, by a local fix-up of its RREF.
+    This is the oracle's one elimination routine.  Entries are reduced mod
+    p first, so any integers are accepted.  At each pivot the pivot row is
+    scaled to 1 and its column is cleared in every other row, so the rows
+    come out in the unique reduced form of their span: equal spans give
+    equal rows.  It runs once per new step of the span table that
+    ``rank_profile`` walks, and once per orbit base point;
+    ``_transform`` keeps a point in this form without calling it.
     """
+    mat = [[x % p for x in row] for row in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
-    pivots = []
     rank = 0
     for col in range(ncols):
         for k in range(rank, nrows):
@@ -69,29 +70,14 @@ def _echelon(mat: list, p: int) -> list:
             inv = pow(x, -1, p)
             row = [v * inv % p for v in row]
         mat[rank] = row
-        for j in range(rank + 1, nrows):
+        for j in range(nrows):
             f = mat[j][col]
-            if f:
+            if f and j != rank:
                 mat[j] = [(a - f * b) % p for a, b in zip(mat[j], row)]
-        pivots.append(col)
         rank += 1
         if rank == nrows:
             break
-    return pivots
-
-
-def rref(rows, p: int):
-    """Reduced row echelon form mod p of integer rows; returns (canonical
-    rows, rank).  Rows past the rank are zero."""
-    mat = [[x % p for x in row] for row in rows]
-    pivots = _echelon(mat, p)
-    for k, col in enumerate(pivots):
-        row = mat[k]
-        for j in range(k):
-            f = mat[j][col]
-            if f:
-                mat[j] = [(a - f * b) % p for a, b in zip(mat[j], row)]
-    return tuple(map(tuple, mat)), len(pivots)
+    return tuple(map(tuple, mat)), rank
 
 
 def grassmannian_size(shape: Shape, field_size: int) -> int:
@@ -140,27 +126,97 @@ def enumerate_grassmannian(shape: Shape, field_size: int) -> list:
     return out
 
 
+class _SpanTable:
+    """The subspaces of F^r met so far, and the step table between them.
+
+    Span ``s`` stands for the subspace whose nonzero ``rref`` rows are
+    ``bases[s]``; ``ids`` maps those rows back to ``s``, so equal subspaces
+    share one id.  ``dims[s]`` is its dimension and ``steps[s][col]`` the id
+    of the span of ``s`` and the vector ``col``.  Span 0 is the zero space.
+    Steps are filled on first use, each by one ``rref`` call.
+    """
+
+    def __init__(self, field_size: int):
+        self.field_size = field_size
+        self.bases = [()]
+        self.dims = [0]
+        self.ids = {(): 0}
+        self.steps = [{}]
+
+    def extend(self, s: int, col) -> int:
+        """Fill and return ``steps[s][col]``."""
+        rows, rank = rref(self.bases[s] + (col,), self.field_size)
+        basis = rows[:rank]
+        t = self.ids.get(basis)
+        if t is None:
+            t = self.ids[basis] = len(self.bases)
+            self.bases.append(basis)
+            self.dims.append(len(basis))
+            self.steps.append({})
+        self.steps[s][col] = t
+        return t
+
+
+@lru_cache(maxsize=8)
+def _span_table(r: int, field_size: int) -> _SpanTable:
+    """The span table of F^r over the field, shared by every shape with this
+    r.  Its spans are subspaces of F^r and each step reads only a span and
+    a vector of F^r, so nothing else changes it.  It never holds more steps
+    than the walks that filled it took."""
+    return _SpanTable(field_size)
+
+
 def rank_profile(w, shape: Shape, field_size: int) -> tuple:
     """(p+1) x (q+1) table of dim(W cap (F_i+ + F_j-)) for the standard flags.
 
-    F_i+ + F_j- is a coordinate subspace, so the intersection dimension is
-    r minus the rank of W restricted to the complementary coordinates
-    i+1..p and p+j+1..p+q.  With the columns ordered i+1..p, then p+q down
-    to p+1, the complement for every j is the prefix of length
-    (p-i)+(q-j).  The rank of W restricted to a column prefix is the number
-    of echelon pivots inside that prefix, so one forward elimination per i
-    gives the whole row.  ``w`` has entries in range(field_size), as every
-    Grassmannian point does.
+    Proof of the walk.  F_i+ + F_j- is the coordinate subspace on + columns
+    1..i and - columns 1..j, so the intersection dimension is r minus the
+    rank of W restricted to the other columns.  That rank is the dimension
+    of the span in F^r of those columns of the r x n basis matrix, because
+    column rank equals row rank.  With U_i the span of + columns i+1..p and
+    M_j the span of - columns j+1..q, entry (i, j) is r - dim(U_i + M_j).
+
+    The walk builds U_p = 0, U_{p-1}, ..., U_0 by adding one + column at a
+    time, and from each U_i adds the - columns q, q-1, ..., 1, reading entry
+    (i, q), (i, q-1), ..., (i, 0) after each step.  Each step is a lookup
+    in the span table of F^r (``_SpanTable``).  A span's id is its nonzero
+    canonical ``rref`` rows, which the reduced form makes unique to the
+    subspace, so equal subspaces share one id.  The step from a span by a
+    column, and the dimension of the result, then depend only on the
+    subspace, the column, r and the field.  So one table per (r, field)
+    serves every point and shape; it is filled on first use, one ``rref``
+    call per new step, and after the first points nearly every step is one
+    dict lookup instead of an elimination.
+
+    ``w`` is any r x n integer matrix whose reduction mod ``field_size`` has
+    rank r, such as a Grassmannian point; its entries need not lie in
+    range(field_size), since ``rref`` reduces each new span.
     """
     p, q, r = shape.p, shape.q, shape.r
-    cols = list(range(p)) + list(range(p + q - 1, p - 1, -1))
-    permuted = [[v[c] for c in cols] for v in w]
+    table = _span_table(r, field_size)
+    steps, dims = table.steps, table.dims
+    cols = list(zip(*w)) or [()] * (p + q)
+    minus = cols[:p - 1:-1]  # - columns q down to 1
     rows = []
-    for i in range(p + 1):
-        pivots = _echelon([row[i:] for row in permuted], field_size)
-        rows.append(
-            tuple(r - bisect_left(pivots, p - i + q - j) for j in range(q + 1))
-        )
+    u = 0
+    for i in range(p, -1, -1):
+        if i < p:
+            col = cols[i]
+            try:
+                u = steps[u][col]
+            except KeyError:
+                u = table.extend(u, col)
+        s = u
+        row = [r - dims[s]]
+        for col in minus:
+            try:
+                s = steps[s][col]
+            except KeyError:
+                s = table.extend(s, col)
+            row.append(r - dims[s])
+        row.reverse()
+        rows.append(tuple(row))
+    rows.reverse()
     return tuple(rows)
 
 
@@ -188,7 +244,10 @@ class OrbitClassification:
     points: tuple  # points[k] = tuple of subspaces in orbit k
 
 
-@lru_cache(maxsize=None)
+# verify classifies one field at a time, and certify_theorem reuses that
+# classification for every generator and orbit; a near-budget one holds
+# about 10^5 points, so only the two most recent are kept.
+@lru_cache(maxsize=2)
 def classify_orbits(shape: Shape, field_size: int) -> OrbitClassification:
     """Group all subspaces by rank profile and match them to orbit graphs.
 
@@ -227,7 +286,7 @@ def _transform(w, a: int, c: int, p: int):
 
     ``w`` must be in RREF with entries in range(p), as every Grassmannian
     point is.  Then only a pivot at a or at b can move, and the image is
-    put back in RREF by a local fix-up instead of a new elimination.  A
+    put back in RREF by a local fix-up instead of a call to ``rref``.  A
     row with a pivot after b is zero at a and b and does not change, and
     a row with a pivot before a keeps it.  Pivot columns other than a and
     b keep their single nonzero entry.  By the pivots at a and b:

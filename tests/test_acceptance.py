@@ -20,6 +20,7 @@ from doubleflag import (
     verify_relations,
     weyl_decompose,
 )
+from doubleflag.oracle import graph_subspace
 from doubleflag.poset import build_poset
 
 ORACLE_SHAPES = [
@@ -115,7 +116,18 @@ def test_classification_totality():
             cls = classify_orbits(shape, field)  # raises on unmatched profiles
             ok &= len(cls.sizes) == len(enumerate_graphs(shape))
             ok &= sum(cls.sizes) == gaussian_binomial(shape.n, shape.r, field)
-    report("orbit classification totality and point counts", ok, started, budget=120)
+            # each graph's base point lies in its own orbit, which a profile
+            # read against another flag (say, - columns reversed) breaks
+            ok &= all(
+                cls.orbit_of[graph_subspace(g, field)] == k
+                for k, g in enumerate(cls.graphs)
+            )
+    report(
+        "orbit classification totality, point counts and base points",
+        ok,
+        started,
+        budget=120,
+    )
 
 
 def test_weyl_decomposition():

@@ -283,20 +283,50 @@ class TestDifferential:
         assert certify_theorem(S222, [11]).ok
         assert len(calls) == 14784
 
+    def test_rank_profile_matches_per_entry_elimination_exhaustively(self):
+        jobs = [
+            (Shape(p, q, r), 3)
+            for p in range(1, 5)
+            for q in range(1, 6 - p)
+            for r in range(p + q + 1)
+        ]
+        for shape, field in jobs + [(S222, 5), (S222, 7)]:
+            for w in enumerate_grassmannian(shape, field):
+                assert rank_profile(w, shape, field) == _reference_rank_profile(
+                    w, shape, field
+                ), (shape, field, w)
+
+    def test_rank_profile_reduces_mod_p(self):
+        # Entries shifted by -p or +p, so some are negative and some past p.
+        for w in enumerate_grassmannian(S222, 3):
+            shifted = tuple(
+                tuple(x + 3 * (1 if (j + k) % 2 else -1) for k, x in enumerate(row))
+                for j, row in enumerate(w)
+            )
+            assert rank_profile(shifted, S222, 3) == rank_profile(w, S222, 3)
+
     def test_rank_profile_eliminations_per_point(self, monkeypatch):
+        # rank_profile eliminates only to fill its span table: one rref call
+        # per table entry created, and none once the table holds every step.
         calls = []
-        echelon = oracle._echelon
+        eliminate = oracle.rref
 
-        def counted(mat, p):
+        def counted(rows, p):
             calls.append(1)
-            return echelon(mat, p)
+            return eliminate(rows, p)
 
-        monkeypatch.setattr(oracle, "_echelon", counted)
+        monkeypatch.setattr(oracle, "rref", counted)
+        oracle._span_table.cache_clear()
         shape = Shape(3, 2, 2)
-        for w in enumerate_grassmannian(shape, 3):
-            calls.clear()
+        points = enumerate_grassmannian(shape, 3)
+        for w in points:
             rank_profile(w, shape, 3)
-            assert len(calls) == shape.p + 1
+        table = oracle._span_table(shape.r, 3)
+        assert 0 < len(calls) == sum(map(len, table.steps)) < len(points)
+        calls.clear()
+        for w in points:
+            rank_profile(w, shape, 3)
+        assert calls == []
 
     @settings(max_examples=300, deadline=None)
     @given(integer_matrix())
