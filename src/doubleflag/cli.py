@@ -16,7 +16,12 @@ from functools import cache
 
 from .core import Shape, count_orbits, enumerate_graphs, invariants, rank_matrix
 from .hecke import operator_matrix, verify_relations, weyl_decompose
-from .oracle import certify_theorem, classify_orbits, grassmannian_size
+from .oracle import (
+    certify_theorem,
+    classification_ok,
+    classify_orbits,
+    grassmannian_size,
+)
 from .poset import build_poset, to_dot
 
 # Largest orbit count any subcommand accepts.  It admits every shape with
@@ -183,7 +188,9 @@ def _cmd_weyl_decomp(args, shape) -> int:
 
 def _cmd_verify(args, shape) -> int:
     fields = args.field or [3]
-    totals = [grassmannian_size(shape, field_size) for field_size in fields]
+    # A bad or oversized field fails before any work starts.
+    for field_size in fields:
+        grassmannian_size(shape, field_size)
     ok = True
     payload = {"shape": {"p": shape.p, "q": shape.q, "r": shape.r}, "fields": fields}
 
@@ -205,9 +212,8 @@ def _cmd_verify(args, shape) -> int:
     ok &= all(rc.ok for rc in relations)
 
     payload["certification"] = []
-    for field_size, total in zip(fields, totals):
-        cls = classify_orbits(shape, field_size)
-        sizes_ok = sum(cls.sizes) == total
+    for field_size in fields:
+        sizes_ok = classification_ok(classify_orbits(shape, field_size))
         report = certify_theorem(shape, [field_size])
         payload["certification"].append(
             {

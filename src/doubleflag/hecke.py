@@ -122,18 +122,6 @@ class ModuleVector:
     def basis_vector(shape: Shape, index: int) -> "ModuleVector":
         return ModuleVector(shape, {index: ONE})
 
-    def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        out = dict(self.coords)
-        for k, v in other.coords.items():
-            out[k] = out.get(k, ZERO) + v
-        return ModuleVector(self.shape, out)
-
-    def scale(self, c) -> "ModuleVector":
-        c = IntPoly.coerce(c)
-        return ModuleVector(self.shape, {k: c * v for k, v in self.coords.items()})
-
     def __eq__(self, other):
         return (
             isinstance(other, ModuleVector)

@@ -21,7 +21,14 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Graph, Shape, enumerate_graphs, matrix_from_graph, rank_matrix
+from .core import (
+    Graph,
+    Shape,
+    enumerate_graphs,
+    invariants,
+    matrix_from_graph,
+    rank_matrix,
+)
 from .hecke import Basis, ModuleVector, _check_generator, apply_generator, generators
 
 ENUMERATION_BUDGET = 10**5
@@ -49,8 +56,8 @@ def rref(rows, p: int):
     scaled to 1 and its column is cleared in every other row, so the rows
     come out in the unique reduced form of their span: equal spans give
     equal rows.  It runs once per new step of the span table that
-    ``rank_profile`` walks, and once per orbit base point;
-    ``_transform`` keeps a point in this form without calling it.
+    ``classify_orbits`` and ``rank_profile`` walk, and once per orbit base
+    point; ``_transform`` keeps a point in this form without calling it.
     """
     mat = [[x % p for x in row] for row in rows]
     nrows = len(mat)
@@ -101,26 +108,30 @@ def grassmannian_size(shape: Shape, field_size: int) -> int:
 def enumerate_grassmannian(shape: Shape, field_size: int) -> list:
     """All r-planes in F^n, each as its unique r x n RREF basis matrix.
 
-    Enumerates by pivot-column choice and free entries; free entries sit to
-    the right of their row's pivot, outside pivot columns.
+    For each pivot-column choice, every RREF row is built once: its pivot
+    is 1, and its free entries sit to the right of the pivot, outside pivot
+    columns.  The points are the products of one row per pivot, so points
+    share their row tuples.  ``itertools.product`` varies the last row
+    fastest and each row's options vary their last free entry fastest, so
+    points come out with the free entries in (row, col) order, the last
+    varying fastest.
     """
     total = grassmannian_size(shape, field_size)
     n, r = shape.n, shape.r
     out = []
     for pivots in itertools.combinations(range(n), r):
-        free = [
-            (row, col)
-            for row in range(r)
-            for col in range(pivots[row] + 1, n)
-            if col not in pivots
-        ]
-        for values in itertools.product(range(field_size), repeat=len(free)):
-            mat = [[0] * n for _ in range(r)]
-            for row, piv in enumerate(pivots):
-                mat[row][piv] = 1
-            for (row, col), v in zip(free, values):
-                mat[row][col] = v
-            out.append(tuple(tuple(row) for row in mat))
+        row_options = []
+        for piv in pivots:
+            free = [col for col in range(piv + 1, n) if col not in pivots]
+            options = []
+            for values in itertools.product(range(field_size), repeat=len(free)):
+                row = [0] * n
+                row[piv] = 1
+                for col, v in zip(free, values):
+                    row[col] = v
+                options.append(tuple(row))
+            row_options.append(options)
+        out.extend(itertools.product(*row_options))
     if len(out) != total:
         raise AssertionError(f"enumerated {len(out)} points, expected {total}")
     return out
@@ -161,8 +172,9 @@ class _SpanTable:
 def _span_table(r: int, field_size: int) -> _SpanTable:
     """The span table of F^r over the field, shared by every shape with this
     r.  Its spans are subspaces of F^r and each step reads only a span and
-    a vector of F^r, so nothing else changes it.  It never holds more steps
-    than the walks that filled it took."""
+    a vector of F^r, so nothing else changes it.  ``classify_orbits`` walks
+    it once per point for the point's key, and ``rank_profile`` once per new
+    key.  It never holds more steps than the walks that filled it took."""
     return _SpanTable(field_size)
 
 
@@ -186,7 +198,9 @@ def rank_profile(w, shape: Shape, field_size: int) -> tuple:
     subspace, the column, r and the field.  So one table per (r, field)
     serves every point and shape; it is filled on first use, one ``rref``
     call per new step, and after the first points nearly every step is one
-    dict lookup instead of an elimination.
+    dict lookup instead of an elimination.  ``classify_orbits`` reads the
+    U_i and M_j walks on their own, p + q steps, as a point's key, and
+    calls this only for a key it has not met.
 
     ``w`` is any r x n integer matrix whose reduction mod ``field_size`` has
     rank r, such as a Grassmannian point; its entries need not lie in
@@ -253,16 +267,46 @@ def classify_orbits(shape: Shape, field_size: int) -> OrbitClassification:
 
     Any profile without a matching graph (or vice versa) is a hard failure:
     it would falsify the rank-matrix classification.
+
+    Proof that the walk key fixes the profile.  Each point walks the span
+    table (``_SpanTable``) twice from the zero space: through its + columns
+    p, p-1, ..., 1, meeting U_{p-1}, ..., U_0, and through its - columns q,
+    q-1, ..., 1, meeting M_{q-1}, ..., M_0, where U_i and M_j are the spans
+    in F^r of the + columns after i and the - columns after j (U_p = M_q =
+    0).  The tuple of span ids met is the point's key.  A span id stands for
+    one subspace of F^r, so the key fixes every U_i and M_j, hence every
+    dim(U_i + M_j), and entry (i, j) of the rank profile is r - dim(U_i +
+    M_j) (see ``rank_profile``).  Two points with one key thus have one
+    profile and lie in one orbit.  So ``rank_profile`` runs only for a key
+    not seen before, and each point costs p + q table steps and one dict
+    lookup instead of the p + (p+1)q steps of its profile.
     """
     graphs = enumerate_graphs(shape)
     profile_to_index = {rank_matrix(g).entries: k for k, g in enumerate(graphs)}
+    p, n = shape.p, shape.n
+    table = _span_table(shape.r, field_size)
+    steps = table.steps
+    index_of = {}  # walk key -> orbit index
     buckets = [[] for _ in graphs]
     orbit_of = {}
     for w in enumerate_grassmannian(shape, field_size):
-        prof = rank_profile(w, shape, field_size)
-        if prof not in profile_to_index:
-            raise AssertionError(f"subspace with unmatched rank profile: {w}")
-        k = profile_to_index[prof]
+        cols = list(zip(*w)) or [()] * n
+        key = []
+        for walk in (cols[p - 1::-1], cols[:p - 1:-1]):
+            s = 0
+            for col in walk:
+                try:
+                    s = steps[s][col]
+                except KeyError:
+                    s = table.extend(s, col)
+                key.append(s)
+        key = tuple(key)
+        k = index_of.get(key)
+        if k is None:
+            k = profile_to_index.get(rank_profile(w, shape, field_size))
+            if k is None:
+                raise AssertionError(f"subspace with unmatched rank profile: {w}")
+            index_of[key] = k
         buckets[k].append(w)
         orbit_of[w] = k
     if any(not bucket for bucket in buckets):
@@ -274,6 +318,36 @@ def classify_orbits(shape: Shape, field_size: int) -> OrbitClassification:
         tuple(len(b) for b in buckets),
         orbit_of,
         tuple(tuple(b) for b in buckets),
+    )
+
+
+def expected_orbit_size(g: Graph, field_size: int) -> int:
+    """(F-1)^b * F^(dim g - C(p,2) - C(q,2) - b) for an orbit with b edges.
+
+    dim g - C(p,2) - C(q,2) is the dimension of the orbit's Borel orbit in
+    the Grassmannian, and b is the dimension of the torus orbit of its base
+    point: the torus fixes it exactly when t_i = t_{p+j} for every edge
+    (i, j).  The count is checked, not proved: it equals the size
+    ``classify_orbits`` finds for every orbit of every shape with p, q <= 5
+    over F_3, F_5, F_7 and F_11 within the enumeration budget (4,286 orbit
+    and field pairs; the tests run the 924 with p, q <= 3 over F_3 and F_5).
+    """
+    p, q = g.shape.p, g.shape.q
+    inv = invariants(g)
+    exponent = inv.dim - p * (p - 1) // 2 - q * (q - 1) // 2 - inv.b
+    return (field_size - 1) ** inv.b * field_size**exponent
+
+
+def classification_ok(cls: OrbitClassification) -> bool:
+    """Whether every orbit holds ``expected_orbit_size`` points.
+
+    The point total needs no check of its own: ``enumerate_grassmannian``
+    raises unless it yields the Gaussian binomial count, and
+    ``classify_orbits`` puts each point in exactly one orbit.
+    """
+    return all(
+        size == expected_orbit_size(g, cls.field_size)
+        for g, size in zip(cls.graphs, cls.sizes)
     )
 
 

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from doubleflag import GeneratorCase, Shape, cli, hecke
+from doubleflag import GeneratorCase, Shape, cli, hecke, oracle
 from doubleflag.cli import main
 from doubleflag.polynomial import ONE, Q
 
@@ -112,6 +113,25 @@ def test_verify_names_relation_witness(monkeypatch, capsys):
             assert set(rel) == {"name", "ok"}
         else:
             assert rel["witness"] == expected[rel["name"]] is not None
+
+
+def test_verify_fails_on_wrong_orbit_size(monkeypatch, capsys):
+    # One more dimension per orbit predicts F times more points than the
+    # classification counts, so only classification_ok may fail.
+    def dim_plus_one(g):
+        inv = invariants(g)
+        return dataclasses.replace(inv, dim=inv.dim + 1)
+
+    invariants = oracle.invariants
+    monkeypatch.setattr(oracle, "invariants", dim_plus_one)
+    code, out = run(capsys, "verify", "--p", "2", "--q", "2", "--r", "2",
+                    "--field", "3")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert payload["certification"] == [
+        {"field": 3, "classification_ok": False, "action_ok": True, "mismatches": 0}
+    ]
 
 
 def test_bad_shape_exits_2(capsys):

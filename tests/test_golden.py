@@ -1,20 +1,23 @@
-"""Byte-identity of CLI output against the benchmark's recorded digests.
+"""CLI output and work counts against the benchmark's recorded values.
 
-``bench/golden.json`` holds the stdout SHA-256 of every benchmark job.
-This runs each CLI job through ``cli.main`` that is small enough for the
-suite, ``verify`` with p+q <= 5 and every other subcommand with p+q <= 6,
-and requires exit code 0 and the recorded digest.
+``bench/golden.json`` holds the stdout SHA-256 and the work counts of every
+benchmark job.  This runs each CLI job through ``cli.main`` that is small
+enough for the suite, ``verify`` with p+q <= 5 and every other subcommand
+with p+q <= 6, and requires exit code 0, the recorded digest and, under the
+benchmark's own tracer, the recorded counts.
 """
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 from pathlib import Path
 
-from doubleflag import cli
+from doubleflag import cli, oracle
 
-GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+GOLDEN = BENCH / "golden.json"
 # verify_relations is an API job, not a CLI one.
 SKIPPED = {"verify_relations"}
 # largest p+q run per subcommand; larger verify jobs are left to the benchmark
@@ -31,7 +34,7 @@ def _small_cli_jobs():
         p = int(argv[argv.index("--p") + 1])
         q = int(argv[argv.index("--q") + 1])
         if p + q <= MAX_N.get(argv[0], 6):
-            out.append((argv, record["sha256"]))
+            out.append((argv, record))
     return out
 
 
@@ -39,11 +42,45 @@ def test_cli_output_matches_golden_digests():
     jobs = _small_cli_jobs()
     assert jobs
     failures = []
-    for argv, digest in jobs:
+    for argv, record in jobs:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             rc = cli.main(argv)
         got = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-        if rc != 0 or got != digest:
+        if rc != 0 or got != record["sha256"]:
             failures.append((" ".join(argv), rc))
     assert not failures, failures
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cli_work_counts_match_golden():
+    # The benchmark rejects a run whose counts differ from the recorded
+    # ones; this finds such a change without running the benchmark.
+    tracer_module = _load_tracer()
+    wrapped = tracer_module.LAYER_CALLS + tracer_module.WORK_CALLS
+    saved = [(owner, attr, owner.__dict__[attr]) for owner, attr, *_ in wrapped]
+    tracer = tracer_module.Tracer(timed=False)
+    jobs = _small_cli_jobs()
+    failures = []
+    # A classification cached by an earlier test would skip the Grassmannian
+    # enumeration that a fresh benchmark worker counts.
+    oracle.classify_orbits.cache_clear()
+    try:
+        tracer.install()
+        for argv, record in jobs:
+            tracer.start_job(" ".join(argv))
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = cli.main(argv)
+            if rc != 0 or dict(tracer.counts) != record["counts"]:
+                failures.append((" ".join(argv), rc, dict(tracer.counts)))
+    finally:
+        for owner, attr, original in saved:
+            setattr(owner, attr, original)
+    assert len(jobs) > 500
+    assert not failures, failures[:5]

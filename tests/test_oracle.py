@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -20,7 +22,13 @@ from doubleflag import (
 )
 from doubleflag import oracle
 from doubleflag.hecke import Basis, generators
-from doubleflag.oracle import graph_subspace, rref
+from doubleflag.oracle import (
+    ENUMERATION_BUDGET,
+    classification_ok,
+    expected_orbit_size,
+    graph_subspace,
+    rref,
+)
 
 S222 = Shape(2, 2, 2)
 
@@ -222,7 +230,103 @@ def integer_matrix(draw):
     return draw(st.permutations(rows)), p
 
 
+def _reference_enumerate_grassmannian(shape, field_size):
+    """Test-only copy of the nested-loop enumeration: one matrix built per
+    point, with the free entries in (row, col) order, the last fastest."""
+    n, r = shape.n, shape.r
+    out = []
+    for pivots in itertools.combinations(range(n), r):
+        free = [
+            (row, col)
+            for row in range(r)
+            for col in range(pivots[row] + 1, n)
+            if col not in pivots
+        ]
+        for values in itertools.product(range(field_size), repeat=len(free)):
+            mat = [[0] * n for _ in range(r)]
+            for row, piv in enumerate(pivots):
+                mat[row][piv] = 1
+            for (row, col), v in zip(free, values):
+                mat[row][col] = v
+            out.append(tuple(tuple(row) for row in mat))
+    return out
+
+
+def _reference_classify_orbits(shape, field_size):
+    """Test-only copy of the per-point classification: the full rank
+    profile of every point, matched to the orbits' rank matrices.  Returns
+    (sizes, orbit_of, points) as ``classify_orbits`` builds them.
+    ``rank_profile`` itself is compared with per-entry elimination below."""
+    graphs = Basis(shape).graphs
+    profile_to_index = {rank_matrix(g).entries: k for k, g in enumerate(graphs)}
+    buckets = [[] for _ in graphs]
+    orbit_of = {}
+    for w in _reference_enumerate_grassmannian(shape, field_size):
+        k = profile_to_index[rank_profile(w, shape, field_size)]
+        buckets[k].append(w)
+        orbit_of[w] = k
+    return (
+        tuple(map(len, buckets)),
+        orbit_of,
+        tuple(map(tuple, buckets)),
+    )
+
+
+def _walk_keys(shape, field_size):
+    """The distinct walk keys of the shape's points: the span ids met
+    walking the + columns p..1 and the - columns q..1 from the zero span."""
+    table = oracle._span_table(shape.r, field_size)
+    keys = set()
+    for w in enumerate_grassmannian(shape, field_size):
+        cols = list(zip(*w)) or [()] * shape.n
+        key = []
+        for walk in (cols[shape.p - 1 :: -1], cols[: shape.p - 1 : -1]):
+            s = 0
+            for col in walk:
+                step = table.steps[s].get(col)
+                s = table.extend(s, col) if step is None else step
+                key.append(s)
+        keys.add(tuple(key))
+    return keys
+
+
+SMALL_JOBS = [
+    (Shape(p, q, r), 3) for p in range(1, 5) for q in range(1, 6 - p) for r in range(p + q + 1)
+] + [(S222, 5), (S222, 7)]
+
+
 class TestDifferential:
+    def test_enumeration_matches_nested_loops(self):
+        for shape, field in SMALL_JOBS:
+            assert enumerate_grassmannian(shape, field) == (
+                _reference_enumerate_grassmannian(shape, field)
+            ), (shape, field)
+
+    def test_classification_matches_per_point_profiles(self):
+        for shape, field in SMALL_JOBS:
+            cls = classify_orbits(shape, field)
+            sizes, orbit_of, points = _reference_classify_orbits(shape, field)
+            assert cls.graphs == Basis(shape).graphs
+            assert (cls.sizes, cls.points) == (sizes, points), (shape, field)
+            assert list(cls.orbit_of.items()) == list(orbit_of.items()), (shape, field)
+
+    def test_one_rank_profile_per_walk_key(self, monkeypatch):
+        calls = []
+        profile = oracle.rank_profile
+
+        def counted(w, shape, field_size):
+            calls.append(w)
+            return profile(w, shape, field_size)
+
+        monkeypatch.setattr(oracle, "rank_profile", counted)
+        oracle.classify_orbits.cache_clear()
+        shape = Shape(3, 2, 2)
+        cls = classify_orbits(shape, 3)
+        oracle.classify_orbits.cache_clear()
+        keys = _walk_keys(shape, 3)
+        assert len(calls) == len(set(calls)) == len(keys)
+        assert len(keys) * 10 < len(cls.orbit_of) == 1210
+
     @settings(max_examples=200, deadline=None)
     @given(shape_field_point())
     def test_rank_profile_matches_per_entry_elimination(self, case):
@@ -365,6 +469,35 @@ class TestClassifyOrbits:
             dims = [invariants(g).dim for g in cls.graphs]
             top = dims.index(max(dims))
             assert cls.sizes[top] == max(cls.sizes)
+
+
+    def test_orbit_sizes_match_closed_form(self):
+        # Every orbit of every shape with p, q <= 3 over F_3 and F_5 within
+        # the enumeration budget: 924 (orbit, field) pairs.
+        pairs = 0
+        for field in (3, 5):
+            for p in range(1, 4):
+                for q in range(1, 4):
+                    for r in range(p + q + 1):
+                        if gaussian_binomial(p + q, r, field) > ENUMERATION_BUDGET:
+                            continue
+                        cls = classify_orbits(Shape(p, q, r), field)
+                        assert classification_ok(cls), (p, q, r, field)
+                        pairs += len(cls.graphs)
+        assert pairs == 924
+
+    def test_orbit_size_by_hand(self):
+        # (1,1|1) over F_q: the marked orbits are points, the edge orbit is
+        # the q - 1 lines spanned by e_1 + c e_2 with c != 0.
+        one = Shape(1, 1, 1)
+        assert expected_orbit_size(make_graph(one, marked_plus=[1]), 7) == 1
+        assert expected_orbit_size(make_graph(one, [(1, 1)]), 7) == 6
+
+    def test_wrong_orbit_size_fails(self):
+        cls = classify_orbits(S222, 3)
+        assert classification_ok(cls)
+        sizes = (cls.sizes[0] + 1,) + cls.sizes[1:]
+        assert not classification_ok(dataclasses.replace(cls, sizes=sizes))
 
 
 NONCROSSING_222 = make_graph(S222, [(1, 1), (2, 2)])
