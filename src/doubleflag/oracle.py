@@ -18,6 +18,7 @@ rank-profile equality, never by enumerating the Borel group.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -91,12 +92,17 @@ def grassmannian_size(shape: Shape, field_size: int) -> int:
     """Number of r-planes in F^n, checked before any point is built.
 
     Raises ValueError for a field that is not an odd prime and for a count
-    over ``ENUMERATION_BUDGET``.
+    over ``ENUMERATION_BUDGET``.  A field over the budget is refused first,
+    before trial division: for 0 < r < n the Grassmannian has more than F
+    points, and every certification record counts over all F field
+    elements, so no run over such a field fits the budget.
     """
     if field_size == 2:
         raise ValueError("field size 2 is excluded (characteristic must be odd)")
+    if field_size > ENUMERATION_BUDGET:
+        raise ValueError(f"field size is over the budget of {ENUMERATION_BUDGET}")
     if field_size < 2 or any(
-        field_size % d == 0 for d in range(2, int(field_size**0.5) + 1)
+        field_size % d == 0 for d in range(2, math.isqrt(field_size) + 1)
     ):
         raise ValueError(f"field size must be an odd prime, got {field_size}")
     total = gaussian_binomial(shape.n, shape.r, field_size)

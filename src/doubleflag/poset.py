@@ -16,18 +16,30 @@ that is iff b lies in ``at_most[e][flat[a][e]]`` for every e; so the set of
 orbits a dominates, a's up-set in the closure order, is the AND of those
 (p+1)(q+1) masks.
 
-Covers by a walk in a linear extension.  If a < b then a's rank matrix
-dominates b's and differs from it (rank matrices separate orbits), so the
-entry sum of a is strictly larger.  Listing the orbits by decreasing entry
-sum is therefore a linear extension: every orbit strictly above a comes
-after a.  Give the bits of the masks positions in that list.  The lowest
-set bit b of a's strict up-set U is then minimal in U, since anything in U
-below b would come before b; so b covers a.  Clear b's whole up-set from U
-and repeat.  The lowest bit c left is again minimal in U: an element of U
-below c comes before c, so it was taken or cleared, and either way c lies
-above a taken cover and was cleared with that cover's up-set.  Every cover
-of a is reached, since a cover lies above no other element of U and so is
-never cleared.  This costs one step per cover, not one per comparable pair.
+Covers off the dimension levels.  Write U(a) for a's strict up-set and
+C(a) for the orbits of U(a) with dimension dim a + 1.  ``build_poset``
+takes C(a) as a's covers and checks one thing: every b in U(a) lies above
+some c in C(a).  This check holds iff the order is a partial order in
+which every Hasse cover raises the dimension by exactly one.
+
+If the check holds, dimension rises strictly along the order.  Suppose
+some b in U(a) had dim b <= dim a.  The check gives c1 in C(a) with
+c1 <= b, and c1 != b since dim c1 > dim b; so b lies in U(c1) with
+dim b < dim c1.  Repeating from c1 gives c2, c3, ... of strictly rising
+dimension, all distinct: an endless chain of orbits, which is
+impossible.  So a < b forces dim a < dim b.  Two orbits above each other
+would then each have the larger dimension, so the order is antisymmetric,
+and in particular distinct orbits have distinct rank matrices.  Every c
+in C(a) is minimal in U(a), because nothing has a dimension strictly
+between dim a and dim a + 1.  And a minimal b in U(a) lies above some c in
+C(a) with c in U(a), so b = c.  C(a) is therefore exactly the set of
+covers of a, and each raises the dimension by one.
+
+Conversely, if the order is a graded partial order, take b in U(a) and a
+maximal chain from a up to b.  Its first step is a cover of a, which has
+dimension dim a + 1, so it lies in C(a) and below b.
+
+The check costs one OR of an up-set per cover.
 """
 
 from __future__ import annotations
@@ -89,43 +101,38 @@ def _dominated(flat, r: int) -> list:
 def build_poset(shape: Shape) -> OrbitPoset:
     """Full closure order, Hasse covers and dimensions for one shape.
 
-    Fails loudly if a cover violates the dim+1 grading or if the maximal
-    orbit is not unique; either would falsify the implementation.
+    Raises AssertionError if some orbit b above an orbit a lies above no
+    orbit of dimension dim a + 1 above a.  By the module docstring that
+    happens iff the closure order is not a partial order in which every
+    Hasse cover raises the dimension by one.  Also raises AssertionError if
+    the maximal orbit is not unique.  Either would falsify the
+    implementation.
     """
     orbits = enumerate_graphs(shape)
-    n = len(orbits)
-    profiles = [rank_matrix(g).entries for g in orbits]
-    if len(set(profiles)) != n:
-        raise AssertionError("rank matrices must separate orbits")
     dims = tuple(invariants(g).dim for g in orbits)
-
-    # leq[a] holds b as a bit iff profile[a] >= profile[b] entrywise: the
-    # AND over entries e of the threshold mask "entry e <= profile[a][e]".
-    flat = [tuple(x for row in pr for x in row) for pr in profiles]
+    # leq[a] holds b as a bit iff rank matrix a >= rank matrix b entrywise.
+    flat = [tuple(x for row in rank_matrix(g).entries for x in row) for g in orbits]
     leq = _dominated(flat, shape.r)
 
-    # Covers, walked in a linear extension: position i of ``order`` holds
-    # the orbit with the i-th largest entry sum, and ``up[i]`` is its
-    # up-set with bits at positions of ``order``.  a < b forces a strictly
-    # larger entry sum for a (the profiles differ, checked above), so
-    # the lowest strict up-set bit is a minimal element, hence a cover;
-    # clearing that cover's up-set leaves the next cover lowest.
-    order = sorted(range(n), key=lambda a: -sum(flat[a]))
-    up = _dominated([flat[a] for a in order], shape.r)
+    # level[d] holds the orbits of dimension d.  An orbit's covers are its
+    # strict up-set on the next level, and the test below is the one
+    # grading check (module docstring).
+    level = [0] * (max(dims) + 2)
+    for a, d in enumerate(dims):
+        level[d] |= 1 << a
     covers = []
-    for i, a in enumerate(order):
-        rest = up[i] & ~(1 << i)
+    for a, d in enumerate(dims):
+        strict = leq[a] & ~(1 << a)
+        rest = strict & level[d + 1]
+        reached = 0
         while rest:
-            j = (rest & -rest).bit_length() - 1
-            covers.append((a, order[j]))
-            rest &= ~up[j]
-    covers.sort()
-
-    for a, b in covers:
-        if dims[b] != dims[a] + 1:
-            raise AssertionError(
-                f"cover {a} -> {b} violates the grading: dims {dims[a]}, {dims[b]}"
-            )
+            b = (rest & -rest).bit_length() - 1
+            covers.append((a, b))
+            reached |= leq[b]
+            rest &= rest - 1
+        if strict & ~reached:
+            b = (strict & ~reached).bit_length() - 1
+            raise AssertionError(f"orbit {b} > {a} is above no dim {d + 1} orbit over {a}")
     poset = OrbitPoset(shape, orbits, dims, tuple(leq), tuple(covers))
     poset.top  # uniqueness check
     return poset

@@ -244,6 +244,21 @@ def test_orbit_budget_checked_before_work(monkeypatch, capsys, command):
     assert "over the budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("r", ["1", "0"])
+@pytest.mark.parametrize(
+    "field",
+    [str(10**399), "1000000000000000000000000000057"],
+    ids=["400_digits", "31_digit_prime"],
+)
+def test_huge_field_refused_before_work(monkeypatch, capsys, field, r):
+    # Refused by size before trial division, which would not finish on the
+    # prime; only the field check itself may run.
+    _forbid_work(monkeypatch)
+    monkeypatch.setattr(cli, "grassmannian_size", oracle.grassmannian_size)
+    assert main(["verify", "--p", "1", "--q", "1", "--r", r, "--field", field]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize(
     "shape_flags",
     [["--p", "2", "--q", "1", "--r", "4"], ["--p", "-1", "--q", "2", "--r", "1"]],

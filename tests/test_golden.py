@@ -3,7 +3,7 @@
 ``bench/golden.json`` holds the stdout SHA-256 and the work counts of every
 benchmark job.  This runs each CLI job through ``cli.main`` that is small
 enough for the suite, ``verify`` with p+q <= 5 and every other subcommand
-with p+q <= 6, and requires exit code 0, the recorded digest and, under the
+with p+q <= 8, and requires exit code 0, the recorded digest and, under the
 benchmark's own tracer, the recorded counts.
 """
 
@@ -33,7 +33,7 @@ def _small_cli_jobs():
             continue
         p = int(argv[argv.index("--p") + 1])
         q = int(argv[argv.index("--q") + 1])
-        if p + q <= MAX_N.get(argv[0], 6):
+        if p + q <= MAX_N.get(argv[0], 8):
             out.append((argv, record))
     return out
 

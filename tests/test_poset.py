@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -9,10 +10,13 @@ from doubleflag import (
     build_poset,
     closure_leq,
     enumerate_graphs,
+    invariants,
     make_graph,
     rank_matrix,
     to_dot,
 )
+from doubleflag import cli
+from doubleflag import poset as poset_module
 
 S222 = Shape(2, 2, 2)
 
@@ -103,6 +107,29 @@ def test_closure_shapes_grade_with_unique_top(shape):
     assert poset.dims[top] == max(poset.dims)
     # below a unique maximal orbit, every other orbit is covered by something
     assert {a for a, _ in poset.covers} == set(range(n)) - {top}
+
+
+@pytest.mark.parametrize("shape", [Shape(4, 4, 4), Shape(5, 3, 4)])
+def test_closure_shape_covers_match_reference(shape):
+    poset = build_poset(shape)
+    assert poset.covers == _reference_covers(poset.leq)
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_shifted_dimension_fails_grading(monkeypatch, capsys, delta):
+    # Moving any one orbit of (2,2,2) up or down a dimension breaks the
+    # grading at one of its covers.
+    orbits = enumerate_graphs(S222)
+    for target in orbits:
+        def shifted(g, _target=target):
+            inv = invariants(g)
+            return dataclasses.replace(inv, dim=inv.dim + delta) if g == _target else inv
+
+        monkeypatch.setattr(poset_module, "invariants", shifted)
+        with pytest.raises(AssertionError):
+            build_poset(S222)
+        assert cli.main(["hasse", "--p", "2", "--q", "2", "--r", "2"]) == 1
+        assert "verification failure" in capsys.readouterr().err
 
 
 # Test-only copies of the pairwise dominance loop and the transitive
