@@ -155,12 +155,10 @@ def _cmd_hecke_matrix(args, shape) -> int:
     op = operator_matrix(shape, args.side, args.index)
     buf = io.StringIO()
     writer = csv.writer(buf)
-    # At most four distinct entries (0, 1, q, q-1): format each once, keyed
-    # by its coefficient tuple, which hashes in C where IntPoly does not.
+    # At most four distinct entries (0, 1, q, q-1): format each once.
     text = {}
     writer.writerows(
-        [text.get(e.coeffs) or text.setdefault(e.coeffs, str(e)) for e in row]
-        for row in op.entries
+        [text.get(e) or text.setdefault(e, str(e)) for e in row] for row in op.entries
     )
     _emit(buf.getvalue(), args.out)
     return 0
@@ -215,15 +213,17 @@ def _cmd_verify(args, shape) -> int:
     for field_size in fields:
         sizes_ok = classification_ok(classify_orbits(shape, field_size))
         report = certify_theorem(shape, [field_size])
-        payload["certification"].append(
-            {
-                "field": field_size,
-                "classification_ok": sizes_ok,
-                "action_ok": report.ok,
-                "mismatches": len(report.mismatches),
-            }
-        )
-        ok &= sizes_ok and report.ok
+        mismatches = report.mismatches
+        entry = {
+            "field": field_size,
+            "classification_ok": sizes_ok,
+            "action_ok": not mismatches,
+            "mismatches": len(mismatches),
+        }
+        if mismatches:
+            entry["witness"] = mismatches[0].to_json()
+        payload["certification"].append(entry)
+        ok &= sizes_ok and not mismatches
 
     payload["ok"] = bool(ok)
     _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)

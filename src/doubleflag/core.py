@@ -15,23 +15,26 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 
-@dataclass(frozen=True)
-class Shape:
+class Shape(namedtuple("Shape", "p q r")):
     """Block sizes (p, q) and the Grassmannian parameter r."""
 
-    p: int
-    q: int
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p < 1 or self.q < 1:
-            raise ValueError(f"block sizes must be positive, got p={self.p}, q={self.q}")
-        if not 0 <= self.r <= self.p + self.q:
-            raise ValueError(f"need 0 <= r <= p+q, got r={self.r}")
+    def __new__(cls, p, q, r):
+        if p < 1 or q < 1:
+            raise ValueError(f"block sizes must be positive, got p={p}, q={q}")
+        if not 0 <= r <= p + q:
+            raise ValueError(f"need 0 <= r <= p+q, got r={r}")
+        return tuple.__new__(cls, (p, q, r))
+
+    @classmethod
+    def _make(cls, fields):
+        """Build through the validating constructor, as ``_replace`` does."""
+        return cls(*fields)
 
     @property
     def n(self) -> int:
@@ -48,8 +51,7 @@ def vertex_degree(entry: int) -> int:
     return 2 if entry < 0 else 1 if entry else 0
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(namedtuple("Graph", "shape plus minus")):
     """Marked bipartite graph labelling one K-orbit, as one partner array
     per side.  Entry i of ``plus`` is 0 if vertex i+ is free, -1 if it is
     marked, and j if the edge (i, j) joins it to vertex j-; ``minus`` is
@@ -58,13 +60,10 @@ class Graph:
     ``marked_plus`` and ``marked_minus`` give the same graph as sets.
     """
 
-    shape: Shape
-    plus: tuple
-    minus: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        p, q, r = self.shape.p, self.shape.q, self.shape.r
-        plus, minus = self.plus, self.minus
+    def __new__(cls, shape, plus, minus):
+        p, q, r = shape.p, shape.q, shape.r
         if type(plus) is not tuple or type(minus) is not tuple:
             raise TypeError("partner arrays must be tuples, so that graphs hash and compare")
         if len(plus) != p + 1 or len(minus) != q + 1:
@@ -79,6 +78,12 @@ class Graph:
             raise ValueError("the partner arrays disagree on an edge")
         if p + 1 - plus.count(0) + minus.count(-1) != r:
             raise ValueError("#edges + #marks must equal r")
+        return tuple.__new__(cls, (shape, plus, minus))
+
+    @classmethod
+    def _make(cls, fields):
+        """Build through the validating constructor, as ``_replace`` does."""
+        return cls(*fields)
 
     @property
     def edges(self) -> frozenset:
@@ -147,8 +152,7 @@ def make_graph(shape, edges=(), marked_plus=(), marked_minus=()) -> Graph:
     return Graph(shape, tuple(plus), tuple(minus))
 
 
-@dataclass(frozen=True)
-class PartialPermutationPair:
+class PartialPermutationPair(namedtuple("PartialPermutationPair", "shape matrix")):
     """A (p+q) x r zero-one matrix of full rank whose top and bottom blocks
     are partial permutations (at most one 1 per row and per column).
 
@@ -157,12 +161,12 @@ class PartialPermutationPair:
     disjoint supports are linearly independent.
     """
 
-    shape: Shape
-    matrix: tuple  # rows, each a tuple of length r
+    __slots__ = ()
 
-    def __post_init__(self):
-        p, q, r = self.shape.p, self.shape.q, self.shape.r
-        m = self.matrix
+    def __new__(cls, shape, matrix):
+        """``matrix`` is the tuple of rows, each a tuple of length r."""
+        p, q, r = shape.p, shape.q, shape.r
+        m = matrix
         if len(m) != p + q or any(len(row) != r for row in m):
             raise ValueError(f"matrix must be {(p + q)} x {r}")
         if any(x not in (0, 1) for row in m for x in row):
@@ -177,6 +181,12 @@ class PartialPermutationPair:
         for col in range(r):
             if all(row[col] == 0 for row in m):
                 raise ValueError("zero column")
+        return tuple.__new__(cls, (shape, matrix))
+
+    @classmethod
+    def _make(cls, fields):
+        """Build through the validating constructor, as ``_replace`` does."""
+        return cls(*fields)
 
 
 def graph_from_matrix(m: PartialPermutationPair) -> Graph:
@@ -267,13 +277,8 @@ def count_orbits(shape: Shape) -> int:
     return sum(triple_count(shape, triple) for triple in admissible_triples(shape))
 
 
-@dataclass(frozen=True)
-class Invariants:
-    a_plus: int
-    a_minus: int
-    b: int
-    c: int
-    dim: int
+class Invariants(namedtuple("Invariants", "a_plus a_minus b c dim")):
+    __slots__ = ()
 
 
 def invariants(g: Graph) -> Invariants:
@@ -303,14 +308,14 @@ def crossings(g: Graph) -> int:
     )
 
 
-@dataclass(frozen=True)
-class RankMatrix:
+class RankMatrix(namedtuple("RankMatrix", "entries")):
     """The (p+1) x (q+1) rank profile of an orbit; a complete invariant.
-    Only ``rank_matrix`` builds one, and no function of the library takes
-    one built by hand, so it carries no checks of its own: its properties
-    are proved in ``rank_matrix``."""
+    ``entries`` holds p+1 rows, each a tuple of length q+1.  Only
+    ``rank_matrix`` builds one, and no function of the library takes one
+    built by hand, so it carries no checks of its own: its properties are
+    proved in ``rank_matrix``."""
 
-    entries: tuple  # (p+1) rows, each a tuple of length q+1
+    __slots__ = ()
 
     def __getitem__(self, idx):
         return self.entries[idx]

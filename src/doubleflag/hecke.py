@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 
 from .core import Graph, Shape, admissible_triples, enumerate_graphs, triple_count, vertex_degree
@@ -106,17 +106,22 @@ def classify(g: Graph, side: str, i: int) -> GeneratorCase:
     return _case(g.plus if side == "+" else g.minus, i)
 
 
-@dataclass
-class ModuleVector:
+class ModuleVector(namedtuple("ModuleVector", "shape coords")):
     """Finite IntPoly-linear combination of orbit basis vectors, keyed by
     the orbit's index in the enumeration order.  Zero coordinates are
-    never stored."""
+    never stored.  ``coords`` is a dict, so a vector does not hash."""
 
-    shape: Shape
-    coords: dict = field(default_factory=dict)
+    __slots__ = ()
+    __hash__ = None
 
-    def __post_init__(self):
-        self.coords = {k: c for k, v in self.coords.items() if (c := IntPoly.coerce(v))}
+    def __new__(cls, shape, coords=None):
+        coords = {k: c for k, v in (coords or {}).items() if (c := IntPoly.coerce(v))}
+        return tuple.__new__(cls, (shape, coords))
+
+    @classmethod
+    def _make(cls, fields):
+        """Build through the normalising constructor, as ``_replace`` does."""
+        return cls(*fields)
 
     @staticmethod
     def basis_vector(shape: Shape, index: int) -> "ModuleVector":
@@ -128,6 +133,10 @@ class ModuleVector:
             and self.shape == other.shape
             and self.coords == other.coords
         )
+
+    def __ne__(self, other):
+        # tuple's != would compare the fields, and so equal a plain tuple
+        return not self == other
 
     def specialize(self, value: int) -> dict:
         """Evaluate every coordinate at an integer, dropping zeros."""
@@ -161,12 +170,10 @@ def apply_generator(side: str, i: int, v: ModuleVector) -> ModuleVector:
     return ModuleVector(v.shape, out)
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    shape: Shape
-    side: str
-    index: int
-    entries: tuple  # entries[row][col], IntPoly
+class OperatorMatrix(namedtuple("OperatorMatrix", "shape side index entries")):
+    """T_i over the orbit basis; ``entries[row][col]`` is an IntPoly."""
+
+    __slots__ = ()
 
     def specialize(self, value: int) -> tuple:
         return tuple(tuple(e(value) for e in row) for row in self.entries)
@@ -191,11 +198,11 @@ def operator_matrix(shape: Shape, side: str, i: int) -> OperatorMatrix:
     return OperatorMatrix(shape, side, i, tuple(entries))
 
 
-@dataclass(frozen=True)
-class RelationCheck:
-    name: str
-    ok: bool
-    witness: int | None = None  # first orbit index with a nonzero residue
+class RelationCheck(namedtuple("RelationCheck", "name ok witness", defaults=(None,))):
+    """One relation's verdict; ``witness`` is the first orbit index with a
+    nonzero residue, or None."""
+
+    __slots__ = ()
 
 
 # The integer point every relation is decided at; see verify_relations.
@@ -317,11 +324,10 @@ def verify_relations(shape: Shape) -> list:
     return report
 
 
-@dataclass(frozen=True)
-class WeylBlock:
-    triple: tuple  # (k, s, t)
-    orbit_size: int
-    stabilizer_order: int
+class WeylBlock(namedtuple("WeylBlock", "triple orbit_size stabilizer_order")):
+    """One W-orbit of the basis; ``triple`` is its (k, s, t) type."""
+
+    __slots__ = ()
 
 
 def q1_action_is_permutation(shape: Shape) -> bool:

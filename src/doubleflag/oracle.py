@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .core import (
@@ -252,16 +252,15 @@ def graph_subspace(g: Graph, field_size: int) -> tuple:
     return canon
 
 
-@dataclass(frozen=True)
-class OrbitClassification:
-    """All Grassmannian points grouped into Borel orbits."""
+class OrbitClassification(
+    namedtuple("OrbitClassification", "shape field_size graphs sizes orbit_of points")
+):
+    """All Grassmannian points grouped into Borel orbits: ``graphs`` in
+    enumeration order, ``sizes`` their point counts, ``orbit_of`` from
+    each RREF basis to its orbit index, and ``points[k]`` the tuple of
+    subspaces in orbit k."""
 
-    shape: Shape
-    field_size: int
-    graphs: tuple  # enumeration order
-    sizes: tuple  # orbit point counts, aligned with graphs
-    orbit_of: dict  # RREF basis -> orbit index
-    points: tuple  # points[k] = tuple of subspaces in orbit k
+    __slots__ = ()
 
 
 # verify classifies one field at a time, and certify_theorem reuses that
@@ -471,21 +470,27 @@ def convolution_action(
     return ModuleVector(shape, coords)
 
 
-@dataclass(frozen=True)
-class CertificationRecord:
-    field_size: int
-    side: str
-    index: int
-    orbit: int
-    case: str
-    expected: dict  # orbit index -> coefficient
-    observed: dict
+class CertificationRecord(
+    namedtuple("CertificationRecord", "field_size side index orbit case expected observed")
+):
+    """One (field, generator, orbit) comparison; ``expected`` and
+    ``observed`` map orbit index -> coefficient."""
+
+    __slots__ = ()
+
+    def to_json(self) -> dict:
+        return {
+            "field": self.field_size,
+            "generator": f"{self.side}{self.index}",
+            "orbit": self.orbit,
+            "case": self.case,
+            "expected": {str(k): v for k, v in sorted(self.expected.items())},
+            "observed": {str(k): v for k, v in sorted(self.observed.items())},
+        }
 
 
-@dataclass(frozen=True)
-class CertificationReport:
-    shape: Shape
-    records: tuple
+class CertificationReport(namedtuple("CertificationReport", "shape records")):
+    __slots__ = ()
 
     @property
     def mismatches(self):
@@ -499,17 +504,7 @@ class CertificationReport:
         return {
             "shape": {"p": self.shape.p, "q": self.shape.q, "r": self.shape.r},
             "ok": self.ok,
-            "records": [
-                {
-                    "field": rec.field_size,
-                    "generator": f"{rec.side}{rec.index}",
-                    "orbit": rec.orbit,
-                    "case": rec.case,
-                    "expected": {str(k): v for k, v in sorted(rec.expected.items())},
-                    "observed": {str(k): v for k, v in sorted(rec.observed.items())},
-                }
-                for rec in self.records
-            ],
+            "records": [rec.to_json() for rec in self.records],
         }
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 def _normalize(coeffs):
@@ -12,17 +12,21 @@ def _normalize(coeffs):
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(namedtuple("IntPoly", "coeffs")):
     """Polynomial with integer coefficients, constant term first, no
     trailing zeros."""
 
-    coeffs: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(not isinstance(c, int) for c in self.coeffs):
+    def __new__(cls, coeffs=()):
+        if any(not isinstance(c, int) for c in coeffs):
             raise TypeError("coefficients must be integers")
-        object.__setattr__(self, "coeffs", _normalize(self.coeffs))
+        return tuple.__new__(cls, (_normalize(coeffs),))
+
+    @classmethod
+    def _make(cls, fields):
+        """Build through the normalising constructor, as ``_replace`` does."""
+        return cls(*fields)
 
     @staticmethod
     def const(c: int) -> "IntPoly":

@@ -45,7 +45,7 @@ The check costs one OR of an up-set per cover.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import Graph, Shape, enumerate_graphs, invariants, rank_matrix
 
@@ -57,13 +57,12 @@ def closure_leq(a: Graph, b: Graph) -> bool:
     return rank_matrix(a).dominates(rank_matrix(b))
 
 
-@dataclass(frozen=True)
-class OrbitPoset:
-    shape: Shape
-    orbits: tuple  # Graphs in enumeration order
-    dims: tuple
-    leq: tuple  # leq[a] = bitmask of b with a <= b
-    covers: tuple  # (lower, upper) index pairs
+class OrbitPoset(namedtuple("OrbitPoset", "shape orbits dims leq covers")):
+    """The closure order on the orbits (``Graph``s in enumeration order):
+    ``leq[a]`` is the bitmask of b with a <= b, and ``covers`` holds the
+    (lower, upper) index pairs."""
+
+    __slots__ = ()
 
     def is_leq(self, a: int, b: int) -> bool:
         return bool(self.leq[a] >> b & 1)

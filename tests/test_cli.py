@@ -1,11 +1,10 @@
-import dataclasses
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from doubleflag import GeneratorCase, Shape, cli, hecke, oracle
+from doubleflag import GeneratorCase, ModuleVector, Shape, cli, hecke, oracle
 from doubleflag.cli import main
 from doubleflag.polynomial import ONE, Q
 
@@ -115,12 +114,59 @@ def test_verify_names_relation_witness(monkeypatch, capsys):
             assert rel["witness"] == expected[rel["name"]] is not None
 
 
+def test_verify_names_certification_witness(monkeypatch, capsys):
+    # Passing certifications print no witness; a failed one names its first
+    # mismatching record.  Raise one symbolic coefficient on two records:
+    # records run generator by generator, + before -, so the witness is
+    # the + record although its orbit index is higher.
+    shape = Shape(2, 2, 2)
+    perturbed = {("+", 1): 9, ("-", 1): 5}
+    argv = ["verify", "--p", "2", "--q", "2", "--r", "2", "--field", "3"]
+    _, out = run(capsys, *argv)
+    assert all("witness" not in entry for entry in json.loads(out)["certification"])
+
+    def raised(side, i, v):
+        out = apply_generator(side, i, v)
+        if list(v.coords) == [perturbed.get((side, i))]:
+            k = min(out.coords)
+            out = out._replace(coords={**out.coords, k: out.coords[k] + 1})
+        return out
+
+    apply_generator = oracle.apply_generator
+    monkeypatch.setattr(oracle, "apply_generator", raised)
+    code, out = run(capsys, *argv)
+    assert code == 1
+    payload = json.loads(out)
+    assert all(rel["ok"] for rel in payload["relations"])
+    observed = hecke.apply_generator("+", 1, ModuleVector.basis_vector(shape, 9))
+    observed = {str(k): c(3) for k, c in sorted(observed.coords.items())}
+    expected = dict(observed)
+    expected[min(observed, key=int)] += 1
+    case = hecke.classify(hecke.Basis(shape).graphs[9], "+", 1).value
+    assert payload["certification"] == [
+        {
+            "field": 3,
+            "classification_ok": True,
+            "action_ok": False,
+            "mismatches": 2,
+            "witness": {
+                "field": 3,
+                "generator": "+1",
+                "orbit": 9,
+                "case": case,
+                "expected": expected,
+                "observed": observed,
+            },
+        }
+    ]
+
+
 def test_verify_fails_on_wrong_orbit_size(monkeypatch, capsys):
     # One more dimension per orbit predicts F times more points than the
     # classification counts, so only classification_ok may fail.
     def dim_plus_one(g):
         inv = invariants(g)
-        return dataclasses.replace(inv, dim=inv.dim + 1)
+        return inv._replace(dim=inv.dim + 1)
 
     invariants = oracle.invariants
     monkeypatch.setattr(oracle, "invariants", dim_plus_one)

@@ -55,8 +55,17 @@ class TestShape:
 
     @pytest.mark.parametrize("p,q,r", [(0, 1, 0), (1, 0, 0), (1, 1, 3), (1, 1, -1)])
     def test_invalid(self, p, q, r):
+        # _make, and so _replace, go through the same checks
         with pytest.raises(ValueError):
             Shape(p, q, r)
+        with pytest.raises(ValueError):
+            Shape._make((p, q, r))
+        with pytest.raises(ValueError):
+            Shape(2, 2, 2)._replace(p=p, q=q, r=r)
+
+    def test_replace_validates(self):
+        with pytest.raises(ValueError):
+            Shape(2, 2, 2)._replace(p=0)
 
 
 class TestGraphValidation:
@@ -108,11 +117,52 @@ class TestGraphValidation:
     def test_raw_arrays_rejected(self, plus, minus):
         with pytest.raises(ValueError):
             Graph(S222, plus, minus)
+        with pytest.raises(ValueError):
+            Graph._make((S222, plus, minus))
+        with pytest.raises(ValueError):
+            make_graph(S222, [(1, 1), (2, 2)])._replace(plus=plus, minus=minus)
+
+    def test_replace_validates(self):
+        g = make_graph(S222, [(1, 1), (2, 2)])
+        assert g._replace(plus=(0, 2, 1), minus=(0, 2, 1)) == make_graph(
+            S222, [(1, 2), (2, 1)]
+        )
+        with pytest.raises(ValueError, match="disagree"):
+            g._replace(minus=(0, 2, 1))
 
     def test_list_arrays_rejected(self):
         # a list would pass every check but leave the graph unhashable
         with pytest.raises(TypeError):
             Graph(S222, [0, 2, 1], (0, 2, 1))
+
+
+class TestRecords:
+    """The record types are immutable named tuples, hashed and compared as
+    their field tuples, as the frozen dataclasses they replace were."""
+
+    def test_hash_is_field_tuple_hash(self):
+        # the old dataclass hash, so set and dict orders cannot drift
+        shape = Shape(3, 2, 2)
+        assert hash(shape) == hash((3, 2, 2))
+        for g in enumerate_graphs(shape):
+            assert hash(g) == hash((g.shape, g.plus, g.minus))
+
+    def test_repr(self):
+        assert repr(Shape(3, 2, 2)) == "Shape(p=3, q=2, r=2)"
+        assert repr(make_graph(S222, [(1, 2)], [2])) == (
+            "Graph(shape=Shape(p=2, q=2, r=2), plus=(0, 2, -1), minus=(0, 0, 1))"
+        )
+        assert repr(Q - 1) == "IntPoly(coeffs=(-1, 1))"
+
+    def test_equal_to_field_tuple(self):
+        assert Shape(2, 2, 2) == (2, 2, 2)
+        assert invariants(GRAPH_534) == tuple(invariants(GRAPH_534))
+
+    @pytest.mark.parametrize("field", ["p", "plus", "coeffs", "dim", "unknown"])
+    def test_immutable(self, field):
+        for record in (Shape(2, 2, 2), GRAPH_534, Q, invariants(GRAPH_534)):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0)
 
 
 class TestGraphFromMatrix:
@@ -134,6 +184,10 @@ class TestGraphFromMatrix:
         bad = tuple(tuple(row) for row in [[1, 1], [0, 0], [0, 1], [1, 0]])
         with pytest.raises(ValueError):
             PartialPermutationPair(Shape(2, 2, 2), bad)
+        with pytest.raises(ValueError):
+            PartialPermutationPair._make((Shape(2, 2, 2), bad))
+        with pytest.raises(ValueError):
+            matrix_from_graph(make_graph(S222, [(1, 1), (2, 2)]))._replace(matrix=bad)
 
     def test_accepted_matrices_have_full_rank(self):
         # rank mod 101 <= rank over Q <= r, so rank r mod 101 proves full rank

@@ -156,6 +156,28 @@ class TestApplyGenerator:
         assert lhs == rhs
 
 
+class TestModuleVectorRecord:
+    def test_zero_coordinates_dropped(self):
+        # _make, and so _replace, normalise as the constructor does
+        assert ModuleVector(S222).coords == {}
+        assert ModuleVector(S222, {0: ZERO, 1: 2}).coords == {1: IntPoly((2,))}
+        v = ModuleVector.basis_vector(S222, 0)
+        assert v._replace(coords={0: ZERO, 3: Q}).coords == {3: Q}
+        assert ModuleVector._make((S222, {2: 0})).coords == {}
+
+    def test_unhashable_and_compared_as_vectors(self):
+        v = ModuleVector.basis_vector(S222, 0)
+        with pytest.raises(TypeError):
+            hash(v)
+        assert v == ModuleVector(S222, {0: 1})
+        assert not v != ModuleVector(S222, {0: 1})
+        assert v != ModuleVector(S222, {1: 1})
+        assert v != ModuleVector(Shape(2, 2, 1), {0: 1})
+        # a plain tuple with the same fields is not a vector
+        assert v != (S222, {0: ONE})
+        assert not v == (S222, {0: ONE})
+
+
 def reference_apply_generator(side, i, v):
     """The three-case rule evaluated per basis vector on Graphs, as
     apply_generator did before the per-shape table."""
@@ -219,10 +241,10 @@ def test_basis_builds_no_graph(monkeypatch):
     shape = Shape(5, 3, 4)
     enumerate_graphs(shape)
 
-    def no_graph(self):
+    def no_graph(cls, *args):
         pytest.fail("a Graph was built")
 
-    monkeypatch.setattr(Graph, "__post_init__", no_graph)
+    monkeypatch.setattr(Graph, "__new__", no_graph)
     basis = Basis.__wrapped__(shape)
     assert set(basis.action) == set(generators(shape))
     blocks = weyl_decompose(shape)

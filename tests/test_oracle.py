@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import os
 import subprocess
@@ -497,7 +496,7 @@ class TestClassifyOrbits:
         cls = classify_orbits(S222, 3)
         assert classification_ok(cls)
         sizes = (cls.sizes[0] + 1,) + cls.sizes[1:]
-        assert not classification_ok(dataclasses.replace(cls, sizes=sizes))
+        assert not classification_ok(cls._replace(sizes=sizes))
 
 
 NONCROSSING_222 = make_graph(S222, [(1, 1), (2, 2)])

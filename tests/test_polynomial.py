@@ -44,3 +44,17 @@ def test_str():
 def test_type_errors():
     with pytest.raises(TypeError):
         IntPoly((1.5,))
+
+
+def test_replace_and_make_normalize():
+    assert IntPoly((1,))._replace(coeffs=(1, 0)) == IntPoly((1,))
+    assert IntPoly._make([(0, 1, 0)]).coeffs == (0, 1)
+    with pytest.raises(TypeError):
+        ONE._replace(coeffs=(1.5,))
+
+
+def test_hash_and_equality_follow_coefficients():
+    # the CLI's CSV writer formats each distinct entry once, keyed by IntPoly
+    assert hash(Q - 1) == hash(((-1, 1),))
+    assert len({Q, Q + 0, IntPoly((0, 1, 0))}) == 1
+    assert IntPoly((2,)) != 2

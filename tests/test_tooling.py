@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import doubleflag
@@ -20,6 +23,21 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_import_loads_no_dataclass_machinery():
+    # Every CLI run and benchmark worker is a fresh process.  dataclasses
+    # pulls in inspect, ast, dis and tokenize, and building a dataclass
+    # execs its generated methods: about 35 ms per start-up, more than the
+    # work of a small run.  The records are named tuples instead.
+    code = "import sys, doubleflag, doubleflag.cli; print(' '.join(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(Path(doubleflag.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(proc.stdout.split())
+    assert "doubleflag.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "ast", "typing"} == set()
 
 
 PUBLIC_API = [
