@@ -445,12 +445,14 @@ def convolution_action(
     basis = Basis(shape)
     source = basis.index[g]
     a = i - 1 if side == "+" else shape.p + i - 1
+    # read once: each named-tuple field read is a descriptor call
+    orbit_of = cls.orbit_of
 
     def value_at(x) -> int:
         count = 0
         for c in range(field_size):
             y = _transform(x, a, c, field_size)
-            if cls.orbit_of.get(y, -1) == source:
+            if orbit_of.get(y, -1) == source:
                 count += 1
         return count
 
