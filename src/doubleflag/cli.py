@@ -26,17 +26,28 @@ from .poset import build_poset, to_dot
 
 # Largest orbit count any subcommand accepts.  It admits every shape with
 # p+q <= 9 (at most 2,866 orbits); the dense n x n ``hecke-matrix`` output
-# is what grows fastest past it.  ``weyl-decomp`` needs no budget of its
-# own: it reads stabilizer orders off the orbit sizes by orbit-stabilizer,
-# with no pass over the p! * q! group elements.
+# is what grows fastest past it.  It also bounds n = p+q by
+# n(n-1)/2 <= ORBIT_BUDGET, so n <= 77, before the orbit count is computed.
+# ``weyl-decomp`` needs no budget of its own: it reads stabilizer orders off
+# the orbit sizes by orbit-stabilizer, with no pass over the p! * q! group
+# elements.
 ORBIT_BUDGET = 3000
 
 
 def _check_budgets(shape: Shape) -> None:
     """Refuse an oversized run by a closed form, before any enumeration.
 
-    Raises ValueError if ``count_orbits(shape)`` is over ``ORBIT_BUDGET``.
+    Raises ValueError if n(n-1)/2 is over ``ORBIT_BUDGET`` for n = p+q, and
+    otherwise if ``count_orbits(shape)`` is.  The first test is cheap, so a
+    huge shape never reaches the factorials of ``count_orbits``.  It refuses
+    no shape the second would admit with 2 <= r <= n-2: there the orbits
+    with no edges alone number sum_s C(p, s) C(q, r-s) = C(n, r) >= C(n, 2)
+    (Vandermonde).  So it adds only shapes with r in {0, 1, n-1, n} and
+    n >= 78: few orbits, but work and output that still grow with n.
     """
+    n = shape.n
+    if n * (n - 1) // 2 > ORBIT_BUDGET:
+        raise ValueError(f"p+q = {n} is over the budget: n(n-1)/2 > {ORBIT_BUDGET}")
     orbits = count_orbits(shape)
     if orbits > ORBIT_BUDGET:
         raise ValueError(f"shape has {orbits} orbits, over the budget of {ORBIT_BUDGET}")

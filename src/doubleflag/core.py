@@ -317,9 +317,6 @@ class RankMatrix(namedtuple("RankMatrix", "entries")):
 
     __slots__ = ()
 
-    def __getitem__(self, idx):
-        return self.entries[idx]
-
     def dominates(self, other: "RankMatrix") -> bool:
         return all(
             a >= b for ra, rb in zip(self.entries, other.entries) for a, b in zip(ra, rb)

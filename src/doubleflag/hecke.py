@@ -64,8 +64,17 @@ class Basis:
     generator action table.
 
     ``action[(side, i)][k]`` is the pair ``(case, partner)`` of the
-    generator at orbit k: its case and the index of the reflected orbit
-    (k itself in case I).
+    generator at orbit k: its case and the index of the reflected orbit.
+
+    The partner is k itself exactly in case I.  ``_reflected`` swaps
+    entries i and i+1 of the side's array a and renames i <-> i+1 in the
+    other array.  In case I both entries are 0 (free) or both -1 (marked):
+    the swap changes nothing, and no vertex of the other side is joined to
+    i or i+1, so the renaming changes nothing either.  In cases II and III
+    either the degrees differ, so a[i] != a[i+1] because an entry fixes its
+    vertex's degree, or both vertices carry an edge, and a[i] != a[i+1]
+    because a vertex of the other side is joined to at most one vertex.
+    Either way the swap changes a, so the reflected orbit is another one.
     """
 
     def __init__(self, shape: Shape):
@@ -187,8 +196,9 @@ def operator_matrix(shape: Shape, side: str, i: int) -> OperatorMatrix:
     n = len(table)
     nonzero = [{} for _ in range(n)]  # nonzero[row][col]
     for col, (case, jdx) in enumerate(table):
+        # a column's rows are distinct: case II's partner is another orbit (Basis)
         for row, coeff in _image_terms(col, case, jdx):
-            nonzero[row][col] = nonzero[row].get(col, ZERO) + coeff
+            nonzero[row][col] = coeff
     entries = []
     for terms in nonzero:
         row = [ZERO] * n
@@ -284,8 +294,7 @@ def verify_relations(shape: Shape) -> list:
     coefficients of an integer polynomial f; |fg| <= |f| |g|.
 
     * Each column of T_i has summed |coefficient| <= 3: case I gives
-      |q| = 1, case II |q-1| + |q| = 3 (|2q-1| = 3 when the partner is the
-      orbit itself) and case III |1| = 1.
+      |q| = 1, case II |q-1| + |q| = 3 and case III |1| = 1.
       So T_i at most triples the summed |coordinate| of a vector, and a
       word of length l applied to a basis vector gives coordinates whose
       summed |.| is at most 3^l.
@@ -335,9 +344,9 @@ def q1_action_is_permutation(shape: Shape) -> bool:
 
     Read off the action table, where k' is the partner of orbit k.  At
     q = 1 the three cases give T_i xi_k = q xi_k = xi_k (case I),
-    (q-1) xi_k + q xi_k' = xi_k' (case II, also when k' = k) and xi_k'
-    (case III).  So T_i maps xi_k to xi_k' for every k exactly when case I
-    has k' = k, which is checked first.  The map k -> k' is also checked
+    (q-1) xi_k + q xi_k' = xi_k' (case II) and xi_k' (case III).  So T_i
+    maps xi_k to xi_k' for every k exactly when case I has k' = k, which
+    is checked first.  The map k -> k' is also checked
     to be an involution, so it is a bijection of the basis and T_i at
     q = 1 is a permutation of order at most 2, as for a transposition.
     """

@@ -30,7 +30,7 @@ from .core import (
     matrix_from_graph,
     rank_matrix,
 )
-from .hecke import Basis, ModuleVector, _check_generator, apply_generator, generators
+from .hecke import Basis, ModuleVector, _check_generator, _image_terms, generators
 
 ENUMERATION_BUDGET = 10**5
 
@@ -428,23 +428,18 @@ def _transform(w, a: int, c: int, p: int):
     return tuple(rows)
 
 
-def convolution_action(
-    shape: Shape, field_size: int, side: str, i: int, g: Graph
-) -> ModuleVector:
-    """T_i * xi_g computed by counting, as an integer-coefficient vector.
+def _count_images(cls: OrbitClassification, a: int, source: int) -> dict:
+    """T_i * xi_source by counting, as {orbit index: count}; ``a`` is the
+    0-based first coordinate that s_i swaps.
 
-    Evaluates the convolved function at a representative of every orbit and
-    asserts (a) constancy on sampled points of each orbit and (b) total mass
-    q * #orbit(g), which pins the support exactly.  Raises ValueError for a
-    generator outside the shape or an orbit g of another shape.
+    The value at a point x is the number of c in F with s_i u(c)^{-1} x in
+    the source orbit.  It is counted at the first three points of every
+    orbit, which must agree (constancy), and the total mass, the sum of
+    value times orbit size, must be F times the source orbit's size, which
+    pins the support exactly.  Each (sampled point, field element) makes
+    one ``_transform`` call, looked up through the module on every call.
     """
-    _check_generator(shape, side, i)
-    if g.shape != shape:
-        raise ValueError(f"orbit of shape {g.shape} given for shape {shape}")
-    cls = classify_orbits(shape, field_size)
-    basis = Basis(shape)
-    source = basis.index[g]
-    a = i - 1 if side == "+" else shape.p + i - 1
+    field_size = cls.field_size
     # read once: each named-tuple field read is a descriptor call
     orbit_of = cls.orbit_of
 
@@ -457,9 +452,8 @@ def convolution_action(
         return count
 
     coords = {}
-    for k in range(len(basis)):
-        samples = cls.points[k][:3]
-        vals = {value_at(x) for x in samples}
+    for k, points in enumerate(cls.points):
+        vals = {value_at(x) for x in points[:3]}
         if len(vals) != 1:
             raise AssertionError(f"convolution not constant on orbit {k}")
         v = vals.pop()
@@ -469,7 +463,25 @@ def convolution_action(
     mass = sum(v * cls.sizes[k] for k, v in coords.items())
     if mass != field_size * cls.sizes[source]:
         raise AssertionError("convolution mass balance failed")
-    return ModuleVector(shape, coords)
+    return coords
+
+
+def convolution_action(
+    shape: Shape, field_size: int, side: str, i: int, g: Graph
+) -> ModuleVector:
+    """T_i * xi_g computed by counting, as an integer-coefficient vector.
+
+    The counting, with its constancy and mass-balance checks, is
+    ``_count_images`` on the field's ``classify_orbits``; this wraps its
+    counts in a ``ModuleVector``.  Raises ValueError for a generator
+    outside the shape or an orbit g of another shape, before any counting.
+    """
+    _check_generator(shape, side, i)
+    if g.shape != shape:
+        raise ValueError(f"orbit of shape {g.shape} given for shape {shape}")
+    cls = classify_orbits(shape, field_size)
+    a = i - 1 if side == "+" else shape.p + i - 1
+    return ModuleVector(shape, _count_images(cls, a, Basis(shape).index[g]))
 
 
 class CertificationRecord(
@@ -512,29 +524,25 @@ class CertificationReport(namedtuple("CertificationReport", "shape records")):
 
 def certify_theorem(shape: Shape, field_sizes) -> CertificationReport:
     """Compare symbolic coefficients (q, q-1, 1 in the three cases) against
-    counted convolution coefficients, for every orbit, generator and field."""
+    counted convolution coefficients, for every orbit, generator and field.
+
+    Each field is classified once (``classify_orbits``, whose Grassmannian
+    enumeration refuses a bad or oversized field before any point is
+    built), and each generator's row of ``Basis.action`` is read once.  A
+    record's ``expected`` is ``_image_terms`` of its orbit's case and
+    partner, evaluated at the field size, and its ``observed`` is
+    ``_count_images`` for that orbit as the source.
+    """
     basis = Basis(shape)
     records = []
     for field_size in field_sizes:
-        grassmannian_size(shape, field_size)
+        cls = classify_orbits(shape, field_size)
         for side, i in generators(shape):
-            table = basis.action[(side, i)]
-            for idx, g in enumerate(basis.graphs):
-                case = table[idx][0]
-                symbolic = apply_generator(
-                    side, i, ModuleVector.basis_vector(shape, idx)
-                )
-                expected = {k: v(field_size) for k, v in symbolic.coords.items()}
-                observed = convolution_action(shape, field_size, side, i, g)
+            a = i - 1 if side == "+" else shape.p + i - 1
+            for idx, (case, jdx) in enumerate(basis.action[(side, i)]):
+                expected = {k: c(field_size) for k, c in _image_terms(idx, case, jdx)}
+                observed = _count_images(cls, a, idx)
                 records.append(
-                    CertificationRecord(
-                        field_size,
-                        side,
-                        i,
-                        idx,
-                        case.value,
-                        expected,
-                        {k: v(0) for k, v in observed.coords.items()},
-                    )
+                    CertificationRecord(field_size, side, i, idx, case.value, expected, observed)
                 )
     return CertificationReport(shape, tuple(records))

@@ -118,22 +118,26 @@ def test_verify_names_certification_witness(monkeypatch, capsys):
     # Passing certifications print no witness; a failed one names its first
     # mismatching record.  Raise one symbolic coefficient on two records:
     # records run generator by generator, + before -, so the witness is
-    # the + record although its orbit index is higher.
+    # the + record although its orbit index is higher.  The expected
+    # coefficients come from ``_image_terms`` of a record's orbit, case and
+    # partner, so the two records are picked by those arguments; (+1, 9)
+    # and (-1, 6) give arguments that no other record of (2,2,2) gives.
     shape = Shape(2, 2, 2)
-    perturbed = {("+", 1): 9, ("-", 1): 5}
+    action = hecke.Basis(shape).action
+    perturbed = {(9, *action[("+", 1)][9]), (6, *action[("-", 1)][6])}
     argv = ["verify", "--p", "2", "--q", "2", "--r", "2", "--field", "3"]
     _, out = run(capsys, *argv)
     assert all("witness" not in entry for entry in json.loads(out)["certification"])
 
-    def raised(side, i, v):
-        out = apply_generator(side, i, v)
-        if list(v.coords) == [perturbed.get((side, i))]:
-            k = min(out.coords)
-            out = out._replace(coords={**out.coords, k: out.coords[k] + 1})
-        return out
+    def raised(idx, case, jdx):
+        terms = sorted(image_terms(idx, case, jdx))
+        if (idx, case, jdx) in perturbed:
+            (k, c), *rest = terms
+            terms = [(k, c + 1), *rest]
+        return tuple(terms)
 
-    apply_generator = oracle.apply_generator
-    monkeypatch.setattr(oracle, "apply_generator", raised)
+    image_terms = oracle._image_terms
+    monkeypatch.setattr(oracle, "_image_terms", raised)
     code, out = run(capsys, *argv)
     assert code == 1
     payload = json.loads(out)
@@ -288,6 +292,35 @@ def test_orbit_budget_checked_before_work(monkeypatch, capsys, command):
     argv = [command, "--p", "5", "--q", "5", "--r", "5", *SUBCOMMAND_FLAGS[command]]
     assert main(argv) == 2
     assert "over the budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, p, q, r",
+    [
+        ("enumerate", 10**6, 1, 1),
+        ("hasse", 200000, 1, 0),
+        ("verify", 2000, 1, 0),
+        ("weyl-decomp", 3000, 1, 0),
+    ],
+)
+def test_huge_shape_refused_before_orbit_count(monkeypatch, capsys, command, p, q, r):
+    # The orbit count alone of (10**6, 1, 1) takes over a minute, and the
+    # one-orbit shapes (r = 0) are within the orbit budget however large.
+    _forbid_work(monkeypatch)
+    monkeypatch.setattr(cli, "count_orbits", lambda shape: pytest.fail("orbits counted"))
+    argv = [command, "--p", str(p), "--q", str(q), "--r", str(r), *SUBCOMMAND_FLAGS[command]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_size_bound_starts_past_77_vertices(monkeypatch):
+    # n(n-1)/2 <= ORBIT_BUDGET exactly for n <= 77, so no shape with p+q <= 77
+    # changes its verdict; the orbit count decides those.
+    cli._check_budgets(cli.Shape(76, 1, 0))
+    cli._check_budgets(cli.Shape(1, 76, 1))
+    monkeypatch.setattr(cli, "count_orbits", lambda shape: pytest.fail("orbits counted"))
+    with pytest.raises(ValueError, match="over the budget"):
+        cli._check_budgets(cli.Shape(77, 1, 0))
 
 
 @pytest.mark.parametrize("r", ["1", "0"])

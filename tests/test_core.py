@@ -158,6 +158,13 @@ class TestRecords:
         assert Shape(2, 2, 2) == (2, 2, 2)
         assert Q == ((0, 1),)
 
+    def test_rank_matrix_indexes_its_field(self):
+        # a named tuple of one field: indexing, len and iteration agree
+        rm = rank_matrix(GRAPH_534)
+        assert rm[0] is rm.entries
+        assert tuple(rm) == (rm.entries,)
+        assert len(rm) == 1
+
     @pytest.mark.parametrize("field", ["p", "plus", "coeffs", "dim", "unknown"])
     def test_immutable(self, field):
         for record in (Shape(2, 2, 2), GRAPH_534, Q, invariants(GRAPH_534)):

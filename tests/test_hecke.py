@@ -237,6 +237,19 @@ def test_action_table_matches_reference():
             assert basis.action[(side, i)] == expected, (shape, side, i)
 
 
+def test_partner_is_self_exactly_in_case_i():
+    # The Basis docstring's proof: cases II and III always move the orbit.
+    # operator_matrix assigns each column's entries without accumulating,
+    # and the relation bound needs no |2q-1| term, because of this.
+    pairs = 0
+    for shape in small_shapes(7):
+        for table in Basis(shape).action.values():
+            for k, (case, partner) in enumerate(table):
+                assert (case is GeneratorCase.CASE_I) == (partner == k), (shape, k)
+                pairs += 1
+    assert pairs == 23116
+
+
 def test_basis_builds_no_graph(monkeypatch):
     shape = Shape(5, 3, 4)
     enumerate_graphs(shape)

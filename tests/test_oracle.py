@@ -19,10 +19,12 @@ from doubleflag import (
     rank_matrix,
     rank_profile,
 )
-from doubleflag import oracle
-from doubleflag.hecke import Basis, generators
+from doubleflag import hecke, oracle
+from doubleflag.hecke import Basis, ModuleVector, apply_generator, generators
 from doubleflag.oracle import (
     ENUMERATION_BUDGET,
+    CertificationRecord,
+    CertificationReport,
     classification_ok,
     expected_orbit_size,
     graph_subspace,
@@ -373,8 +375,8 @@ class TestDifferential:
 
     def test_certification_transforms_every_sample(self, monkeypatch):
         # The count bench/golden.json records for verify (2,2,2) over F_11.
-        # convolution_action must look _transform up at each call, so a
-        # cached or batched transform changes the count.
+        # The counting must look _transform up at each call, so a cached or
+        # batched transform changes the count.
         calls = []
         transform = oracle._transform
 
@@ -543,7 +545,70 @@ class TestConvolution:
             convolution_action(S222, 3, side, i, g)
 
 
+def reference_certify_theorem(shape, field_sizes):
+    """Test-only copy of the per-record certification: the symbolic side by
+    ``apply_generator`` on a basis vector, the counted side by the public
+    ``convolution_action``, read back at q = 0."""
+    basis = Basis(shape)
+    records = []
+    for field_size in field_sizes:
+        oracle.grassmannian_size(shape, field_size)
+        for side, i in generators(shape):
+            table = basis.action[(side, i)]
+            for idx, g in enumerate(basis.graphs):
+                symbolic = apply_generator(side, i, ModuleVector.basis_vector(shape, idx))
+                observed = convolution_action(shape, field_size, side, i, g)
+                records.append(
+                    CertificationRecord(
+                        field_size,
+                        side,
+                        i,
+                        idx,
+                        table[idx][0].value,
+                        {k: v(field_size) for k, v in symbolic.coords.items()},
+                        {k: v(0) for k, v in observed.coords.items()},
+                    )
+                )
+    return CertificationReport(shape, tuple(records))
+
+
+def _differential_jobs():
+    from test_acceptance import ORACLE_JOBS
+
+    jobs = [(shape, field) for shape, fields in ORACLE_JOBS for field in fields]
+    return jobs + [(Shape(3, 3, 2), 3), (Shape(4, 2, 2), 3)]
+
+
 class TestCertification:
+    @pytest.mark.parametrize("shape,field", _differential_jobs(), ids=str)
+    def test_records_match_per_record_reference(self, monkeypatch, shape, field):
+        counts = {}
+        count_images = oracle._count_images
+
+        def recording(cls, a, source):
+            counts[a, source] = count_images(cls, a, source)
+            return counts[a, source]
+
+        monkeypatch.setattr(oracle, "_count_images", recording)
+        report = certify_theorem(shape, [field])
+        monkeypatch.setattr(oracle, "_count_images", count_images)
+        assert report.ok
+        assert report.records == reference_certify_theorem(shape, [field]).records
+
+        # The case II partner coefficient mutated where each side reads it:
+        # the reference through hecke.apply_generator, certify_theorem
+        # through oracle's import of _image_terms.  The mismatching records
+        # must agree too.  Only the expected side changes, so both sides
+        # reuse the counts taken above instead of counting again.
+        from test_hecke import case_ii_partner_one
+
+        monkeypatch.setattr(hecke, "_image_terms", case_ii_partner_one)
+        monkeypatch.setattr(oracle, "_image_terms", case_ii_partner_one)
+        monkeypatch.setattr(oracle, "_count_images", lambda cls, a, source: counts[a, source])
+        report = certify_theorem(shape, [field])
+        assert report.records == reference_certify_theorem(shape, [field]).records
+        assert report.ok == all(rec.case != "II" for rec in report.records)
+
     @pytest.mark.parametrize(
         "shape,fields",
         [
