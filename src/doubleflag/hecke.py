@@ -237,41 +237,21 @@ def _relations(shape: Shape) -> list:
     return relations
 
 
-def _suffix_plan(terms: tuple) -> tuple:
-    """The terms (c, word) of a relation as (c, source, gens) for
-    ``_vanishes``.  Each word suffix applied to v is kept, under the next
-    index (v itself is 0), and a word starts from the longest suffix kept
-    before it: ``source`` is that suffix's index, and ``gens`` the rest of
-    the word in the order it acts.  So the quadratic relation applies T to
-    v once, not twice."""
-    kept = {(): 0}
-    plan = []
-    for coeff, word in terms:
-        start = 0
-        while word[start:] not in kept:
-            start += 1
-        plan.append((coeff, kept[word[start:]], tuple(reversed(word[:start]))))
-        for s in range(start - 1, -1, -1):
-            kept[word[s:]] = len(kept)
-    return tuple(plan)
-
-
-def _vanishes(plan: tuple, table: dict, v: ModuleVector) -> bool:
-    """Whether the sum of c * word(v) over the terms is zero at q = _Q0.
-    ``plan`` holds the terms as ``_suffix_plan`` gives them, each c an int
-    already evaluated at _Q0, and ``table[gen][k]`` holds the (orbit,
-    coefficient at _Q0) pairs of T_gen xi_k."""
-    kept = [v.specialize(_Q0)]
+def _vanishes(terms: tuple, table: dict, v: ModuleVector) -> bool:
+    """Whether the sum of c * word(v) over the terms (c, word) is zero at
+    q = _Q0.  Each c is an int already evaluated at _Q0, ``table[gen][k]``
+    holds the (orbit, coefficient at _Q0) pairs of T_gen xi_k, and each
+    word is applied to v in full, right to left."""
+    start = v.specialize(_Q0)
     residue = {}
-    for coeff, source, gens in plan:
-        vec = kept[source]
-        for gen in gens:
+    for coeff, word in terms:
+        vec = start
+        for gen in reversed(word):
             column = table[gen]
             out = {}
             for idx, y in vec.items():
                 for k, c in column[idx]:
                     out[k] = out.get(k, 0) + c * y
-            kept.append(out)
             vec = out
         for k, y in vec.items():
             residue[k] = residue.get(k, 0) + coeff * y
@@ -290,8 +270,10 @@ def verify_relations(shape: Shape) -> list:
     A relation is a sum of terms c(q) * word that must vanish on every basis
     vector.  Evaluation at q = x commutes with the arithmetic, so it is
     checked with plain integers at the single point q = _Q0 = 64, and that
-    decides it.  Write |f| for the sum of the absolute values of the
-    coefficients of an integer polynomial f; |fg| <= |f| |g|.
+    decides it: ``_vanishes`` applies each word to the basis vector in
+    full, right to left, and adds c * word(v) into one residue.  Write |f|
+    for the sum of the absolute values of the coefficients of an integer
+    polynomial f; |fg| <= |f| |g|.
 
     * Each column of T_i has summed |coefficient| <= 3: case I gives
       |q| = 1, case II |q-1| + |q| = 3 and case III |1| = 1.
@@ -322,11 +304,11 @@ def verify_relations(shape: Shape) -> list:
     }
     report = []
     for name, terms in _relations(shape):
-        plan = _suffix_plan(tuple((coeff(_Q0), word) for coeff, word in terms))
+        at_q0 = tuple((coeff(_Q0), word) for coeff, word in terms)
         failed = (
             c
             for c in range(len(basis))
-            if not _vanishes(plan, table, ModuleVector.basis_vector(shape, c))
+            if not _vanishes(at_q0, table, ModuleVector.basis_vector(shape, c))
         )
         witness = next(failed, None)
         report.append(RelationCheck(name, witness is None, witness))

@@ -36,16 +36,17 @@ ENUMERATION_BUDGET = 10**5
 
 
 def gaussian_binomial(n: int, r: int, q: int) -> int:
-    """Number of r-dimensional subspaces of F_q^n."""
+    """Number of r-dimensional subspaces of F_q^n, by q-Pascal:
+    [m, k] = [m-1, k-1] + q^k [m-1, k].  It has no division, so any
+    integer q works; q = 1 gives the binomial coefficient C(n, r)."""
     if not 0 <= r <= n:
         return 0
-    num = den = 1
-    for i in range(r):
-        num *= q ** (n - i) - 1
-        den *= q ** (i + 1) - 1
-    if num % den:
-        raise AssertionError(f"Gaussian binomial [{n} choose {r}]_{q} is not an integer")
-    return num // den
+    powers = [q**k for k in range(r + 1)]
+    row = [1] + [0] * r  # row[k] = [m, k], from m = 0
+    for m in range(1, n + 1):
+        for k in range(min(m, r), 0, -1):
+            row[k] = row[k - 1] + powers[k] * row[k]
+    return row[r]
 
 
 def rref(rows, p: int):
@@ -88,15 +89,12 @@ def rref(rows, p: int):
     return tuple(map(tuple, mat)), rank
 
 
-def grassmannian_size(shape: Shape, field_size: int) -> int:
-    """Number of r-planes in F^n, checked before any point is built.
-
-    Raises ValueError for a field that is not an odd prime and for a count
-    over ``ENUMERATION_BUDGET``.  A field over the budget is refused first,
+def _check_field(field_size: int):
+    """Raise ValueError unless the field size is an odd prime within
+    ``ENUMERATION_BUDGET``.  A field over the budget is refused first,
     before trial division: for 0 < r < n the Grassmannian has more than F
     points, and every certification record counts over all F field
-    elements, so no run over such a field fits the budget.
-    """
+    elements, so no run over such a field fits the budget."""
     if field_size == 2:
         raise ValueError("field size 2 is excluded (characteristic must be odd)")
     if field_size > ENUMERATION_BUDGET:
@@ -105,6 +103,15 @@ def grassmannian_size(shape: Shape, field_size: int) -> int:
         field_size % d == 0 for d in range(2, math.isqrt(field_size) + 1)
     ):
         raise ValueError(f"field size must be an odd prime, got {field_size}")
+
+
+def grassmannian_size(shape: Shape, field_size: int) -> int:
+    """Number of r-planes in F^n, checked before any point is built.
+
+    Raises ValueError for a field ``_check_field`` refuses and for a count
+    over ``ENUMERATION_BUDGET``.
+    """
+    _check_field(field_size)
     total = gaussian_binomial(shape.n, shape.r, field_size)
     if total > ENUMERATION_BUDGET:
         raise ValueError(f"Grassmannian has {total} points, over the budget")
@@ -180,7 +187,10 @@ def _span_table(r: int, field_size: int) -> _SpanTable:
     r.  Its spans are subspaces of F^r and each step reads only a span and
     a vector of F^r, so nothing else changes it.  ``classify_orbits`` walks
     it once per point for the point's key, and ``rank_profile`` once per new
-    key.  It never holds more steps than the walks that filled it took."""
+    key.  It never holds more steps than the walks that filled it took.
+    A field ``_check_field`` refuses raises ValueError on every call, since
+    ``lru_cache`` keeps no exception."""
+    _check_field(field_size)
     return _SpanTable(field_size)
 
 
@@ -210,9 +220,14 @@ def rank_profile(w, shape: Shape, field_size: int) -> tuple:
 
     ``w`` is any r x n integer matrix whose reduction mod ``field_size`` has
     rank r, such as a Grassmannian point; its entries need not lie in
-    range(field_size), since ``rref`` reduces each new span.
+    range(field_size), since ``rref`` reduces each new span.  Raises
+    ValueError for any other ``w`` and for a field ``_check_field``
+    refuses.  The rank needs no elimination of its own: corner (0, 0) is
+    r - dim(U_0 + M_0) = r - rank(w), so it must be 0.
     """
     p, q, r = shape.p, shape.q, shape.r
+    if len(w) != r or any(len(row) != p + q for row in w):
+        raise ValueError(f"w must have {r} rows of {p + q} entries for {shape}")
     table = _span_table(r, field_size)
     steps, dims = table.steps, table.dims
     cols = list(zip(*w)) or [()] * (p + q)
@@ -237,6 +252,8 @@ def rank_profile(w, shape: Shape, field_size: int) -> tuple:
         row.reverse()
         rows.append(tuple(row))
     rows.reverse()
+    if rows[0][0]:
+        raise ValueError(f"w has rank {r - rows[0][0]} mod {field_size}, not r = {r}")
     return tuple(rows)
 
 

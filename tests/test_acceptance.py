@@ -21,6 +21,7 @@ from doubleflag import (
     weyl_decompose,
 )
 from doubleflag.oracle import graph_subspace
+from doubleflag.polynomial import ONE, Q, IntPoly
 from doubleflag.poset import build_poset
 
 ORACLE_SHAPES = [
@@ -79,6 +80,52 @@ def test_orbit_count():
     )
     ok &= count_orbits(Shape(2, 2, 2)) == 16
     report("orbit count formula vs enumeration, p+q<=8", ok, started, budget=30)
+
+
+def _monomial(e):
+    return IntPoly((0,) * e + (1,))
+
+
+def _q_binomial_rows(n):
+    """Rows 0..n of Gaussian binomials [m choose r]_q as polynomials, by
+    q-Pascal: [m choose r] = [m-1 choose r-1] + q^r [m-1 choose r]."""
+    rows = [[ONE]]
+    for m in range(1, n + 1):
+        prev = rows[-1]
+        inner = [prev[r - 1] + _monomial(r) * prev[r] for r in range(1, m)]
+        rows.append([ONE, *inner, ONE])
+    return rows
+
+
+def test_orbit_sizes_sum_to_grassmannian_polynomial():
+    # |O_g(F_q)| = (q-1)^b q^(dim - C(p,2) - C(q,2) - b) for every orbit, so
+    # summed over a shape's orbits the formula counts the Grassmannian.  This
+    # checks ``dim`` independently of the poset, whose covers are read off it.
+    started = time.time()
+    rows = _q_binomial_rows(10)
+    ok = True
+    for shape in shapes_up_to(10):
+        p, q, r = shape
+        if p + q == 10 and p != 5:
+            continue  # p, q <= 5, and every shape with p+q <= 9
+        base = p * (p - 1) // 2 + q * (q - 1) // 2
+        terms = Counter()
+        for g in enumerate_graphs(shape):
+            inv = invariants(g)
+            terms[inv.b, inv.dim - base - inv.b] += 1
+        total = IntPoly()
+        for (b, e), count in terms.items():
+            factor = ONE
+            for _ in range(b):
+                factor = factor * (Q - 1)
+            total = total + count * factor * _monomial(e)
+        ok &= total == rows[p + q][r]
+    report(
+        "orbit sizes sum to [p+q choose r]_q, p,q<=5 and p+q<=9",
+        ok,
+        started,
+        budget=30,
+    )
 
 
 def test_poset_grading():

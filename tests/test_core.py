@@ -1,6 +1,5 @@
 import itertools
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +24,7 @@ from doubleflag import (
 from doubleflag import core
 from doubleflag.core import crossings
 from doubleflag.oracle import rref
-from doubleflag.polynomial import ONE, Q, IntPoly
+from doubleflag.polynomial import Q
 
 SHAPE_534 = Shape(5, 3, 4)
 S222 = Shape(2, 2, 2)
@@ -283,43 +282,6 @@ class TestInvariants:
             ambient = base + shape.r * (shape.n - shape.r)
             for g in enumerate_graphs(shape):
                 assert base <= invariants(g).dim <= ambient
-
-
-def _monomial(e):
-    return IntPoly((0,) * e + (1,))
-
-
-def _q_binomial_rows(n):
-    """Rows 0..n of Gaussian binomials [m choose r]_q as polynomials, by
-    q-Pascal: [m choose r] = [m-1 choose r-1] + q^r [m-1 choose r]."""
-    rows = [[ONE]]
-    for m in range(1, n + 1):
-        prev = rows[-1]
-        inner = [prev[r - 1] + _monomial(r) * prev[r] for r in range(1, m)]
-        rows.append([ONE, *inner, ONE])
-    return rows
-
-
-def test_orbit_sizes_sum_to_grassmannian_polynomial():
-    # |O_g(F_q)| = (q-1)^b q^(dim - C(p,2) - C(q,2) - b) for every orbit, so
-    # summed over a shape's orbits the formula counts the Grassmannian.  This
-    # checks ``dim`` independently of the poset, whose covers are read off it.
-    rows = _q_binomial_rows(10)
-    for p in range(1, 6):
-        for q in range(1, 6):
-            base = p * (p - 1) // 2 + q * (q - 1) // 2
-            for r in range(p + q + 1):
-                terms = Counter()
-                for g in enumerate_graphs(Shape(p, q, r)):
-                    inv = invariants(g)
-                    terms[inv.b, inv.dim - base - inv.b] += 1
-                total = IntPoly()
-                for (b, e), count in terms.items():
-                    factor = ONE
-                    for _ in range(b):
-                        factor = factor * (Q - 1)
-                    total = total + count * factor * _monomial(e)
-                assert total == rows[p + q][r], (p, q, r)
 
 
 class TestRankMatrix:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -44,10 +45,32 @@ class TestFieldValidation:
             enumerate_grassmannian(S222, 9)
 
 
+def _product_gaussian_binomial(n, r, q):
+    """Test-only copy of the product formula prod (q^(n-i) - 1) / (q^(i+1) - 1)."""
+    num = den = 1
+    for i in range(r):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    assert num % den == 0
+    return num // den
+
+
 class TestGrassmannian:
     def test_counts(self):
         assert gaussian_binomial(4, 2, 3) == 130
         assert gaussian_binomial(4, 2, 5) == 806
+
+    def test_gaussian_binomial_at_q_one_is_binomial(self):
+        for n in range(12):
+            for r in range(-1, n + 2):
+                assert gaussian_binomial(n, r, 1) == (math.comb(n, r) if r >= 0 else 0)
+
+    def test_gaussian_binomial_matches_product_formula(self):
+        for q in (0, 2, 3, 5, 11):
+            for n in range(12):
+                for r in range(n + 1):
+                    assert gaussian_binomial(n, r, q) == _product_gaussian_binomial(n, r, q)
+        assert gaussian_binomial(4, 2, -1) == 2
         assert len(enumerate_grassmannian(S222, 3)) == 130
         assert len(enumerate_grassmannian(S222, 5)) == 806
 
@@ -110,6 +133,23 @@ class TestRankProfile:
         profiles = {rank_matrix(g).entries for g in Basis(S222).graphs}
         for w in enumerate_grassmannian(S222, 3):
             assert rank_profile(w, S222, 3) in profiles
+
+    @pytest.mark.parametrize(
+        "w, field",
+        [
+            (((1, 0, 0, 0), (1, 0, 0, 0)), 3),  # rank 1, not r = 2
+            (((1, 0, 0, 0), (4, 0, 0, 0)), 3),  # rank 2 over Z, 1 mod 3
+            (((1, 0, 0), (0, 1, 0)), 3),  # 3 columns, not n = 4
+            (((1, 0, 0, 0, 0), (0, 1, 0, 0, 0)), 3),  # 5 columns
+            (((1, 0, 0, 0),), 3),  # 1 row, not r = 2
+            (((1, 0, 0, 0), (0, 1, 0, 0)), 1),
+            (((1, 0, 0, 0), (0, 1, 0, 0)), 2),
+            (((1, 0, 0, 0), (0, 1, 0, 0)), 4),
+        ],
+    )
+    def test_bad_input_rejected(self, w, field):
+        with pytest.raises(ValueError):
+            rank_profile(w, S222, field)
 
 
 def _reference_rank_profile(w, shape, field_size):
