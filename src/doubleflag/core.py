@@ -15,16 +15,19 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import namedtuple
 from functools import lru_cache
 
 
 class Shape(namedtuple("Shape", "p q r")):
-    """Block sizes (p, q) and the Grassmannian parameter r."""
+    """Block sizes (p, q) and the Grassmannian parameter r, each an integer;
+    a float or other non-integer raises TypeError."""
 
     __slots__ = ()
 
     def __new__(cls, p, q, r):
+        p, q, r = operator.index(p), operator.index(q), operator.index(r)
         if p < 1 or q < 1:
             raise ValueError(f"block sizes must be positive, got p={p}, q={q}")
         if not 0 <= r <= p + q:

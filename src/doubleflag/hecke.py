@@ -26,7 +26,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .core import Graph, Shape, admissible_triples, enumerate_graphs, triple_count, vertex_degree
+from .core import Graph, Shape, enumerate_graphs, triple_count, vertex_degree
 from .polynomial import ONE, Q, ZERO, IntPoly
 
 
@@ -347,9 +347,22 @@ def weyl_decompose(shape: Shape) -> list:
     The basis splits into one W-orbit per admissible (k, s, t), and each
     orbit is W / H for the stabilizer H = (diagonal S_k) x S_s x S_s' x
     S_t x S_t'.  Checked here: the q = 1 action is the permutation action,
-    each orbit holds a single type, no two orbits share a type, the orbit
-    sizes equal ``triple_count``, and the types are exactly the admissible
-    triples.
+    and each W-orbit's size equals ``triple_count`` of its first member's
+    type, which is W-transitivity on that type.  The rest is proved:
+
+    * A W-orbit holds a single type.  The walk follows the partner maps,
+      and ``_reflected`` swaps two entries of one side's partner array and
+      renames partner labels i <-> i+1 in the other array.  Marks (-1) and
+      free vertices (0) are never touched, so s and t, the counts of -1 in
+      the two arrays, and k = r - s - t are constant along every map.
+    * Each type is one W-orbit, and the types are the admissible triples.
+      For each admissible (k, s, t), and for no other triple, the loop
+      nest of ``enumerate_graphs`` chooses the k + ends, the k - ends, a
+      bijection between them and the s and t marks among the remaining
+      vertices: C(p, k) C(q, k) k! C(p-k, s) C(q-k, t) = ``triple_count``
+      choices, and distinct choices write distinct partner arrays.  A
+      W-orbit lies in its type's class, so one of size ``triple_count`` is
+      the whole class: no two W-orbits share a type.
 
     The stabilizer order needs no search of its own.  The walk follows the
     partner maps in ``Basis.action``, which swap vertices i and i+1 in the
@@ -369,7 +382,7 @@ def weyl_decompose(shape: Shape) -> list:
     tables = basis.action.values()
     group_order = math.factorial(shape.p) * math.factorial(shape.q)
     seen = set()
-    blocks = {}
+    blocks = []
     for start in range(len(basis)):
         if start in seen:
             continue
@@ -384,16 +397,8 @@ def weyl_decompose(shape: Shape) -> list:
                     frontier.append(jdx)
         seen |= orbit
 
-        triples = {basis.graphs[idx].triple() for idx in orbit}
-        if len(triples) != 1:
-            raise AssertionError("a Weyl orbit mixes several (k,s,t) types")
-        triple = triples.pop()
-        if triple in blocks:
-            raise AssertionError(f"two Weyl orbits share the type {triple}")
+        triple = basis.graphs[start].triple()
         if len(orbit) != triple_count(shape, triple):
             raise AssertionError(f"orbit size mismatch for type {triple}")
-        blocks[triple] = WeylBlock(triple, len(orbit), group_order // len(orbit))
-
-    if set(blocks) != set(admissible_triples(shape)):
-        raise AssertionError("Weyl orbits do not match the admissible triples")
-    return [blocks[t] for t in sorted(blocks)]
+        blocks.append(WeylBlock(triple, len(orbit), group_order // len(orbit)))
+    return sorted(blocks)

@@ -80,26 +80,19 @@ class IntPoly(namedtuple("IntPoly", "coeffs")):
         return acc
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        terms = []
+        out = ""
         for e in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[e]
             if c == 0:
                 continue
-            sign = "-" if c < 0 else "+"
             mag = abs(c)
             if e == 0:
                 body = str(mag)
             else:
                 var = "q" if e == 1 else f"q^{e}"
                 body = var if mag == 1 else f"{mag}*{var}"
-            terms.append((sign, body))
-        first_sign, first_body = terms[0]
-        out = (first_sign if first_sign == "-" else "") + first_body
-        for sign, body in terms[1:]:
-            out += sign + body
-        return out
+            out += ("-" if c < 0 else "+" if out else "") + body
+        return out or "0"
 
 
 ZERO = IntPoly()

@@ -9,6 +9,7 @@ import pytest
 
 from doubleflag import (
     Shape,
+    admissible_triples,
     certify_theorem,
     classify_orbits,
     count_orbits,
@@ -20,6 +21,7 @@ from doubleflag import (
     verify_relations,
     weyl_decompose,
 )
+from doubleflag.core import triple_count
 from doubleflag.oracle import graph_subspace
 from doubleflag.polynomial import ONE, Q, IntPoly
 from doubleflag.poset import build_poset
@@ -73,13 +75,19 @@ def test_example_reproduction():
 
 
 def test_orbit_count():
+    # Per type, not only in total: weyl_decompose's proof that each type is
+    # one W-orbit rests on enumerate_graphs yielding triple_count graphs of
+    # every admissible type and of no other.  p+q <= 9 is the range where
+    # the CLI admits every r.
     started = time.time()
-    ok = all(
-        count_orbits(shape) == len(enumerate_graphs(shape))
-        for shape in shapes_up_to(8)
-    )
+    shapes = shapes_up_to(9)
+    ok = len(shapes) == 276
+    for shape in shapes:
+        ok &= Counter(g.triple() for g in enumerate_graphs(shape)) == {
+            t: triple_count(shape, t) for t in admissible_triples(shape)
+        }
     ok &= count_orbits(Shape(2, 2, 2)) == 16
-    report("orbit count formula vs enumeration, p+q<=8", ok, started, budget=30)
+    report("orbit count formula vs enumeration per type, p+q<=9", ok, started, budget=30)
 
 
 def _monomial(e):

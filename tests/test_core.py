@@ -66,6 +66,25 @@ class TestShape:
         with pytest.raises(ValueError):
             Shape(2, 2, 2)._replace(p=0)
 
+    @pytest.mark.parametrize("p,q,r", [(2.5, 1, 1), (2, 2, 1.0), (2, "2", 1)])
+    def test_non_integer_sizes(self, p, q, r):
+        # refused at construction, not deep inside enumerate_graphs
+        with pytest.raises(TypeError):
+            Shape(p, q, r)
+        with pytest.raises(TypeError):
+            Shape._make((p, q, r))
+        with pytest.raises(TypeError):
+            Shape(2, 2, 2)._replace(p=p, q=q, r=r)
+
+    def test_stores_plain_ints(self):
+        class Two:
+            def __index__(self):
+                return 2
+
+        shape = Shape(Two(), 2, Two())
+        assert shape == (2, 2, 2)
+        assert all(type(x) is int for x in shape)
+
 
 class TestGraphValidation:
     def test_shared_vertex_rejected(self):

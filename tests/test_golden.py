@@ -3,8 +3,8 @@
 ``bench/golden.json`` holds the stdout SHA-256 and the work counts of every
 benchmark job.  This runs each CLI job through ``cli.main`` that is small
 enough for the suite, ``verify`` with p+q <= 6 and every other subcommand
-with p+q <= 8, and requires exit code 0, the recorded digest and, under the
-benchmark's own tracer, the recorded counts.
+with p+q <= 8, once under the benchmark's own tracer, and requires exit
+code 0, the recorded digest and the recorded counts.
 """
 
 import contextlib
@@ -38,20 +38,6 @@ def _small_cli_jobs():
     return out
 
 
-def test_cli_output_matches_golden_digests():
-    jobs = _small_cli_jobs()
-    assert jobs
-    failures = []
-    for argv, record in jobs:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            rc = cli.main(argv)
-        got = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-        if rc != 0 or got != record["sha256"]:
-            failures.append((" ".join(argv), rc))
-    assert not failures, failures
-
-
 def _load_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
     module = importlib.util.module_from_spec(spec)
@@ -59,9 +45,10 @@ def _load_tracer():
     return module
 
 
-def test_cli_work_counts_match_golden():
-    # The benchmark rejects a run whose counts differ from the recorded
-    # ones; this finds such a change without running the benchmark.
+def test_cli_output_and_work_counts_match_golden():
+    # The benchmark runs every job under its tracer and rejects a run whose
+    # digest or counts differ from the recorded ones; this finds such a
+    # change without running the benchmark, one CLI run per job.
     tracer_module = _load_tracer()
     wrapped = tracer_module.LAYER_CALLS + tracer_module.WORK_CALLS
     saved = [(owner, attr, owner.__dict__[attr]) for owner, attr, *_ in wrapped]
@@ -75,10 +62,12 @@ def test_cli_work_counts_match_golden():
         tracer.install()
         for argv, record in jobs:
             tracer.start_job(" ".join(argv))
-            with contextlib.redirect_stdout(io.StringIO()):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
                 rc = cli.main(argv)
-            if rc != 0 or dict(tracer.counts) != record["counts"]:
-                failures.append((" ".join(argv), rc, dict(tracer.counts)))
+            got = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+            if rc != 0 or got != record["sha256"] or dict(tracer.counts) != record["counts"]:
+                failures.append((" ".join(argv), rc, got, dict(tracer.counts)))
     finally:
         for owner, attr, original in saved:
             setattr(owner, attr, original)

@@ -250,6 +250,20 @@ def test_partner_is_self_exactly_in_case_i():
     assert pairs == 23116
 
 
+def test_partner_has_the_same_type():
+    # The weyl_decompose proof that a W-orbit holds a single (k, s, t):
+    # every partner map keeps marks and free vertices.
+    pairs = 0
+    for shape in small_shapes(7):
+        basis = Basis(shape)
+        types = [g.triple() for g in basis.graphs]
+        for table in basis.action.values():
+            for k, (_, partner) in enumerate(table):
+                assert types[partner] == types[k], (shape, k)
+                pairs += 1
+    assert pairs == 23116
+
+
 def test_basis_builds_no_graph(monkeypatch):
     shape = Shape(5, 3, 4)
     enumerate_graphs(shape)

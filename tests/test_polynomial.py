@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from doubleflag.polynomial import ONE, Q, ZERO, IntPoly
@@ -39,6 +41,42 @@ def test_str():
     assert str(Q - 1) == "q-1"
     assert str(IntPoly((3, -2, 1))) == "q^2-2*q+3"
     assert str(-Q) == "-q"
+
+
+def _reference_str(poly):
+    """Test-only copy of the earlier formatter: (sign, body) pairs first,
+    then the first term's sign handled apart from the rest."""
+    if not poly.coeffs:
+        return "0"
+    terms = []
+    for e in range(len(poly.coeffs) - 1, -1, -1):
+        c = poly.coeffs[e]
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else "+"
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        else:
+            var = "q" if e == 1 else f"q^{e}"
+            body = var if mag == 1 else f"{mag}*{var}"
+        terms.append((sign, body))
+    first_sign, first_body = terms[0]
+    out = (first_sign if first_sign == "-" else "") + first_body
+    for sign, body in terms[1:]:
+        out += sign + body
+    return out
+
+
+def test_str_matches_reference():
+    # every coefficient tuple of length <= 4 with entries in -3..3
+    coeff_tuples = [
+        c for n in range(5) for c in itertools.product(range(-3, 4), repeat=n)
+    ]
+    assert len(coeff_tuples) == 2801
+    for coeffs in coeff_tuples:
+        poly = IntPoly(coeffs)
+        assert str(poly) == _reference_str(poly), coeffs
 
 
 def test_type_errors():
