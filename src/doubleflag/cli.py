@@ -2,17 +2,19 @@
 
 Subcommands: enumerate, invariants, hasse, hecke-matrix, weyl-decomp,
 verify.  Output is deterministic: fixed enumeration order, sorted JSON
-keys, newline-terminated files.
+keys, newline-terminated files.  The output is written directly: JSON is
+byte-identical to ``json.dumps(obj, sort_keys=True, indent=2)`` and CSV to
+``csv.writer``'s default dialect, which ``tests/test_cli.py`` checks with a
+differential property test of ``_dumps`` and byte-for-byte comparisons on
+small shapes, and ``tests/test_golden.py`` with the benchmark digests.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii as _quote
 
 from .core import Shape, count_orbits, enumerate_graphs, invariants, rank_matrix
 from .hecke import operator_matrix, verify_relations, weyl_decompose
@@ -106,6 +108,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_INTS = frozenset({int})
+
+
+def _dumps(obj, nl="\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, for the values the CLI
+    emits: dicts with str keys, lists, tuples, str, bool and int.
+
+    Any ``indent`` makes ``json`` fall back to its
+    pure-Python encoder; this writes the same bytes with one ``str.join``
+    per container, and a list of plain ints in one join.  ``nl`` is the
+    newline and indent of the enclosing level.  Raises TypeError for any
+    other value (float, None, ...) and for a dict key that is not a str, so
+    no value can print other bytes than ``json.dumps``.
+    """
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if _INTS.issuperset(map(type, obj)):
+            items = map(int.__repr__, obj)
+        else:
+            items = [_dumps(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        # _quote raises TypeError on a key that is not a str.
+        items = [
+            _quote(k) + ": " + (int.__repr__(v) if type(v) is int else _dumps(v, inner))
+            for k, v in sorted(obj.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, int):
+        return "true" if obj is True else "false" if obj is False else int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(text: str, out_path):
     if not text.endswith("\n"):
         text += "\n"
@@ -116,9 +157,23 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
+# The characters for which csv.writer's default dialect quotes a field.
+_CSV_QUOTED = frozenset(',"\r\n')
+
+
+def _csv_field(text: dict, entry) -> str:
+    """Cache ``str(entry)`` in ``text`` and return it.  Raises ValueError if
+    csv.writer would quote it: empty (alone on its row it is written
+    ``""``), or holding a delimiter, quote or line break."""
+    text[entry] = field = str(entry)
+    if not field or not _CSV_QUOTED.isdisjoint(field):
+        raise ValueError(f"matrix entry {field!r} would need CSV quoting")
+    return field
+
+
 def _cmd_enumerate(args, shape) -> int:
     records = [g.to_json() for g in enumerate_graphs(shape)]
-    _emit(json.dumps(records, sort_keys=True, indent=2), args.out)
+    _emit(_dumps(records), args.out)
     return 0
 
 
@@ -134,11 +189,11 @@ def _cmd_invariants(args, shape) -> int:
                 "b": inv.b,
                 "c": inv.c,
                 "dim": inv.dim,
-                "rank_matrix": [list(row) for row in rank_matrix(g).entries],
+                "rank_matrix": rank_matrix(g).entries,
             }
         )
     if args.format == "json":
-        _emit(json.dumps(rows, sort_keys=True, indent=2), args.out)
+        _emit(_dumps(rows), args.out)
     else:
         lines = []
         for row in rows:
@@ -164,14 +219,15 @@ def _cmd_hasse(args, shape) -> int:
 
 def _cmd_hecke_matrix(args, shape) -> int:
     op = operator_matrix(shape, args.side, args.index)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
     # At most four distinct entries (0, 1, q, q-1): format each once.
     text = {}
-    writer.writerows(
-        [text.get(e) or text.setdefault(e, str(e)) for e in row] for row in op.entries
+    _emit(
+        "".join(
+            ",".join([text.get(e) or _csv_field(text, e) for e in row]) + "\r\n"
+            for row in op.entries
+        ),
+        args.out,
     )
-    _emit(buf.getvalue(), args.out)
     return 0
 
 
@@ -191,7 +247,7 @@ def _cmd_weyl_decomp(args, shape) -> int:
             for blk in blocks
         ],
     }
-    _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
+    _emit(_dumps(payload), args.out)
     return 0
 
 
@@ -237,7 +293,7 @@ def _cmd_verify(args, shape) -> int:
         ok &= sizes_ok and not mismatches
 
     payload["ok"] = bool(ok)
-    _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
+    _emit(_dumps(payload), args.out)
     return 0 if ok else 1
 
 

@@ -126,11 +126,15 @@ class Graph(namedtuple("Graph", "shape plus minus")):
 
     @classmethod
     def from_json(cls, data: dict) -> "Graph":
+        """The graph of a ``to_json`` record.  Labels are coerced with
+        ``operator.index``, as ``Shape`` coerces sizes, so a float or str
+        label raises TypeError."""
+        index = operator.index
         return make_graph(
             Shape(data["p"], data["q"], data["r"]),
-            ((int(i), int(j)) for i, j in data["edges"]),
-            (int(i) for i in data["marked_plus"]),
-            (int(j) for j in data["marked_minus"]),
+            ((index(i), index(j)) for i, j in data["edges"]),
+            map(index, data["marked_plus"]),
+            map(index, data["marked_minus"]),
         )
 
 

@@ -49,6 +49,9 @@ from collections import namedtuple
 
 from .core import Graph, Shape, enumerate_graphs, invariants, rank_matrix
 
+# The encoder ``json.dumps(obj, sort_keys=True)`` builds on each call.
+_LABEL_ENCODER = json.JSONEncoder(sort_keys=True)
+
 
 def closure_leq(a: Graph, b: Graph) -> bool:
     """True iff closure(O_a) is contained in closure(O_b)."""
@@ -141,12 +144,13 @@ def to_dot(poset: OrbitPoset) -> str:
     """DOT rendering: one node per orbit labelled with its JSON record and
     dimension, same-dimension nodes on one rank, covers drawn upward."""
     lines = ["digraph orbits {", "  rankdir=BT;", "  node [shape=box];"]
-    for idx, g in enumerate(poset.orbits):
-        label = json.dumps(g.to_json(), sort_keys=True).replace('"', '\\"')
-        lines.append(f'  n{idx} [label="{label}\\ndim {poset.dims[idx]}"];')
-    for d in sorted(set(poset.dims)):
-        group = " ".join(f"n{i};" for i, dd in enumerate(poset.dims) if dd == d)
-        lines.append(f"  {{ rank=same; {group} }}")
+    levels = {}
+    for idx, (g, d) in enumerate(zip(poset.orbits, poset.dims)):
+        label = _LABEL_ENCODER.encode(g.to_json()).replace('"', '\\"')
+        lines.append(f'  n{idx} [label="{label}\\ndim {d}"];')
+        levels.setdefault(d, []).append(f"n{idx};")
+    for d in sorted(levels):
+        lines.append(f"  {{ rank=same; {' '.join(levels[d])} }}")
     for a, b in poset.covers:
         lines.append(f"  n{a} -> n{b};")
     lines.append("}")

@@ -1,10 +1,14 @@
+import csv
+import io
 import json
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from doubleflag import GeneratorCase, ModuleVector, Shape, cli, hecke, oracle
+from doubleflag import GeneratorCase, ModuleVector, Shape, cli, enumerate_graphs, hecke, oracle
 from doubleflag.cli import main
 from doubleflag.polynomial import ONE, Q
 
@@ -13,6 +17,99 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def shape_flags(shape):
+    return ["--p", str(shape.p), "--q", str(shape.q), "--r", str(shape.r)]
+
+
+def assert_json_bytes(out):
+    # the bytes json.dumps writes for the same value
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+# Every shape with p+q <= 7.
+SMALL_SHAPES = [Shape(p, n - p, r) for n in range(2, 8) for p in range(1, n) for r in range(n + 1)]
+
+# Strings with quotes, backslashes, control characters and non-ASCII text
+# (a BMP letter, a line separator and an astral character) besides
+# whatever else hypothesis draws.
+JSON_TEXT = st.text(
+    st.sampled_from('"\\\x00\x1f\n\t\x7fé\u2028\U0001f600') | st.characters(), max_size=6
+)
+JSON_SCALARS = (
+    st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.sampled_from([0, -1, 2**63, -(2**64), 10**100])
+    | JSON_TEXT
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(JSON_TEXT, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+def test_dumps_matches_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, float("nan"), None, b"x", {1, 2}, [1, 2.0], (None,), {"a": [None]}, {1: 2},
+     {("a",): 1}, {"a": 1, 2: 3}, [{"b": {None: 0}}]],
+)
+def test_dumps_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._dumps(value)
+
+
+def test_enumerate_bytes_match_json_dumps(capsys):
+    assert len(SMALL_SHAPES) == 133
+    for shape in SMALL_SHAPES:
+        code, out = run(capsys, "enumerate", *shape_flags(shape))
+        records = [g.to_json() for g in enumerate_graphs(shape)]
+        assert code == 0
+        assert out == json.dumps(records, sort_keys=True, indent=2) + "\n", shape
+
+
+def test_hecke_matrix_bytes_match_csv_writer(capsys):
+    # every generator of every shape with p+q = 7
+    runs = 0
+    for shape in SMALL_SHAPES:
+        if shape.n != 7:
+            continue
+        gens = [("+", i) for i in range(1, shape.p)] + [("-", j) for j in range(1, shape.q)]
+        for side, i in gens:
+            argv = [*shape_flags(shape), "--side", side, "--index", str(i)]
+            code, out = run(capsys, "hecke-matrix", *argv)
+            buf = io.StringIO()
+            csv.writer(buf).writerows(
+                [str(e) for e in row] for row in hecke.operator_matrix(shape, side, i).entries
+            )
+            assert code == 0
+            assert out == buf.getvalue(), (shape, side, i)
+            runs += 1
+    assert runs == 240
+
+
+@pytest.mark.parametrize("text", ["", "a,b", 'q"', "q\r", "1\n"])
+def test_hecke_matrix_refuses_entries_csv_would_quote(monkeypatch, capsys, text):
+    class Entry:
+        def __str__(self):
+            return text
+
+    op = hecke.operator_matrix(Shape(1, 2, 1), "-", 1)
+    entries = tuple(tuple(Entry() if e else e for e in row) for row in op.entries)
+    monkeypatch.setattr(cli, "operator_matrix", lambda *args: op._replace(entries=entries))
+    argv = ["hecke-matrix", "--p", "1", "--q", "2", "--r", "1", "--side", "-", "--index", "1"]
+    assert main(argv) == 2
+    assert "CSV quoting" in capsys.readouterr().err
 
 
 def test_enumerate_json(capsys):
@@ -104,6 +201,7 @@ def test_verify_names_relation_witness(monkeypatch, capsys):
     monkeypatch.setattr(hecke, "_image_terms", case_ii_partner_one)
     code, out = run(capsys, *argv)
     assert code == 1
+    assert_json_bytes(out)
     expected = {rc.name: rc.witness for rc in hecke.verify_relations(Shape(2, 2, 2))}
     relations = json.loads(out)["relations"]
     assert any(not rel["ok"] for rel in relations)
@@ -140,6 +238,7 @@ def test_verify_names_certification_witness(monkeypatch, capsys):
     monkeypatch.setattr(oracle, "_image_terms", raised)
     code, out = run(capsys, *argv)
     assert code == 1
+    assert_json_bytes(out)
     payload = json.loads(out)
     assert all(rel["ok"] for rel in payload["relations"])
     observed = hecke.apply_generator("+", 1, ModuleVector.basis_vector(shape, 9))
@@ -177,6 +276,7 @@ def test_verify_fails_on_wrong_orbit_size(monkeypatch, capsys):
     code, out = run(capsys, "verify", "--p", "2", "--q", "2", "--r", "2",
                     "--field", "3")
     assert code == 1
+    assert_json_bytes(out)
     payload = json.loads(out)
     assert payload["ok"] is False
     assert payload["certification"] == [

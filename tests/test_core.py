@@ -432,6 +432,19 @@ def test_json_round_trip():
         assert Graph.from_json(g.to_json()) == g
 
 
+@pytest.mark.parametrize(
+    "field, label",
+    [("edges", [[1.9, 1]]), ("edges", [[1, "1"]]), ("marked_plus", [1.0]), ("marked_minus", ["1"])],
+)
+def test_from_json_refuses_non_integer_labels(field, label):
+    # int() would truncate 1.9 to 1 and parse "1"; labels are coerced as
+    # Shape coerces sizes
+    data = {"p": 2, "q": 2, "r": 1, "edges": [], "marked_plus": [], "marked_minus": []}
+    data[field] = label
+    with pytest.raises(TypeError):
+        Graph.from_json(data)
+
+
 # Test-only references: the edge-set versions of the per-vertex questions,
 # as core answered them before a Graph was stored as its partner arrays.
 

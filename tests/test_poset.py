@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import pytest
@@ -87,6 +88,32 @@ def test_dot_output():
     assert dot.endswith("}\n")
     assert dot.count("->") == len(build_poset(S222).covers)
     assert "rank=same" in dot
+
+
+def reference_to_dot(poset):
+    # Test-only reference: to_dot as it was written with json.dumps per
+    # label and one scan of all dimensions per level.
+    lines = ["digraph orbits {", "  rankdir=BT;", "  node [shape=box];"]
+    for idx, g in enumerate(poset.orbits):
+        label = json.dumps(g.to_json(), sort_keys=True).replace('"', '\\"')
+        lines.append(f'  n{idx} [label="{label}\\ndim {poset.dims[idx]}"];')
+    for d in sorted(set(poset.dims)):
+        group = " ".join(f"n{i};" for i, dd in enumerate(poset.dims) if dd == d)
+        lines.append(f"  {{ rank=same; {group} }}")
+    for a, b in poset.covers:
+        lines.append(f"  n{a} -> n{b};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def test_dot_matches_reference_on_small_shapes():
+    # every shape with p+q <= 7: node labels byte for byte as json.dumps
+    # writes them, and the same rank groups
+    shapes = [Shape(p, n - p, r) for n in range(2, 8) for p in range(1, n) for r in range(n + 1)]
+    assert len(shapes) == 133
+    for shape in shapes:
+        poset = build_poset(shape)
+        assert to_dot(poset) == reference_to_dot(poset), shape
 
 
 def test_all_small_shapes_grade():

@@ -25,11 +25,8 @@ def test_no_assert_statements():
     assert found == []
 
 
-def test_import_loads_no_dataclass_machinery():
-    # Every CLI run and benchmark worker is a fresh process.  dataclasses
-    # pulls in inspect, ast, dis and tokenize, and building a dataclass
-    # execs its generated methods: about 35 ms per start-up, more than the
-    # work of a small run.  The records are named tuples instead.
+def _modules_after_cli_import():
+    """Modules a fresh ``python -S`` process holds after importing the CLI."""
     code = "import sys, doubleflag, doubleflag.cli; print(' '.join(sys.modules))"
     env = dict(os.environ, PYTHONPATH=str(Path(doubleflag.__file__).parent.parent))
     proc = subprocess.run(
@@ -37,7 +34,20 @@ def test_import_loads_no_dataclass_machinery():
     )
     loaded = set(proc.stdout.split())
     assert "doubleflag.cli" in loaded
-    assert loaded & {"dataclasses", "inspect", "ast", "typing"} == set()
+    return loaded
+
+
+def test_import_loads_no_dataclass_machinery():
+    # Every CLI run and benchmark worker is a fresh process.  dataclasses
+    # pulls in inspect, ast, dis and tokenize, and building a dataclass
+    # execs its generated methods: about 35 ms per start-up, more than the
+    # work of a small run.  The records are named tuples instead.
+    assert _modules_after_cli_import() & {"dataclasses", "inspect", "ast", "typing"} == set()
+
+
+def test_import_loads_no_csv():
+    # The CLI writes its CSV rows itself; only the tests use csv.writer.
+    assert _modules_after_cli_import() & {"csv", "_csv"} == set()
 
 
 PUBLIC_API = [
