@@ -115,12 +115,12 @@ def _dumps(obj, nl="\n") -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)``, for the values the CLI
     emits: dicts with str keys, lists, tuples, str, bool and int.
 
-    Any ``indent`` makes ``json`` fall back to its
-    pure-Python encoder; this writes the same bytes with one ``str.join``
-    per container, and a list of plain ints in one join.  ``nl`` is the
-    newline and indent of the enclosing level.  Raises TypeError for any
-    other value (float, None, ...) and for a dict key that is not a str, so
-    no value can print other bytes than ``json.dumps``.
+    Any ``indent`` makes ``json`` fall back to its pure-Python encoder;
+    this writes the same bytes with one ``str.join`` per container, and a
+    list of plain ints in one join.  ``nl`` is the newline and indent of
+    the enclosing level.  Raises TypeError for any other value (float,
+    None, ...) and for a dict key that is not a str, so no value can print
+    other bytes than ``json.dumps``.
     """
     inner = nl + "  "
     if isinstance(obj, (list, tuple)):
