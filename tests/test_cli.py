@@ -151,6 +151,45 @@ def test_invariants_contains_paper_row(capsys):
     ]
 
 
+def invariants_text(rows):
+    """Test-local copy of the ``invariants`` text format, from the JSON rows."""
+    lines = []
+    for row in rows:
+        g = row["graph"]
+        lines.append(
+            f"edges={g['edges']} marked+={g['marked_plus']} marked-={g['marked_minus']}"
+            f"  a+={row['a_plus']} a-={row['a_minus']} b={row['b']} c={row['c']}"
+            f" dim={row['dim']}"
+        )
+        lines.extend("    " + " ".join(map(str, mrow)) for mrow in row["rank_matrix"])
+    return "\n".join(lines) + "\n"
+
+
+def test_invariants_text_matches_json_rows(capsys):
+    # every shape with p+q <= 6, text being the default format
+    for shape in [s for s in SMALL_SHAPES if s.n <= 6]:
+        code, text = run(capsys, "invariants", *shape_flags(shape))
+        assert code == 0
+        _, out = run(capsys, "invariants", *shape_flags(shape), "--format", "json")
+        assert text == invariants_text(json.loads(out)), shape
+
+
+def test_invariants_text_literal(capsys):
+    code, out = run(capsys, "invariants", "--p", "1", "--q", "1", "--r", "1")
+    assert code == 0
+    assert out == (
+        "edges=[] marked+=[] marked-=[1]  a+=0 a-=0 b=0 c=0 dim=0\n"
+        "    0 1\n"
+        "    0 1\n"
+        "edges=[] marked+=[1] marked-=[]  a+=0 a-=0 b=0 c=0 dim=0\n"
+        "    0 0\n"
+        "    1 1\n"
+        "edges=[[1, 1]] marked+=[] marked-=[]  a+=0 a-=0 b=1 c=0 dim=1\n"
+        "    0 0\n"
+        "    0 1\n"
+    )
+
+
 def test_hasse_dot(capsys):
     code, out = run(capsys, "hasse", "--p", "2", "--q", "2", "--r", "2")
     assert code == 0
