@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 from collections import namedtuple
 from functools import lru_cache
 
@@ -101,17 +102,22 @@ def generators(shape: Shape) -> list:
     ]
 
 
-def _check_generator(shape: Shape, side: str, i: int):
+def _check_generator(shape: Shape, side: str, i: int) -> int:
+    """The index i as an int, coerced with ``operator.index`` as ``Shape``
+    coerces sizes, so a float or str index raises TypeError; raises
+    ValueError for a side or index outside the shape."""
     bound = shape.p if side == "+" else shape.q if side == "-" else None
     if bound is None:
         raise ValueError(f"side must be '+' or '-', got {side!r}")
+    i = operator.index(i)
     if not 1 <= i <= bound - 1:
         raise ValueError(f"generator index {i} out of range on side {side}")
+    return i
 
 
 def classify(g: Graph, side: str, i: int) -> GeneratorCase:
     """Which of the three cases the generator (side, i) is in at the orbit g."""
-    _check_generator(g.shape, side, i)
+    i = _check_generator(g.shape, side, i)
     return _case(g.plus if side == "+" else g.minus, i)
 
 
@@ -168,7 +174,7 @@ def _image_terms(idx: int, case: GeneratorCase, jdx: int) -> tuple:
 
 def apply_generator(side: str, i: int, v: ModuleVector) -> ModuleVector:
     """T_i * v, extended linearly from the three-case rule on basis vectors."""
-    _check_generator(v.shape, side, i)
+    i = _check_generator(v.shape, side, i)
     table = Basis(v.shape).action[(side, i)]
     out = {}
     for idx, coeff in v.coords.items():
@@ -191,7 +197,7 @@ class OperatorMatrix(namedtuple("OperatorMatrix", "shape side index entries")):
 def operator_matrix(shape: Shape, side: str, i: int) -> OperatorMatrix:
     """Dense matrix of T_i over the orbit basis, columns = images of basis
     vectors."""
-    _check_generator(shape, side, i)
+    i = _check_generator(shape, side, i)
     table = Basis(shape).action[(side, i)]
     n = len(table)
     nonzero = [{} for _ in range(n)]  # nonzero[row][col]

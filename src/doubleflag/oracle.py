@@ -494,7 +494,7 @@ def convolution_action(
     counts in a ``ModuleVector``.  Raises ValueError for a generator
     outside the shape or an orbit g of another shape, before any counting.
     """
-    _check_generator(shape, side, i)
+    i = _check_generator(shape, side, i)
     if g.shape != shape:
         raise ValueError(f"orbit of shape {g.shape} given for shape {shape}")
     cls = classify_orbits(shape, field_size)

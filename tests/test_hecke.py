@@ -309,6 +309,25 @@ class TestOperatorMatrix:
             operator_matrix(Shape(1, 1, 1), "+", 1)
 
 
+S322 = Shape(3, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda i: classify(enumerate_graphs(S322)[0], "+", i),
+        lambda i: apply_generator("+", i, ModuleVector.basis_vector(S322, 0)),
+        lambda i: operator_matrix(S322, "+", i),
+    ],
+    ids=["classify", "apply_generator", "operator_matrix"],
+)
+def test_non_integer_index_rejected(call):
+    # 1 <= 1.5 <= 2 would pass the range check; the index is coerced as
+    # Shape coerces sizes, so the error names the index, not a lookup
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call(1.5)
+
+
 class TestRelations:
     @pytest.mark.parametrize("shape", [S222, Shape(3, 2, 2), Shape(2, 2, 0)])
     def test_all_pass(self, shape):

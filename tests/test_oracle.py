@@ -584,6 +584,15 @@ class TestConvolution:
         with pytest.raises(ValueError):
             convolution_action(S222, 3, side, i, g)
 
+    def test_non_integer_index_rejected_before_counting(self, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("classified points for a rejected input")
+
+        monkeypatch.setattr(oracle, "classify_orbits", fail)
+        shape = Shape(3, 2, 2)
+        with pytest.raises(TypeError):
+            convolution_action(shape, 3, "+", 1.5, make_graph(shape, [(1, 1), (2, 2)]))
+
 
 def reference_certify_theorem(shape, field_sizes):
     """Test-only copy of the per-record certification: the symbolic side by
