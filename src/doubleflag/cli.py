@@ -72,9 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("enumerate", help="list all orbit graphs")
+    sub = subs.add_parser("enumerate", help="list all orbit graphs as JSON")
     _shape_args(sub)
-    sub.add_argument("--format", choices=["json"], default="json")
 
     sub = subs.add_parser("invariants", help="orbital invariants and dimensions")
     _shape_args(sub)
@@ -82,19 +81,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("hasse", help="closure order as a DOT diagram")
     _shape_args(sub)
-    sub.add_argument("--format", choices=["dot"], default="dot")
 
-    sub = subs.add_parser("hecke-matrix", help="matrix of one Hecke generator")
+    sub = subs.add_parser("hecke-matrix", help="matrix of one Hecke generator as CSV")
     _shape_args(sub)
     sub.add_argument("--side", choices=["+", "-"], required=True)
     sub.add_argument("--index", type=int, required=True, help="generator index i")
-    sub.add_argument("--format", choices=["csv"], default="csv")
 
-    sub = subs.add_parser("weyl-decomp", help="Weyl group decomposition at q=1")
+    sub = subs.add_parser("weyl-decomp", help="Weyl group decomposition at q=1 as JSON")
     _shape_args(sub)
-    sub.add_argument("--format", choices=["json"], default="json")
 
-    sub = subs.add_parser("verify", help="relations + finite-field certification")
+    sub = subs.add_parser("verify", help="relations + finite-field certification as JSON")
     _shape_args(sub)
     sub.add_argument(
         "--field",
@@ -103,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="odd prime field size (repeatable; default 3)",
     )
-    sub.add_argument("--format", choices=["json"], default="json")
 
     return parser
 
@@ -178,36 +173,26 @@ def _cmd_enumerate(args, shape) -> int:
 
 
 def _cmd_invariants(args, shape) -> int:
-    rows = []
-    for g in enumerate_graphs(shape):
-        inv = invariants(g)
-        rows.append(
-            {
-                "graph": g.to_json(),
-                "a_plus": inv.a_plus,
-                "a_minus": inv.a_minus,
-                "b": inv.b,
-                "c": inv.c,
-                "dim": inv.dim,
-                "rank_matrix": rank_matrix(g).entries,
-            }
-        )
+    rows = [
+        {
+            **invariants(g)._asdict(),
+            "graph": g.to_json(),
+            "rank_matrix": rank_matrix(g).entries,
+        }
+        for g in enumerate_graphs(shape)
+    ]
     if args.format == "json":
         _emit(_dumps(rows), args.out)
     else:
         lines = []
         for row in rows:
             g = row["graph"]
-            desc = (
-                f"edges={g['edges']} marked+={g['marked_plus']} "
-                f"marked-={g['marked_minus']}"
-            )
             lines.append(
-                f"{desc}  a+={row['a_plus']} a-={row['a_minus']} "
-                f"b={row['b']} c={row['c']} dim={row['dim']}"
+                f"edges={g['edges']} marked+={g['marked_plus']} marked-={g['marked_minus']}"
+                f"  a+={row['a_plus']} a-={row['a_minus']} b={row['b']} c={row['c']}"
+                f" dim={row['dim']}"
             )
-            for mrow in row["rank_matrix"]:
-                lines.append("    " + " ".join(str(x) for x in mrow))
+            lines.extend("    " + " ".join(map(str, mrow)) for mrow in row["rank_matrix"])
         _emit("\n".join(lines), args.out)
     return 0
 
@@ -234,7 +219,7 @@ def _cmd_hecke_matrix(args, shape) -> int:
 def _cmd_weyl_decomp(args, shape) -> int:
     blocks = weyl_decompose(shape)
     payload = {
-        "shape": {"p": shape.p, "q": shape.q, "r": shape.r},
+        "shape": shape._asdict(),
         "total_orbits": count_orbits(shape),
         "blocks": [
             {
@@ -257,13 +242,14 @@ def _cmd_verify(args, shape) -> int:
     for field_size in fields:
         grassmannian_size(shape, field_size)
     ok = True
-    payload = {"shape": {"p": shape.p, "q": shape.q, "r": shape.r}, "fields": fields}
+    payload = {"shape": shape._asdict(), "fields": fields}
 
     n_graphs = len(enumerate_graphs(shape))
+    formula = count_orbits(shape)
     payload["orbit_count"] = {
         "enumerated": n_graphs,
-        "formula": count_orbits(shape),
-        "ok": n_graphs == count_orbits(shape),
+        "formula": formula,
+        "ok": n_graphs == formula,
     }
     ok &= payload["orbit_count"]["ok"]
 

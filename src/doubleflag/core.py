@@ -116,9 +116,7 @@ class Graph(namedtuple("Graph", "shape plus minus")):
 
     def to_json(self) -> dict:
         return {
-            "p": self.shape.p,
-            "q": self.shape.q,
-            "r": self.shape.r,
+            **self.shape._asdict(),
             "edges": [[i, j] for i, j in enumerate(self.plus) if j > 0],
             "marked_plus": [i for i, j in enumerate(self.plus) if j < 0],
             "marked_minus": [j for j, i in enumerate(self.minus) if i < 0],

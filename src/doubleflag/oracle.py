@@ -534,7 +534,7 @@ class CertificationReport(namedtuple("CertificationReport", "shape records")):
 
     def to_json(self) -> dict:
         return {
-            "shape": {"p": self.shape.p, "q": self.shape.q, "r": self.shape.r},
+            "shape": self.shape._asdict(),
             "ok": self.ok,
             "records": [rec.to_json() for rec in self.records],
         }

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 from pathlib import Path
 
 import doubleflag
+from doubleflag.cli import build_parser
 
 SOURCES = sorted(Path(doubleflag.__file__).parent.rglob("*.py"))
 
@@ -93,3 +95,32 @@ def test_public_api_pinned():
     assert doubleflag.__all__ == PUBLIC_API
     for name in PUBLIC_API:
         assert getattr(doubleflag, name) is not None, name
+
+
+SHAPE_OPTIONS = ["--p", "--q", "--r", "--out"]
+
+CLI_OPTIONS = {
+    "enumerate": SHAPE_OPTIONS,
+    "invariants": [*SHAPE_OPTIONS, "--format"],
+    "hasse": SHAPE_OPTIONS,
+    "hecke-matrix": [*SHAPE_OPTIONS, "--side", "--index"],
+    "weyl-decomp": SHAPE_OPTIONS,
+    "verify": [*SHAPE_OPTIONS, "--field"],
+}
+
+
+def test_cli_options_pinned():
+    # a change that adds, drops or renames a CLI flag must say so here
+    actions = build_parser()._actions
+    (subparsers,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+    declared = {
+        name: [
+            option
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+            for option in action.option_strings
+        ]
+        for name, sub in subparsers.choices.items()
+    }
+    assert declared == CLI_OPTIONS
+    assert sum(map(len, declared.values())) == 28
