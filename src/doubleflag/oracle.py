@@ -492,7 +492,8 @@ def convolution_action(
     The counting, with its constancy and mass-balance checks, is
     ``_count_images`` on the field's ``classify_orbits``; this wraps its
     counts in a ``ModuleVector``.  Raises ValueError for a generator
-    outside the shape or an orbit g of another shape, before any counting.
+    outside the shape or an orbit g of another shape, and TypeError for a
+    non-integer index, before any counting.
     """
     i = _check_generator(shape, side, i)
     if g.shape != shape:
