@@ -139,7 +139,9 @@ class Graph(namedtuple("Graph", "shape plus minus")):
 def make_graph(shape, edges=(), marked_plus=(), marked_minus=()) -> Graph:
     """The graph with edges (i, j), joining i+ to j-, and marks, from plain
     iterables.  Raises ValueError for a label out of range, two edges on one
-    vertex, a marked edge end, or #edges + #marks != r."""
+    vertex, a marked edge end, or #edges + #marks != r.  The first three are
+    checked here because ``Graph`` sees only the arrays, where a later edge
+    or a mark overwrites an entry and can leave another, valid graph."""
     plus, minus = [0] * (shape.p + 1), [0] * (shape.q + 1)
     for i, j in frozenset(tuple(e) for e in edges):
         if not (1 <= i <= shape.p and 1 <= j <= shape.q):

@@ -323,17 +323,28 @@ def test_verify_fails_on_wrong_orbit_size(monkeypatch, capsys):
     ]
 
 
+def assert_refused(capsys, argv):
+    """A refused run exits 2, writes nothing on stdout and one ``error:``
+    line on stderr; returns that line."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    return lines[0]
+
+
 def test_bad_shape_exits_2(capsys):
-    assert main(["enumerate", "--p", "0", "--q", "1", "--r", "0"]) == 2
+    assert_refused(capsys, ["enumerate", "--p", "0", "--q", "1", "--r", "0"])
 
 
 def test_bad_generator_exits_2(capsys):
-    assert main(["hecke-matrix", "--p", "1", "--q", "1", "--r", "1",
-                 "--side", "+", "--index", "1"]) == 2
+    assert_refused(capsys, ["hecke-matrix", "--p", "1", "--q", "1", "--r", "1",
+                            "--side", "+", "--index", "1"])
 
 
 def test_bad_field_exits_2(capsys):
-    assert main(["verify", "--p", "1", "--q", "1", "--r", "1", "--field", "2"]) == 2
+    assert_refused(capsys, ["verify", "--p", "1", "--q", "1", "--r", "1", "--field", "2"])
 
 
 @pytest.mark.parametrize(
@@ -388,9 +399,7 @@ def test_rejected_call_leaves_parser_usable(capsys):
 
 def test_unwritable_out_exits_2(tmp_path, capsys):
     path = tmp_path / "missing" / "orbits.json"
-    code = main(["enumerate", "--p", "1", "--q", "1", "--r", "1", "--out", str(path)])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert_refused(capsys, ["enumerate", "--p", "1", "--q", "1", "--r", "1", "--out", str(path)])
     assert not path.exists()
 
 
@@ -429,8 +438,7 @@ def test_orbit_budget_checked_before_work(monkeypatch, capsys, command):
     assert cli.count_orbits(cli.Shape(5, 5, 5)) > cli.ORBIT_BUDGET
     _forbid_work(monkeypatch)
     argv = [command, "--p", "5", "--q", "5", "--r", "5", *SUBCOMMAND_FLAGS[command]]
-    assert main(argv) == 2
-    assert "over the budget" in capsys.readouterr().err
+    assert "over the budget" in assert_refused(capsys, argv)
 
 
 @pytest.mark.parametrize(
@@ -485,8 +493,7 @@ def test_huge_field_refused_before_work(monkeypatch, capsys, field, r):
 @pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
 def test_malformed_shape_exits_2(monkeypatch, capsys, command, shape_flags):
     _forbid_work(monkeypatch)
-    assert main([command, *shape_flags, *SUBCOMMAND_FLAGS[command]]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert_refused(capsys, [command, *shape_flags, *SUBCOMMAND_FLAGS[command]])
 
 
 @pytest.mark.parametrize("p, q, r", [(7, 2, 0), (8, 1, 1)])

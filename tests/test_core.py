@@ -87,13 +87,24 @@ class TestShape:
 
 
 class TestGraphValidation:
+    # The second input of each of the next two tests gets past Graph's own
+    # checks if make_graph skips its check: the later edge or the mark
+    # overwrites an entry, which leaves another, valid graph.
     def test_shared_vertex_rejected(self):
-        with pytest.raises(ValueError):
-            make_graph(Shape(2, 2, 2), [(1, 1), (1, 2)])
+        for edges in (
+            [(1, 1), (1, 2)],
+            [(1, 1), (1, 2), (2, 1)],  # unchecked: the crossing graph
+        ):
+            with pytest.raises(ValueError):
+                make_graph(Shape(2, 2, 2), edges)
 
     def test_marked_endpoint_rejected(self):
-        with pytest.raises(ValueError):
-            make_graph(Shape(2, 2, 2), [(1, 1)], marked_plus=[1])
+        for shape, edges, marked_minus in (
+            (Shape(2, 2, 2), [(1, 1)], []),
+            (Shape(2, 2, 3), [(1, 1), (2, 2)], [1]),  # unchecked: 1+ and 1- marked
+        ):
+            with pytest.raises(ValueError):
+                make_graph(shape, edges, marked_plus=[1], marked_minus=marked_minus)
 
     def test_wrong_rank_rejected(self):
         with pytest.raises(ValueError):
