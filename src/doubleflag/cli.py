@@ -221,16 +221,7 @@ def _cmd_weyl_decomp(args, shape) -> int:
     payload = {
         "shape": shape._asdict(),
         "total_orbits": count_orbits(shape),
-        "blocks": [
-            {
-                "k": blk.triple[0],
-                "s": blk.triple[1],
-                "t": blk.triple[2],
-                "orbit_size": blk.orbit_size,
-                "stabilizer_order": blk.stabilizer_order,
-            }
-            for blk in blocks
-        ],
+        "blocks": [blk._asdict() for blk in blocks],
     }
     _emit(_dumps(payload), args.out)
     return 0
@@ -298,10 +289,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         shape = Shape(args.p, args.q, args.r)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         _check_budgets(shape)
         return _COMMANDS[args.command](args, shape)
     except (ValueError, OSError) as exc:

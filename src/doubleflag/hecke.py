@@ -79,7 +79,6 @@ class Basis:
     """
 
     def __init__(self, shape: Shape):
-        self.shape = shape
         self.graphs = enumerate_graphs(shape)
         self.index = {g: i for i, g in enumerate(self.graphs)}
         arrays = [(g.plus, g.minus) for g in self.graphs]
@@ -321,8 +320,8 @@ def verify_relations(shape: Shape) -> list:
     return report
 
 
-class WeylBlock(namedtuple("WeylBlock", "triple orbit_size stabilizer_order")):
-    """One W-orbit of the basis; ``triple`` is its (k, s, t) type."""
+class WeylBlock(namedtuple("WeylBlock", "k s t orbit_size stabilizer_order")):
+    """One W-orbit of the basis; (k, s, t) is its type."""
 
     __slots__ = ()
 
@@ -406,5 +405,5 @@ def weyl_decompose(shape: Shape) -> list:
         triple = basis.graphs[start].triple()
         if len(orbit) != triple_count(shape, triple):
             raise AssertionError(f"orbit size mismatch for type {triple}")
-        blocks.append(WeylBlock(triple, len(orbit), group_order // len(orbit)))
+        blocks.append(WeylBlock(*triple, len(orbit), group_order // len(orbit)))
     return sorted(blocks)

@@ -535,7 +535,7 @@ def test_witness_is_first_orbit_with_nonzero_residue(monkeypatch, shape):
 class TestWeylDecompose:
     def test_2_2_2_blocks(self):
         blocks = weyl_decompose(S222)
-        sizes = {blk.triple: blk.orbit_size for blk in blocks}
+        sizes = {blk[:3]: blk.orbit_size for blk in blocks}
         assert sizes == {
             (0, 0, 2): 1,
             (0, 1, 1): 4,
@@ -565,9 +565,9 @@ class TestWeylDecompose:
                     shape = Shape(p, q, r)
                     member = {g.triple(): g for g in enumerate_graphs(shape)}
                     for blk in weyl_decompose(shape):
-                        g = member[blk.triple]
+                        g = member[blk[:3]]
                         stab = sum(1 for w in group if weyl_act(w, g) == g)
-                        assert blk.stabilizer_order == stab, (shape, blk.triple)
+                        assert blk.stabilizer_order == stab, (shape, blk[:3])
 
     def test_trivial_shape(self):
         blocks = weyl_decompose(Shape(3, 2, 0))
