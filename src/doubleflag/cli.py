@@ -12,8 +12,10 @@ small shapes, and ``tests/test_golden.py`` with the benchmark digests.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from functools import cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 from .core import Shape, count_orbits, enumerate_graphs, invariants, rank_matrix
@@ -172,28 +174,52 @@ def _cmd_enumerate(args, shape) -> int:
     return 0
 
 
+def _invariants_json(graphs) -> str:
+    """``_dumps`` of the ``invariants`` rows, each row written by one ``%``.
+
+    All rows of one orbit type (k, s, t) have the same keys and the same
+    list lengths: k edges, t marked- and s marked+ vertices, and the
+    (p+1) x (q+1) rank matrix.  So ``_dumps`` writes them with the same
+    bytes apart from the digit runs.  No key holds a digit or a ``%``, and
+    every value is a non-negative int, which ``_dumps`` writes as ``%d``
+    does; so each digit run is exactly one value.  The first row of a type,
+    written by ``_dumps`` at the row's indent with its digit runs replaced
+    by ``%d``, is therefore a template that every row of the type fills
+    with its ints in ``_dumps``' sorted-key order.  A shape has at least one
+    orbit, so the list is never empty.
+    """
+    templates = {}
+    rows = []
+    for g in graphs:
+        inv = invariants(g)
+        graph = g.to_json()
+        entries = rank_matrix(g).entries
+        triple = g.triple()
+        template = templates.get(triple)
+        if template is None:
+            row = {**inv._asdict(), "graph": graph, "rank_matrix": entries}
+            template = templates[triple] = re.sub("[0-9]+", "%d", _dumps(row, "\n  "))
+        ints = (inv.a_minus, inv.a_plus, inv.b, inv.c, inv.dim, *chain(*graph["edges"]))
+        ints += (*graph["marked_minus"], *graph["marked_plus"], *g.shape, *chain(*entries))
+        rows.append(template % ints)
+    return "[\n  " + ",\n  ".join(rows) + "\n]"
+
+
 def _cmd_invariants(args, shape) -> int:
-    rows = [
-        {
-            **invariants(g)._asdict(),
-            "graph": g.to_json(),
-            "rank_matrix": rank_matrix(g).entries,
-        }
-        for g in enumerate_graphs(shape)
-    ]
+    graphs = enumerate_graphs(shape)
     if args.format == "json":
-        _emit(_dumps(rows), args.out)
-    else:
-        lines = []
-        for row in rows:
-            g = row["graph"]
-            lines.append(
-                f"edges={g['edges']} marked+={g['marked_plus']} marked-={g['marked_minus']}"
-                f"  a+={row['a_plus']} a-={row['a_minus']} b={row['b']} c={row['c']}"
-                f" dim={row['dim']}"
-            )
-            lines.extend("    " + " ".join(map(str, mrow)) for mrow in row["rank_matrix"])
-        _emit("\n".join(lines), args.out)
+        _emit(_invariants_json(graphs), args.out)
+        return 0
+    lines = []
+    for g in graphs:
+        graph, inv = g.to_json(), invariants(g)
+        lines.append(
+            f"edges={graph['edges']} marked+={graph['marked_plus']}"
+            f" marked-={graph['marked_minus']}  a+={inv.a_plus} a-={inv.a_minus}"
+            f" b={inv.b} c={inv.c} dim={inv.dim}"
+        )
+        lines.extend("    " + " ".join(map(str, mrow)) for mrow in rank_matrix(g).entries)
+    _emit("\n".join(lines), args.out)
     return 0
 
 

@@ -288,12 +288,15 @@ class Invariants(namedtuple("Invariants", "a_plus a_minus b c dim")):
     __slots__ = ()
 
 
+@lru_cache(maxsize=None)
 def invariants(g: Graph) -> Invariants:
     """Orbital invariants and the orbit dimension.
 
     a+/a- count ascents of the degree sequence on each side, b is the number
     of edges, c the number of edge crossings; the dimension is
-    p(p-1)/2 + q(q-1)/2 + a+ + a- + b(b+1)/2 + c.
+    p(p-1)/2 + q(q-1)/2 + a+ + a- + b(b+1)/2 + c.  Cached like
+    ``rank_matrix``, so ``build_poset``'s dimensions and the CLI's rows
+    share one computation per orbit.
     """
     p, q = g.shape.p, g.shape.q
     dplus = [vertex_degree(e) for e in g.plus[1:]]

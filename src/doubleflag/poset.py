@@ -44,13 +44,19 @@ The check costs one OR of an up-set per cover.
 
 from __future__ import annotations
 
-import json
+import operator
 from collections import namedtuple
 
 from .core import Graph, Shape, enumerate_graphs, invariants, rank_matrix
 
-# The encoder ``json.dumps(obj, sort_keys=True)`` builds on each call.
-_LABEL_ENCODER = json.JSONEncoder(sort_keys=True)
+# One DOT node: its index, then the graph record ``json.dumps(record,
+# sort_keys=True)`` writes, with each quote escaped, then the dimension.  The
+# record's lists are filled in with ``str``, which for a list of ints (or of
+# lists of ints) writes exactly the compact JSON with ", " separators.
+_NODE = (
+    '  n%d [label="{\\"edges\\": %s, \\"marked_minus\\": %s, \\"marked_plus\\": %s,'
+    ' \\"p\\": %d, \\"q\\": %d, \\"r\\": %d}\\ndim %d"];'
+)
 
 
 def closure_leq(a: Graph, b: Graph) -> bool:
@@ -68,6 +74,13 @@ class OrbitPoset(namedtuple("OrbitPoset", "shape orbits dims leq covers")):
     __slots__ = ()
 
     def is_leq(self, a: int, b: int) -> bool:
+        """True iff orbit a <= orbit b.  The indices are coerced with
+        ``operator.index``, so a float or str index raises TypeError; raises
+        IndexError for an index outside range(n)."""
+        a, b = operator.index(a), operator.index(b)
+        n = len(self.orbits)
+        if not (0 <= a < n and 0 <= b < n):
+            raise IndexError(f"orbit index pair ({a}, {b}) out of range({n})")
         return bool(self.leq[a] >> b & 1)
 
     @property
@@ -146,8 +159,9 @@ def to_dot(poset: OrbitPoset) -> str:
     lines = ["digraph orbits {", "  rankdir=BT;", "  node [shape=box];"]
     levels = {}
     for idx, (g, d) in enumerate(zip(poset.orbits, poset.dims)):
-        label = _LABEL_ENCODER.encode(g.to_json()).replace('"', '\\"')
-        lines.append(f'  n{idx} [label="{label}\\ndim {d}"];')
+        graph = g.to_json()
+        edges, minus, plus = graph["edges"], graph["marked_minus"], graph["marked_plus"]
+        lines.append(_NODE % (idx, edges, minus, plus, *g.shape, d))
         levels.setdefault(d, []).append(f"n{idx};")
     for d in sorted(levels):
         lines.append(f"  {{ rank=same; {' '.join(levels[d])} }}")

@@ -21,6 +21,7 @@ from doubleflag import (
     verify_relations,
     weyl_decompose,
 )
+from doubleflag.cli import ORBIT_BUDGET
 from doubleflag.core import triple_count
 from doubleflag.oracle import graph_subspace
 from doubleflag.polynomial import ONE, Q, IntPoly
@@ -105,10 +106,26 @@ def _q_binomial_rows(n):
     return rows
 
 
-def test_orbit_sizes_sum_to_grassmannian_polynomial():
+def _orbit_sizes_sum_ok(shape, rows):
     # |O_g(F_q)| = (q-1)^b q^(dim - C(p,2) - C(q,2) - b) for every orbit, so
     # summed over a shape's orbits the formula counts the Grassmannian.  This
     # checks ``dim`` independently of the poset, whose covers are read off it.
+    p, q, r = shape
+    base = p * (p - 1) // 2 + q * (q - 1) // 2
+    terms = Counter()
+    for g in enumerate_graphs(shape):
+        inv = invariants(g)
+        terms[inv.b, inv.dim - base - inv.b] += 1
+    total = IntPoly()
+    for (b, e), count in terms.items():
+        factor = ONE
+        for _ in range(b):
+            factor = factor * (Q - 1)
+        total = total + count * factor * _monomial(e)
+    return total == rows[p + q][r]
+
+
+def test_orbit_sizes_sum_to_grassmannian_polynomial():
     started = time.time()
     rows = _q_binomial_rows(10)
     ok = True
@@ -116,23 +133,35 @@ def test_orbit_sizes_sum_to_grassmannian_polynomial():
         p, q, r = shape
         if p + q == 10 and p != 5:
             continue  # p, q <= 5, and every shape with p+q <= 9
-        base = p * (p - 1) // 2 + q * (q - 1) // 2
-        terms = Counter()
-        for g in enumerate_graphs(shape):
-            inv = invariants(g)
-            terms[inv.b, inv.dim - base - inv.b] += 1
-        total = IntPoly()
-        for (b, e), count in terms.items():
-            factor = ONE
-            for _ in range(b):
-                factor = factor * (Q - 1)
-            total = total + count * factor * _monomial(e)
-        ok &= total == rows[p + q][r]
+        ok &= _orbit_sizes_sum_ok(shape, rows)
     report(
         "orbit sizes sum to [p+q choose r]_q, p,q<=5 and p+q<=9",
         ok,
         started,
         budget=30,
+    )
+
+
+def test_orbit_sizes_sum_to_grassmannian_polynomial_extreme_r():
+    # The CLI admits every shape with 10 <= p+q <= 20 and r in {0, 1, n-1,
+    # n}: at most n + pq orbits each, far under the orbit budget.
+    started = time.time()
+    rows = _q_binomial_rows(20)
+    shapes = [
+        Shape(p, n - p, r)
+        for n in range(10, 21)
+        for p in range(1, n)
+        for r in (0, 1, n - 1, n)
+    ]
+    ok = len(shapes) == 616
+    ok &= all(count_orbits(shape) <= ORBIT_BUDGET for shape in shapes)
+    for shape in shapes:
+        ok &= _orbit_sizes_sum_ok(shape, rows)
+    report(
+        "orbit sizes sum to [p+q choose r]_q, 10<=p+q<=20, r in {0,1,n-1,n}",
+        ok,
+        started,
+        budget=10,
     )
 
 

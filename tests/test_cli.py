@@ -8,7 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doubleflag import GeneratorCase, ModuleVector, Shape, cli, enumerate_graphs, hecke, oracle
+from doubleflag import (
+    GeneratorCase,
+    ModuleVector,
+    Shape,
+    cli,
+    enumerate_graphs,
+    hecke,
+    invariants,
+    oracle,
+    rank_matrix,
+)
 from doubleflag.cli import main
 from doubleflag.polynomial import ONE, Q
 
@@ -76,6 +86,34 @@ def test_enumerate_bytes_match_json_dumps(capsys):
         records = [g.to_json() for g in enumerate_graphs(shape)]
         assert code == 0
         assert out == json.dumps(records, sort_keys=True, indent=2) + "\n", shape
+
+
+def test_invariants_json_bytes_match_json_dumps(capsys):
+    # The rows are written from one template per orbit type; compare them
+    # with json.dumps of rows built from the public records.
+    for shape in SMALL_SHAPES:
+        code, out = run(capsys, "invariants", *shape_flags(shape), "--format", "json")
+        rows = [
+            {
+                **invariants(g)._asdict(),
+                "graph": g.to_json(),
+                "rank_matrix": rank_matrix(g).entries,
+            }
+            for g in enumerate_graphs(shape)
+        ]
+        assert code == 0
+        assert out == json.dumps(rows, sort_keys=True, indent=2) + "\n", shape
+
+
+def test_hasse_and_invariants_compute_each_orbit_once(capsys):
+    # build_poset's dimensions and the invariants rows share one cached
+    # computation per orbit.
+    flags = shape_flags(Shape(4, 4, 4))
+    invariants.cache_clear()
+    assert run(capsys, "hasse", *flags)[0] == 0
+    assert run(capsys, "invariants", *flags, "--format", "json")[0] == 0
+    info = invariants.cache_info()
+    assert (info.misses, info.hits) == (1038, 1038)
 
 
 def test_hecke_matrix_bytes_match_csv_writer(capsys):

@@ -213,6 +213,22 @@ def test_bitset_poset_matches_pairwise_reference(shape):
     assert poset.covers == _reference_covers(leq)
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [(0, 16), (0, 21), (16, 0), (-1, 0), (0, -1), (-17, -17)],
+)
+def test_is_leq_refuses_index_out_of_range(a, b):
+    poset = build_poset(S222)  # 16 orbits
+    with pytest.raises(IndexError):
+        poset.is_leq(a, b)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1), (0, "1"), (None, 0)])
+def test_is_leq_refuses_non_integer_index(a, b):
+    with pytest.raises(TypeError):
+        build_poset(S222).is_leq(a, b)
+
+
 def test_is_leq_matches_closure_leq():
     for n in range(2, 6):
         for p in range(1, n):
