@@ -2,21 +2,24 @@
 
 Subcommands: enumerate, invariants, hasse, hecke-matrix, weyl-decomp,
 verify.  Output is deterministic: fixed enumeration order, sorted JSON
-keys, newline-terminated files.  The output is written directly: JSON is
-byte-identical to ``json.dumps(obj, sort_keys=True, indent=2)`` and CSV to
-``csv.writer``'s default dialect, which ``tests/test_cli.py`` checks with a
-differential property test of ``_dumps`` and byte-for-byte comparisons on
-small shapes, and ``tests/test_golden.py`` with the benchmark digests.
+keys, newline-terminated files.  Every JSON output is
+``json.dumps(obj, sort_keys=True, indent=2)``: ``weyl-decomp`` and
+``verify`` call it on their payload, and ``enumerate`` and ``invariants
+--format json`` write one row per orbit through ``_json_rows``, which calls
+it once per orbit type and fills that row's template for the rest.  CSV is
+written directly, byte-identical to ``csv.writer``'s default dialect.
+``tests/test_cli.py`` checks both byte for byte on small shapes, and
+``tests/test_golden.py`` against the benchmark digests.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import re
 import sys
 from functools import cache
 from itertools import chain
-from json.encoder import encode_basestring_ascii as _quote
 
 from .core import Shape, count_orbits, enumerate_graphs, invariants, rank_matrix
 from .hecke import operator_matrix, verify_relations, weyl_decompose
@@ -105,45 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_INTS = frozenset({int})
-
-
-def _dumps(obj, nl="\n") -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, for the values the CLI
-    emits: dicts with str keys, lists, tuples, str, bool and int.
-
-    Any ``indent`` makes ``json`` fall back to its pure-Python encoder;
-    this writes the same bytes with one ``str.join`` per container, and a
-    list of plain ints in one join.  ``nl`` is the newline and indent of
-    the enclosing level.  Raises TypeError for any other value (float,
-    None, ...) and for a dict key that is not a str, so no value can print
-    other bytes than ``json.dumps``.
-    """
-    inner = nl + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if _INTS.issuperset(map(type, obj)):
-            items = map(int.__repr__, obj)
-        else:
-            items = [_dumps(x, inner) for x in obj]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        # _quote raises TypeError on a key that is not a str.
-        items = [
-            _quote(k) + ": " + (int.__repr__(v) if type(v) is int else _dumps(v, inner))
-            for k, v in sorted(obj.items())
-        ]
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if isinstance(obj, str):
-        return _quote(obj)
-    if isinstance(obj, int):
-        return "true" if obj is True else "false" if obj is False else int.__repr__(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 def _emit(text: str, out_path):
     if not text.endswith("\n"):
         text += "\n"
@@ -168,55 +132,69 @@ def _csv_field(text: dict, entry) -> str:
     return field
 
 
-def _cmd_enumerate(args, shape) -> int:
-    records = [g.to_json() for g in enumerate_graphs(shape)]
-    _emit(_dumps(records), args.out)
-    return 0
+def _json_rows(graphs, row) -> str:
+    """``json.dumps(rows, sort_keys=True, indent=2)`` for one row per orbit,
+    each row written by one ``%``.
 
-
-def _invariants_json(graphs) -> str:
-    """``_dumps`` of the ``invariants`` rows, each row written by one ``%``.
-
-    All rows of one orbit type (k, s, t) have the same keys and the same
-    list lengths: k edges, t marked- and s marked+ vertices, and the
-    (p+1) x (q+1) rank matrix.  So ``_dumps`` writes them with the same
+    ``row(g)`` returns the orbit's ints in the row's sorted-key order and a
+    function that builds the row itself.  All rows of one orbit type
+    (k, s, t) have the same keys and the same list lengths: k edges, t
+    marked- and s marked+ vertices, and for ``invariants`` the
+    (p+1) x (q+1) rank matrix.  So ``json.dumps`` writes them with the same
     bytes apart from the digit runs.  No key holds a digit or a ``%``, and
-    every value is a non-negative int, which ``_dumps`` writes as ``%d``
-    does; so each digit run is exactly one value.  The first row of a type,
-    written by ``_dumps`` at the row's indent with its digit runs replaced
-    by ``%d``, is therefore a template that every row of the type fills
-    with its ints in ``_dumps``' sorted-key order.  A shape has at least one
-    orbit, so the list is never empty.
+    every value is a non-negative int, which ``json.dumps`` writes as
+    ``%d`` does; so each digit run is exactly one value.  Inside the list a
+    row is indented two more spaces, and ``.replace("\\n", "\\n  ")`` does
+    that exactly, because ``json.dumps`` escapes every newline inside a
+    string, so each newline it writes starts one of its lines.  The first
+    row of a type, written so with its digit runs replaced by ``%d``, is
+    therefore a template that every row of the type fills with its ints.
+    A shape has at least one orbit, so the list is never empty.
     """
     templates = {}
     rows = []
     for g in graphs:
-        inv = invariants(g)
-        graph = g.to_json()
-        entries = rank_matrix(g).entries
+        ints, build = row(g)
         triple = g.triple()
         template = templates.get(triple)
         if template is None:
-            row = {**inv._asdict(), "graph": graph, "rank_matrix": entries}
-            template = templates[triple] = re.sub("[0-9]+", "%d", _dumps(row, "\n  "))
-        ints = (inv.a_minus, inv.a_plus, inv.b, inv.c, inv.dim, *chain(*graph["edges"]))
-        ints += (*graph["marked_minus"], *graph["marked_plus"], *g.shape, *chain(*entries))
+            text = json.dumps(build(), sort_keys=True, indent=2).replace("\n", "\n  ")
+            template = templates[triple] = re.sub("[0-9]+", "%d", text)
         rows.append(template % ints)
     return "[\n  " + ",\n  ".join(rows) + "\n]"
+
+
+def _graph_row(g):
+    """The ints and the builder of g's graph record, for ``_json_rows``."""
+    edges, marked_minus, marked_plus = g.record_lists()
+    return (*chain(*edges), *marked_minus, *marked_plus, *g.shape), g.to_json
+
+
+def _invariants_row(g):
+    """The ints and the builder of g's ``invariants`` row, for
+    ``_json_rows``: one ``invariants`` and one ``rank_matrix`` call."""
+    inv, entries = invariants(g), rank_matrix(g).entries
+    graph_ints, graph = _graph_row(g)
+    ints = (inv.a_minus, inv.a_plus, inv.b, inv.c, inv.dim, *graph_ints, *chain(*entries))
+    return ints, lambda: {**inv._asdict(), "graph": graph(), "rank_matrix": entries}
+
+
+def _cmd_enumerate(args, shape) -> int:
+    _emit(_json_rows(enumerate_graphs(shape), _graph_row), args.out)
+    return 0
 
 
 def _cmd_invariants(args, shape) -> int:
     graphs = enumerate_graphs(shape)
     if args.format == "json":
-        _emit(_invariants_json(graphs), args.out)
+        _emit(_json_rows(graphs, _invariants_row), args.out)
         return 0
     lines = []
     for g in graphs:
-        graph, inv = g.to_json(), invariants(g)
+        (edges, marked_minus, marked_plus), inv = g.record_lists(), invariants(g)
         lines.append(
-            f"edges={graph['edges']} marked+={graph['marked_plus']}"
-            f" marked-={graph['marked_minus']}  a+={inv.a_plus} a-={inv.a_minus}"
-            f" b={inv.b} c={inv.c} dim={inv.dim}"
+            f"edges={edges} marked+={marked_plus} marked-={marked_minus}"
+            f"  a+={inv.a_plus} a-={inv.a_minus} b={inv.b} c={inv.c} dim={inv.dim}"
         )
         lines.extend("    " + " ".join(map(str, mrow)) for mrow in rank_matrix(g).entries)
     _emit("\n".join(lines), args.out)
@@ -249,7 +227,7 @@ def _cmd_weyl_decomp(args, shape) -> int:
         "total_orbits": count_orbits(shape),
         "blocks": [blk._asdict() for blk in blocks],
     }
-    _emit(_dumps(payload), args.out)
+    _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
     return 0
 
 
@@ -296,7 +274,7 @@ def _cmd_verify(args, shape) -> int:
         ok &= sizes_ok and not mismatches
 
     payload["ok"] = bool(ok)
-    _emit(_dumps(payload), args.out)
+    _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
     return 0 if ok else 1
 
 

@@ -114,12 +114,27 @@ class Graph(namedtuple("Graph", "shape plus minus")):
         s, t = self.plus.count(-1), self.minus.count(-1)
         return (self.shape.r - s - t, s, t)
 
+    def record_lists(self) -> tuple:
+        """The lists of the ``to_json`` record in its sorted-key order:
+        ``edges`` as [i, j] pairs, ``marked_minus``, ``marked_plus``.  Every
+        writer of graph records reads them here, so only this class knows
+        the record's layout; the keys p, q, r follow them.  One pass reads
+        both lists of the + array."""
+        edges, marked_plus = [], []
+        for i, j in enumerate(self.plus):
+            if j > 0:
+                edges.append([i, j])
+            elif j:
+                marked_plus.append(i)
+        return edges, [j for j, i in enumerate(self.minus) if i < 0], marked_plus
+
     def to_json(self) -> dict:
+        edges, marked_minus, marked_plus = self.record_lists()
         return {
             **self.shape._asdict(),
-            "edges": [[i, j] for i, j in enumerate(self.plus) if j > 0],
-            "marked_plus": [i for i, j in enumerate(self.plus) if j < 0],
-            "marked_minus": [j for j, i in enumerate(self.minus) if i < 0],
+            "edges": edges,
+            "marked_plus": marked_plus,
+            "marked_minus": marked_minus,
         }
 
     @classmethod

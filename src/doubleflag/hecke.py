@@ -336,6 +336,10 @@ def q1_action_is_permutation(shape: Shape) -> bool:
     is checked first.  The map k -> k' is also checked
     to be an involution, so it is a bijection of the basis and T_i at
     q = 1 is a permutation of order at most 2, as for a transposition.
+
+    Both facts are proved, so ``weyl_decompose`` no longer calls this (see
+    its docstring); ``tests/test_hecke.py`` asserts it on every shape with
+    p+q <= 7.
     """
     for table in Basis(shape).action.values():
         for idx, (case, jdx) in enumerate(table):
@@ -351,10 +355,19 @@ def weyl_decompose(shape: Shape) -> list:
 
     The basis splits into one W-orbit per admissible (k, s, t), and each
     orbit is W / H for the stabilizer H = (diagonal S_k) x S_s x S_s' x
-    S_t x S_t'.  Checked here: the q = 1 action is the permutation action,
-    and each W-orbit's size equals ``triple_count`` of its first member's
-    type, which is W-transitivity on that type.  The rest is proved:
+    S_t x S_t'.  Checked here: each W-orbit's size equals ``triple_count``
+    of its first member's type, which is W-transitivity on that type.  The
+    rest is proved:
 
+    * At q = 1 each T_i is the permutation k -> k' of the basis, where k'
+      is the partner of orbit k in ``Basis.action``; this is what
+      ``q1_action_is_permutation`` would re-check.  At q = 1 the three
+      cases give xi_k (case I), (q-1) xi_k + q xi_k' = xi_k' (case II) and
+      xi_k' (case III), so T_i sends xi_k to xi_k' once case I has k' = k,
+      and ``Basis`` proves that the partner is k exactly in case I.  The
+      map k -> k' is an involution, so a bijection: ``_reflected`` swaps
+      entries i, i+1 of one array and renames i <-> i+1 in the other, and
+      doing both twice gives back the same arrays.
     * A W-orbit holds a single type.  The walk follows the partner maps,
       and ``_reflected`` swaps two entries of one side's partner array and
       renames partner labels i <-> i+1 in the other array.  Marks (-1) and
@@ -380,9 +393,6 @@ def weyl_decompose(shape: Shape) -> list:
     |W.g| = ``triple_count`` = p! q! / (k! s! s'! t! t'!), the reported
     ``stabilizer_order`` is |H|.
     """
-    if not q1_action_is_permutation(shape):
-        raise AssertionError("q=1 specialization is not the permutation action")
-
     basis = Basis(shape)
     tables = basis.action.values()
     group_order = math.factorial(shape.p) * math.factorial(shape.q)

@@ -51,8 +51,9 @@ from .core import Graph, Shape, enumerate_graphs, invariants, rank_matrix
 
 # One DOT node: its index, then the graph record ``json.dumps(record,
 # sort_keys=True)`` writes, with each quote escaped, then the dimension.  The
-# record's lists are filled in with ``str``, which for a list of ints (or of
-# lists of ints) writes exactly the compact JSON with ", " separators.
+# record's lists, from ``Graph.record_lists``, are filled in with ``str``,
+# which for a list of ints (or of lists of ints) writes exactly the compact
+# JSON with ", " separators.
 _NODE = (
     '  n%d [label="{\\"edges\\": %s, \\"marked_minus\\": %s, \\"marked_plus\\": %s,'
     ' \\"p\\": %d, \\"q\\": %d, \\"r\\": %d}\\ndim %d"];'
@@ -159,9 +160,7 @@ def to_dot(poset: OrbitPoset) -> str:
     lines = ["digraph orbits {", "  rankdir=BT;", "  node [shape=box];"]
     levels = {}
     for idx, (g, d) in enumerate(zip(poset.orbits, poset.dims)):
-        graph = g.to_json()
-        edges, minus, plus = graph["edges"], graph["marked_minus"], graph["marked_plus"]
-        lines.append(_NODE % (idx, edges, minus, plus, *g.shape, d))
+        lines.append(_NODE % (idx, *g.record_lists(), *g.shape, d))
         levels.setdefault(d, []).append(f"n{idx};")
     for d in sorted(levels):
         lines.append(f"  {{ rank=same; {' '.join(levels[d])} }}")

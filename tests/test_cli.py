@@ -5,11 +5,10 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from doubleflag import (
     GeneratorCase,
+    Graph,
     ModuleVector,
     Shape,
     cli,
@@ -41,47 +40,31 @@ def assert_json_bytes(out):
 # Every shape with p+q <= 7.
 SMALL_SHAPES = [Shape(p, n - p, r) for n in range(2, 8) for p in range(1, n) for r in range(n + 1)]
 
-# Strings with quotes, backslashes, control characters and non-ASCII text
-# (a BMP letter, a line separator and an astral character) besides
-# whatever else hypothesis draws.
-JSON_TEXT = st.text(
-    st.sampled_from('"\\\x00\x1f\n\t\x7fé\u2028\U0001f600') | st.characters(), max_size=6
-)
-JSON_SCALARS = (
-    st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(10**40), max_value=10**40)
-    | st.sampled_from([0, -1, 2**63, -(2**64), 10**100])
-    | JSON_TEXT
-)
-JSON_VALUES = st.recursive(
-    JSON_SCALARS,
-    lambda children: st.lists(children, max_size=4)
-    | st.lists(children, max_size=4).map(tuple)
-    | st.dictionaries(JSON_TEXT, children, max_size=4),
-    max_leaves=20,
-)
+# Every shape with p+q <= 5, and p+q <= 4 for verify.
+ROUND_TRIP_SHAPES = [s for s in SMALL_SHAPES if s.n <= 5]
 
 
-@settings(max_examples=200, deadline=None)
-@given(JSON_VALUES)
-def test_dumps_matches_json_dumps(value):
-    assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
-
-
-@pytest.mark.parametrize(
-    "value",
-    [1.5, float("nan"), None, b"x", {1, 2}, [1, 2.0], (None,), {"a": [None]}, {1: 2},
-     {("a",): 1}, {"a": 1, 2: 3}, [{"b": {None: 0}}]],
-)
-def test_dumps_refuses_other_types(value):
-    with pytest.raises(TypeError):
-        cli._dumps(value)
+def test_json_outputs_round_trip_through_json_dumps(capsys):
+    # Every JSON subcommand writes exactly json.dumps of what it wrote.
+    runs = 0
+    for shape in ROUND_TRIP_SHAPES:
+        jobs = [["enumerate"], ["invariants", "--format", "json"], ["weyl-decomp"]]
+        if shape.n <= 4:
+            jobs.append(["verify", "--field", "3"])
+        for command, *extra in jobs:
+            code, out = run(capsys, command, *shape_flags(shape), *extra)
+            assert code == 0, (command, shape)
+            assert_json_bytes(out)
+            runs += 1
+    assert runs == 176
 
 
 def test_enumerate_bytes_match_json_dumps(capsys):
+    # Past p+q <= 7: the ORBIT_BUDGET ceiling (5,4,5), and r = 0 and r = n,
+    # whose types write only empty lists.
     assert len(SMALL_SHAPES) == 133
-    for shape in SMALL_SHAPES:
+    assert len(enumerate_graphs(Shape(5, 4, 5))) == 2866
+    for shape in [*SMALL_SHAPES, Shape(5, 4, 5), Shape(5, 4, 0), Shape(5, 4, 9)]:
         code, out = run(capsys, "enumerate", *shape_flags(shape))
         records = [g.to_json() for g in enumerate_graphs(shape)]
         assert code == 0
@@ -114,6 +97,24 @@ def test_hasse_and_invariants_compute_each_orbit_once(capsys):
     assert run(capsys, "invariants", *flags, "--format", "json")[0] == 0
     info = invariants.cache_info()
     assert (info.misses, info.hits) == (1038, 1038)
+
+
+def test_hasse_and_invariants_build_one_record_per_orbit_type(monkeypatch, capsys):
+    # DOT labels and JSON rows read Graph.record_lists; the full record is
+    # built only for each orbit type's template row.
+    calls = []
+    to_json = Graph.to_json
+
+    def counted(g):
+        calls.append(g)
+        return to_json(g)
+
+    monkeypatch.setattr(Graph, "to_json", counted)
+    shape = Shape(4, 4, 4)
+    assert run(capsys, "hasse", *shape_flags(shape))[0] == 0
+    assert run(capsys, "invariants", *shape_flags(shape), "--format", "json")[0] == 0
+    types = {g.triple() for g in enumerate_graphs(shape)}
+    assert len(calls) <= len(types)
 
 
 def test_hecke_matrix_bytes_match_csv_writer(capsys):

@@ -264,6 +264,15 @@ def test_partner_has_the_same_type():
     assert pairs == 23116
 
 
+def test_q1_action_is_permutation():
+    # weyl_decompose no longer runs this check; its docstring proves both
+    # halves from Basis and _reflected, and this confirms them.
+    shapes = small_shapes(7)
+    assert len(shapes) == 133
+    for shape in shapes:
+        assert hecke.q1_action_is_permutation(shape), shape
+
+
 def test_basis_builds_no_graph(monkeypatch):
     shape = Shape(5, 3, 4)
     enumerate_graphs(shape)
