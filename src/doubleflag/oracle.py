@@ -57,9 +57,9 @@ def rref(rows, p: int):
     p first, so any integers are accepted.  At each pivot the pivot row is
     scaled to 1 and its column is cleared in every other row, so the rows
     come out in the unique reduced form of their span: equal spans give
-    equal rows.  It runs once per new step of the span table that
-    ``classify_orbits`` and ``rank_profile`` walk, and once per orbit base
-    point; ``_transform`` keeps a point in this form without calling it.
+    equal rows.  It runs once per new step of the span table, which
+    ``_SpanTable.walk`` alone steps, and once per orbit base point;
+    ``_transform`` keeps a point in this form without calling it.
     """
     mat = [[x % p for x in row] for row in rows]
     nrows = len(mat)
@@ -157,7 +157,7 @@ class _SpanTable:
     ``bases[s]``; ``ids`` maps those rows back to ``s``, so equal subspaces
     share one id.  ``dims[s]`` is its dimension and ``steps[s][col]`` the id
     of the span of ``s`` and the vector ``col``.  Span 0 is the zero space.
-    Steps are filled on first use, each by one ``rref`` call.
+    ``walk`` fills each step on first use, by one ``rref`` call.
     """
 
     def __init__(self, field_size: int):
@@ -180,14 +180,42 @@ class _SpanTable:
         self.steps[s][col] = t
         return t
 
+    def walk(self, s: int, cols) -> list:
+        """The span ids met adding each column of ``cols`` in turn to span
+        ``s``, filling a missing step with ``extend``.  This is the one
+        place the table is stepped.
+
+        Proof of the walk.  A span's id is its nonzero canonical ``rref``
+        rows, which the reduced form makes unique to the subspace, so equal
+        subspaces share one id, and ``dims`` of an id is the dimension of
+        its subspace.  The step from a span by a column is the id of the
+        ``rref`` of the span's rows and the column, which span their sum.
+        It depends only on the subspace, the column, r and the field, so
+        one table per (r, field) serves every point and shape, and a step
+        filled once is one dict lookup instead of an elimination after.
+        By induction on k, the k-th id met (from 0) is the span of ``s``
+        and columns 0..k: it is the step by column k from the (k-1)-th id,
+        or from ``s`` when k = 0.
+        """
+        steps = self.steps
+        out = []
+        for col in cols:
+            try:
+                s = steps[s][col]
+            except KeyError:
+                s = self.extend(s, col)
+            out.append(s)
+        return out
+
 
 @lru_cache(maxsize=8)
 def _span_table(r: int, field_size: int) -> _SpanTable:
     """The span table of F^r over the field, shared by every shape with this
     r.  Its spans are subspaces of F^r and each step reads only a span and
-    a vector of F^r, so nothing else changes it.  ``classify_orbits`` walks
-    it once per point for the point's key, and ``rank_profile`` once per new
-    key.  It never holds more steps than the walks that filled it took.
+    a vector of F^r, so nothing else changes it.  ``_SpanTable.walk`` is
+    the one place it is stepped: ``classify_orbits`` walks it for each
+    point's key, and ``rank_profile`` for each new key's profile.  It never
+    holds more steps than the walks that filled it took.
     A field ``_check_field`` refuses raises ValueError on every call, since
     ``lru_cache`` keeps no exception."""
     _check_field(field_size)
@@ -197,26 +225,19 @@ def _span_table(r: int, field_size: int) -> _SpanTable:
 def rank_profile(w, shape: Shape, field_size: int) -> tuple:
     """(p+1) x (q+1) table of dim(W cap (F_i+ + F_j-)) for the standard flags.
 
-    Proof of the walk.  F_i+ + F_j- is the coordinate subspace on + columns
-    1..i and - columns 1..j, so the intersection dimension is r minus the
-    rank of W restricted to the other columns.  That rank is the dimension
-    of the span in F^r of those columns of the r x n basis matrix, because
-    column rank equals row rank.  With U_i the span of + columns i+1..p and
-    M_j the span of - columns j+1..q, entry (i, j) is r - dim(U_i + M_j).
+    Proof.  F_i+ + F_j- is the coordinate subspace on + columns 1..i and -
+    columns 1..j, so the intersection dimension is r minus the rank of W
+    restricted to the other columns.  That rank is the dimension of the
+    span in F^r of those columns of the r x n basis matrix, because column
+    rank equals row rank.  With U_i the span of + columns i+1..p and M_j
+    the span of - columns j+1..q, entry (i, j) is r - dim(U_i + M_j).
 
-    The walk builds U_p = 0, U_{p-1}, ..., U_0 by adding one + column at a
-    time, and from each U_i adds the - columns q, q-1, ..., 1, reading entry
-    (i, q), (i, q-1), ..., (i, 0) after each step.  Each step is a lookup
-    in the span table of F^r (``_SpanTable``).  A span's id is its nonzero
-    canonical ``rref`` rows, which the reduced form makes unique to the
-    subspace, so equal subspaces share one id.  The step from a span by a
-    column, and the dimension of the result, then depend only on the
-    subspace, the column, r and the field.  So one table per (r, field)
-    serves every point and shape; it is filled on first use, one ``rref``
-    call per new step, and after the first points nearly every step is one
-    dict lookup instead of an elimination.  ``classify_orbits`` reads the
-    U_i and M_j walks on their own, p + q steps, as a point's key, and
-    calls this only for a key it has not met.
+    Walking the + columns p, p-1, ..., 1 from the zero span meets U_{p-1},
+    ..., U_0, and walking the - columns q, q-1, ..., 1 from U_i meets U_i +
+    M_{q-1}, ..., U_i + M_0 (``_SpanTable.walk``), so row i is read off
+    that walk, with r - dim(U_i) = entry (i, q) last.  ``classify_orbits``
+    reads the U_i and M_j walks on their own, p + q steps, as a point's
+    key, and calls this only for a key it has not met.
 
     ``w`` is any r x n integer matrix whose reduction mod ``field_size`` has
     rank r, such as a Grassmannian point; its entries need not lie in
@@ -229,27 +250,13 @@ def rank_profile(w, shape: Shape, field_size: int) -> tuple:
     if len(w) != r or any(len(row) != p + q for row in w):
         raise ValueError(f"w must have {r} rows of {p + q} entries for {shape}")
     table = _span_table(r, field_size)
-    steps, dims = table.steps, table.dims
+    dims, walk = table.dims, table.walk
     cols = list(zip(*w)) or [()] * (p + q)
     minus = cols[:p - 1:-1]  # - columns q down to 1
     rows = []
-    u = 0
-    for i in range(p, -1, -1):
-        if i < p:
-            col = cols[i]
-            try:
-                u = steps[u][col]
-            except KeyError:
-                u = table.extend(u, col)
-        s = u
-        row = [r - dims[s]]
-        for col in minus:
-            try:
-                s = steps[s][col]
-            except KeyError:
-                s = table.extend(s, col)
-            row.append(r - dims[s])
-        row.reverse()
+    for u in [0, *walk(0, cols[p - 1::-1])]:  # U_p, U_{p-1}, ..., U_0
+        row = [r - dims[s] for s in reversed(walk(u, minus))]
+        row.append(r - dims[u])
         rows.append(tuple(row))
     rows.reverse()
     if rows[0][0]:
@@ -292,38 +299,28 @@ def classify_orbits(shape: Shape, field_size: int) -> OrbitClassification:
     it would falsify the rank-matrix classification.
 
     Proof that the walk key fixes the profile.  Each point walks the span
-    table (``_SpanTable``) twice from the zero space: through its + columns
-    p, p-1, ..., 1, meeting U_{p-1}, ..., U_0, and through its - columns q,
-    q-1, ..., 1, meeting M_{q-1}, ..., M_0, where U_i and M_j are the spans
-    in F^r of the + columns after i and the - columns after j (U_p = M_q =
-    0).  The tuple of span ids met is the point's key.  A span id stands for
-    one subspace of F^r, so the key fixes every U_i and M_j, hence every
-    dim(U_i + M_j), and entry (i, j) of the rank profile is r - dim(U_i +
-    M_j) (see ``rank_profile``).  Two points with one key thus have one
-    profile and lie in one orbit.  So ``rank_profile`` runs only for a key
-    not seen before, and each point costs p + q table steps and one dict
-    lookup instead of the p + (p+1)q steps of its profile.
+    table twice from the zero space (``_SpanTable.walk``): through its +
+    columns p, p-1, ..., 1, meeting U_{p-1}, ..., U_0, and through its -
+    columns q, q-1, ..., 1, meeting M_{q-1}, ..., M_0, where U_i and M_j are
+    the spans in F^r of the + columns after i and the - columns after j
+    (U_p = M_q = 0).  The tuple of span ids met is the point's key.  A span
+    id stands for one subspace of F^r, so the key fixes every U_i and M_j,
+    hence every dim(U_i + M_j), and entry (i, j) of the rank profile is
+    r - dim(U_i + M_j) (see ``rank_profile``).  Two points with one key
+    thus have one profile and lie in one orbit.  So ``rank_profile`` runs
+    only for a key not seen before, and each point costs p + q table steps
+    and one dict lookup instead of the p + (p+1)q steps of its profile.
     """
     graphs = enumerate_graphs(shape)
     profile_to_index = {rank_matrix(g).entries: k for k, g in enumerate(graphs)}
     p, n = shape.p, shape.n
-    table = _span_table(shape.r, field_size)
-    steps = table.steps
+    walk = _span_table(shape.r, field_size).walk
     index_of = {}  # walk key -> orbit index
     buckets = [[] for _ in graphs]
     orbit_of = {}
     for w in enumerate_grassmannian(shape, field_size):
         cols = list(zip(*w)) or [()] * n
-        key = []
-        for walk in (cols[p - 1::-1], cols[:p - 1:-1]):
-            s = 0
-            for col in walk:
-                try:
-                    s = steps[s][col]
-                except KeyError:
-                    s = table.extend(s, col)
-                key.append(s)
-        key = tuple(key)
+        key = (*walk(0, cols[p - 1::-1]), *walk(0, cols[:p - 1:-1]))
         k = index_of.get(key)
         if k is None:
             k = profile_to_index.get(rank_profile(w, shape, field_size))

@@ -5,13 +5,6 @@ from __future__ import annotations
 from collections import namedtuple
 
 
-def _normalize(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
 class IntPoly(namedtuple("IntPoly", "coeffs")):
     """Polynomial with integer coefficients, constant term first, no
     trailing zeros."""
@@ -19,9 +12,12 @@ class IntPoly(namedtuple("IntPoly", "coeffs")):
     __slots__ = ()
 
     def __new__(cls, coeffs=()):
+        coeffs = list(coeffs)
         if any(not isinstance(c, int) for c in coeffs):
             raise TypeError("coefficients must be integers")
-        return tuple.__new__(cls, (_normalize(coeffs),))
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        return tuple.__new__(cls, (tuple(coeffs),))
 
     @classmethod
     def _make(cls, fields):

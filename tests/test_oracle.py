@@ -473,6 +473,41 @@ class TestDifferential:
             rank_profile(w, shape, 3)
         assert calls == []
 
+    def test_walk_meets_the_span_of_each_prefix(self, monkeypatch):
+        # Each id a walk meets stands for the span of its start and the
+        # columns added so far, checked by Gauss-Jordan; a repeated walk
+        # takes only filled steps, so it eliminates nothing.
+        oracle._span_table.cache_clear()
+        shape = Shape(3, 2, 2)
+        table = oracle._span_table(shape.r, 3)
+        walks = []
+
+        def check(s, cols):
+            ids = table.walk(s, cols)
+            assert len(ids) == len(cols)
+            for k, t in enumerate(ids):
+                rows, rank = _reference_rref(table.bases[s] + tuple(cols[: k + 1]), 3)
+                assert table.bases[t] == rows[:rank], (s, cols, k)
+            walks.append((s, cols, ids))
+            return ids
+
+        for w in enumerate_grassmannian(shape, 3):
+            cols = list(zip(*w))
+            for u in [0, *check(0, cols[shape.p - 1 :: -1])]:
+                check(u, cols[: shape.p - 1 : -1])
+        calls = []
+        eliminate = oracle.rref
+
+        def counted(rows, p):
+            calls.append(1)
+            return eliminate(rows, p)
+
+        monkeypatch.setattr(oracle, "rref", counted)
+        for s, cols, ids in walks:
+            assert table.walk(s, cols) == ids
+        assert calls == []
+        assert len(walks) == 1210 * 5
+
     @settings(max_examples=300, deadline=None)
     @given(integer_matrix())
     def test_rref_matches_gauss_jordan(self, case):

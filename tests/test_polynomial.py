@@ -84,6 +84,14 @@ def test_type_errors():
         IntPoly((1.5,))
 
 
+def test_iterator_coefficients_are_read_once():
+    # the type check must not use up an iterator before it is normalized
+    assert IntPoly(iter([1, 2])) == IntPoly((1, 2))
+    assert IntPoly(c for c in (1, 2, 0)).coeffs == (1, 2)
+    with pytest.raises(TypeError):
+        IntPoly(iter([1, 1.5]))
+
+
 def test_replace_and_make_normalize():
     assert IntPoly((1,))._replace(coeffs=(1, 0)) == IntPoly((1,))
     assert IntPoly._make([(0, 1, 0)]).coeffs == (0, 1)
