@@ -12,13 +12,17 @@ X_i+ = {I + c E_{i,i+1}}, so for a B-invariant characteristic function xi:
     (T_i * xi)(x) = sum over c in F of xi(s_i u(c)^{-1} x),
 
 a sum of #F membership tests.  Membership in a Borel orbit is decided by
-rank-profile equality, never by enumerating the Borel group.
+rank-profile equality, never by enumerating the Borel group.  The counting
+moves the same sampled points for every source orbit of a generator, so
+``_transform`` keeps each image it computes for the rest of that
+generator's pass, in a dict of at most ``_IMAGE_LIMIT`` entries.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import namedtuple
 from functools import lru_cache
 
@@ -33,6 +37,12 @@ from .core import (
 from .hecke import Basis, ModuleVector, _check_generator, _image_terms, generators
 
 ENUMERATION_BUDGET = 10**5
+
+# The images ``_transform`` has computed in the running generator pass of
+# ``certify_theorem``, keyed by its arguments, or None outside such a pass;
+# and the most entries it ever holds.
+_images = None
+_IMAGE_LIMIT = 8192
 
 
 def gaussian_binomial(n: int, r: int, q: int) -> int:
@@ -59,7 +69,8 @@ def rref(rows, p: int):
     come out in the unique reduced form of their span: equal spans give
     equal rows.  It runs once per new step of the span table, which
     ``_SpanTable.walk`` alone steps, and once per orbit base point;
-    ``_transform`` keeps a point in this form without calling it.
+    ``_transform`` keeps a point in this form without calling it, and
+    computes each image once per generator pass of a certification.
     """
     mat = [[x % p for x in row] for row in rows]
     nrows = len(mat)
@@ -89,12 +100,15 @@ def rref(rows, p: int):
     return tuple(map(tuple, mat)), rank
 
 
-def _check_field(field_size: int):
-    """Raise ValueError unless the field size is an odd prime within
-    ``ENUMERATION_BUDGET``.  A field over the budget is refused first,
-    before trial division: for 0 < r < n the Grassmannian has more than F
-    points, and every certification record counts over all F field
-    elements, so no run over such a field fits the budget."""
+def _check_field(field_size: int) -> int:
+    """The field size as an int, coerced with ``operator.index`` as
+    ``Shape`` coerces sizes, so a float or str raises TypeError; raise
+    ValueError unless it is an odd prime within ``ENUMERATION_BUDGET``.
+    A field over the budget is refused first, before trial division: for
+    0 < r < n the Grassmannian has more than F points, and every
+    certification record counts over all F field elements, so no run over
+    such a field fits the budget."""
+    field_size = operator.index(field_size)
     if field_size == 2:
         raise ValueError("field size 2 is excluded (characteristic must be odd)")
     if field_size > ENUMERATION_BUDGET:
@@ -103,15 +117,16 @@ def _check_field(field_size: int):
         field_size % d == 0 for d in range(2, math.isqrt(field_size) + 1)
     ):
         raise ValueError(f"field size must be an odd prime, got {field_size}")
+    return field_size
 
 
 def grassmannian_size(shape: Shape, field_size: int) -> int:
     """Number of r-planes in F^n, checked before any point is built.
 
-    Raises ValueError for a field ``_check_field`` refuses and for a count
-    over ``ENUMERATION_BUDGET``.
+    Raises what ``_check_field`` raises for a bad field, and ValueError for
+    a count over ``ENUMERATION_BUDGET``.
     """
-    _check_field(field_size)
+    field_size = _check_field(field_size)
     total = gaussian_binomial(shape.n, shape.r, field_size)
     if total > ENUMERATION_BUDGET:
         raise ValueError(f"Grassmannian has {total} points, over the budget")
@@ -216,10 +231,12 @@ def _span_table(r: int, field_size: int) -> _SpanTable:
     the one place it is stepped: ``classify_orbits`` walks it for each
     point's key, and ``rank_profile`` for each new key's profile.  It never
     holds more steps than the walks that filled it took.
-    A field ``_check_field`` refuses raises ValueError on every call, since
-    ``lru_cache`` keeps no exception."""
-    _check_field(field_size)
-    return _SpanTable(field_size)
+    A field ``_check_field`` refuses raises on every call, since
+    ``lru_cache`` keeps no exception.  A float equal to a cached size would
+    hit that size's entry, so ``rank_profile`` passes the size through
+    ``operator.index`` first, and ``classify_orbits`` refuses a float when
+    it enumerates the points."""
+    return _SpanTable(_check_field(field_size))
 
 
 def rank_profile(w, shape: Shape, field_size: int) -> tuple:
@@ -242,14 +259,15 @@ def rank_profile(w, shape: Shape, field_size: int) -> tuple:
     ``w`` is any r x n integer matrix whose reduction mod ``field_size`` has
     rank r, such as a Grassmannian point; its entries need not lie in
     range(field_size), since ``rref`` reduces each new span.  Raises
-    ValueError for any other ``w`` and for a field ``_check_field``
-    refuses.  The rank needs no elimination of its own: corner (0, 0) is
-    r - dim(U_0 + M_0) = r - rank(w), so it must be 0.
+    ValueError for any other ``w``, and what ``_check_field`` raises for a
+    bad field whether or not its table is cached.  The rank needs no
+    elimination of its own: corner (0, 0) is r - dim(U_0 + M_0) =
+    r - rank(w), so it must be 0.
     """
     p, q, r = shape.p, shape.q, shape.r
     if len(w) != r or any(len(row) != p + q for row in w):
         raise ValueError(f"w must have {r} rows of {p + q} entries for {shape}")
-    table = _span_table(r, field_size)
+    table = _span_table(r, operator.index(field_size))
     dims, walk = table.dims, table.walk
     cols = list(zip(*w)) or [()] * (p + q)
     minus = cols[:p - 1:-1]  # - columns q down to 1
@@ -372,7 +390,8 @@ def classification_ok(cls: OrbitClassification) -> bool:
 
 
 def _transform(w, a: int, c: int, p: int):
-    """Image of the subspace under s_i u(c)^{-1}, in RREF.
+    """Image of the subspace under s_i u(c)^{-1}, in RREF, computed once
+    per generator pass of ``certify_theorem``.
 
     u(c)^{-1} = I - c E_{a,a+1} and s_i swaps coordinates a and b = a+1
     (0-based), so each basis row changes in two coordinates only:
@@ -404,7 +423,39 @@ def _transform(w, a: int, c: int, p: int):
     cleared above that row; only rows nonzero at a or b are rebuilt.  In
     RREF every entry before a row's pivot is 0 and the pivot is 1, so the
     pivot is ``row.index(1)``.
+
+    The memo.  ``certify_theorem`` calls ``_count_images`` once per
+    (generator, source orbit), and each call moves the same sampled points
+    by every c, so in one generator's pass each image is asked for once
+    per source orbit.  For each pass over a shape with more than one orbit,
+    ``certify_theorem`` sets ``_images`` to a new dict, and back to None
+    when it returns.  The dict is keyed by all four arguments, since each
+    of them changes the image; an image found there is returned at once,
+    and a new one is stored only while the dict holds fewer than
+    ``_IMAGE_LIMIT`` entries, so it never holds more.  While ``_images``
+    is None, as in ``convolution_action``'s single count, every call
+    computes its image.  The fix-up stays in this function, not in a
+    helper it calls: one more Python call per transform made the one-orbit
+    run ``verify --p 12 --q 1 --r 0 --field 99991`` about 13% slower.
+
+    Proof that the limit drops no image that would be reused.  A pass over
+    the generator at ``a`` asks for (x, a, c, F) for the first
+    min(3, |O_k|) points x of each orbit O_k and every c in F: at most
+    3 * orbits * F keys.  Over every shape with a generator and more than
+    one orbit, and every field whose Grassmannian is within
+    ``ENUMERATION_BUDGET``, that is at most 4,695, reached by (2,1,1),
+    (2,1,2), (1,2,1) and (1,2,2) over F_313.  So under the limit of 8,192
+    each image is stored at its first call, and every later call is one
+    lookup.  A shape with one orbit has one source per generator, so no
+    key is asked for twice; its passes run with no dict, since there a
+    lookup that always misses made the same run about 40% slower.
     """
+    images = _images
+    if images is not None:
+        key = w, a, c, p
+        image = images.get(key)
+        if image is not None:
+            return image
     b = a + 1
     rows = list(w)
     ka = kb = -1
@@ -419,28 +470,29 @@ def _transform(w, a: int, c: int, p: int):
             row = list(row)
             row[a], row[b] = y, (x - c * y) % p
             rows[k] = tuple(row)
-    if ka < 0:
-        return tuple(rows)
-    if kb >= 0:
+    if ka >= 0 and kb >= 0:
         upper, lower = rows[kb], rows[ka]
         if c:
             upper = tuple((u + c * v) % p for u, v in zip(upper, lower))
         rows[ka], rows[kb] = upper, lower
-        return tuple(rows)
-    row = rows[ka]
-    x = row[a]
-    if x:
-        if x != 1:
-            inv = pow(x, -1, p)
-            row = rows[ka] = tuple(v * inv % p for v in row)
-        col = a
-    else:
-        col = b
-    for j in range(ka):
-        f = rows[j][col]
-        if f:
-            rows[j] = tuple((u - f * v) % p for u, v in zip(rows[j], row))
-    return tuple(rows)
+    elif ka >= 0:
+        row = rows[ka]
+        x = row[a]
+        if x:
+            if x != 1:
+                inv = pow(x, -1, p)
+                row = rows[ka] = tuple(v * inv % p for v in row)
+            col = a
+        else:
+            col = b
+        for j in range(ka):
+            f = rows[j][col]
+            if f:
+                rows[j] = tuple((u - f * v) % p for u, v in zip(rows[j], row))
+    image = tuple(rows)
+    if images is not None and len(images) < _IMAGE_LIMIT:
+        images[key] = image
+    return image
 
 
 def _count_images(cls: OrbitClassification, a: int, source: int) -> dict:
@@ -453,6 +505,9 @@ def _count_images(cls: OrbitClassification, a: int, source: int) -> dict:
     value times orbit size, must be F times the source orbit's size, which
     pins the support exactly.  Each (sampled point, field element) makes
     one ``_transform`` call, looked up through the module on every call.
+    The calls do not depend on ``source``, so within one generator's pass
+    ``_transform`` computes each image for the first source and returns
+    it from its memo for every later one.
     """
     field_size = cls.field_size
     # read once: each named-tuple field read is a descriptor call
@@ -490,12 +545,14 @@ def convolution_action(
     ``_count_images`` on the field's ``classify_orbits``; this wraps its
     counts in a ``ModuleVector``.  Raises ValueError for a generator
     outside the shape or an orbit g of another shape, and TypeError for a
-    non-integer index, before any counting.
+    non-integer index or field size, before any counting.  The field size
+    is coerced before ``classify_orbits`` looks it up, so a float equal to
+    a classified field is refused, not served that field's points.
     """
     i = _check_generator(shape, side, i)
     if g.shape != shape:
         raise ValueError(f"orbit of shape {g.shape} given for shape {shape}")
-    cls = classify_orbits(shape, field_size)
+    cls = classify_orbits(shape, operator.index(field_size))
     a = i - 1 if side == "+" else shape.p + i - 1
     return ModuleVector(shape, _count_images(cls, a, Basis(shape).index[g]))
 
@@ -548,17 +605,33 @@ def certify_theorem(shape: Shape, field_sizes) -> CertificationReport:
     record's ``expected`` is ``_image_terms`` of its orbit's case and
     partner, evaluated at the field size, and its ``observed`` is
     ``_count_images`` for that orbit as the source.
+
+    One generator's records form one pass of ``_count_images`` calls that
+    move the same points, so each pass gets a new, empty ``_images`` memo
+    for ``_transform``, and none is left when this returns: the memo holds
+    one pass's images, which are all that repeat.  A shape with one orbit
+    has one source, so nothing repeats and its passes get no memo.  Field
+    sizes are coerced with ``operator.index`` before any cached
+    classification is looked up, so a float raises TypeError whatever has
+    run before.
     """
+    global _images
+    field_sizes = [operator.index(f) for f in field_sizes]
     basis = Basis(shape)
+    reuse = len(basis.graphs) > 1
     records = []
-    for field_size in field_sizes:
-        cls = classify_orbits(shape, field_size)
-        for side, i in generators(shape):
-            a = i - 1 if side == "+" else shape.p + i - 1
-            for idx, (case, jdx) in enumerate(basis.action[(side, i)]):
-                expected = {k: c(field_size) for k, c in _image_terms(idx, case, jdx)}
-                observed = _count_images(cls, a, idx)
-                records.append(
-                    CertificationRecord(field_size, side, i, idx, case.value, expected, observed)
-                )
+    try:
+        for field_size in field_sizes:
+            cls = classify_orbits(shape, field_size)
+            for side, i in generators(shape):
+                _images = {} if reuse else None
+                a = i - 1 if side == "+" else shape.p + i - 1
+                for idx, (case, jdx) in enumerate(basis.action[(side, i)]):
+                    expected = {k: c(field_size) for k, c in _image_terms(idx, case, jdx)}
+                    observed = _count_images(cls, a, idx)
+                    records.append(
+                        CertificationRecord(field_size, side, i, idx, case.value, expected, observed)
+                    )
+    finally:
+        _images = None
     return CertificationReport(shape, tuple(records))

@@ -14,6 +14,7 @@ from doubleflag import (
     certify_theorem,
     classify_orbits,
     convolution_action,
+    count_orbits,
     enumerate_grassmannian,
     gaussian_binomial,
     make_graph,
@@ -43,6 +44,24 @@ class TestFieldValidation:
     def test_composite_rejected(self):
         with pytest.raises(ValueError):
             enumerate_grassmannian(S222, 9)
+
+    @pytest.mark.parametrize("classified", [False, True], ids=["fresh", "classified"])
+    def test_float_field_size_refused_in_every_cache_state(self, classified):
+        # 3.0 == 3 and hash(3.0) == hash(3), so a float that reached a cache
+        # would be served the F_3 entry instead of being refused.
+        oracle.classify_orbits.cache_clear()
+        oracle._span_table.cache_clear()
+        w = enumerate_grassmannian(S222, 3)[0]
+        if classified:
+            classify_orbits(S222, 3)
+        with pytest.raises(TypeError):
+            certify_theorem(S222, [3.0])
+        with pytest.raises(TypeError):
+            convolution_action(S222, 3.0, "+", 1, Basis(S222).graphs[0])
+        with pytest.raises(TypeError):
+            rank_profile(w, S222, 3.0)
+        with pytest.raises(TypeError):
+            enumerate_grassmannian(S222, 3.0)
 
 
 def _product_gaussian_binomial(n, r, q):
@@ -415,8 +434,9 @@ class TestDifferential:
 
     def test_certification_transforms_every_sample(self, monkeypatch):
         # The count bench/golden.json records for verify (2,2,2) over F_11.
-        # The counting must look _transform up at each call, so a cached or
-        # batched transform changes the count.
+        # The counting must look _transform up at each call: the memo inside
+        # _transform leaves the count as it is, but a cache wrapped around
+        # it, or a batched transform, would change it.
         calls = []
         transform = oracle._transform
 
@@ -713,3 +733,124 @@ class TestCertification:
         assert data["records"]
         rec = data["records"][0]
         assert set(rec) == {"field", "generator", "orbit", "case", "expected", "observed"}
+
+
+def _working_set_bound():
+    """The largest 3 * orbits * F over every shape with a generator and
+    more than one orbit, and every field whose Grassmannian is within the
+    enumeration budget, with the shapes and field that reach it."""
+    best = (0, [])
+    for n in range(3, 78):
+        if gaussian_binomial(n, 1, 3) > ENUMERATION_BUDGET:
+            break  # every Grassmannian with 0 < r < n is at least this big
+        for p, r in itertools.product(range(1, n), range(1, n)):
+            shape = Shape(p, n - p, r)
+            orbits = count_orbits(shape)
+            if orbits < 2 or not generators(shape):
+                continue
+            for field in range(3, ENUMERATION_BUDGET, 2):
+                if gaussian_binomial(n, r, field) > ENUMERATION_BUDGET:
+                    break
+                if any(field % d == 0 for d in range(3, math.isqrt(field) + 1, 2)):
+                    continue
+                size = 3 * orbits * field
+                if size > best[0]:
+                    best = (size, [])
+                if size == best[0]:
+                    best[1].append((tuple(shape), field))
+    return best
+
+
+class TestImageMemo:
+    def _recorded(self, monkeypatch):
+        """Wrap oracle._transform; return {args: set of results} and a list
+        of the memo's (kind, size) at each call."""
+        results = {}
+        states = []
+        transform = oracle._transform
+
+        def recording(w, a, c, p):
+            image = transform(w, a, c, p)
+            results.setdefault((w, a, c, p), set()).add(image)
+            memo = oracle._images
+            states.append(None if memo is None else len(memo))
+            return image
+
+        monkeypatch.setattr(oracle, "_transform", recording)
+        return results, states
+
+    @pytest.mark.parametrize("shape,field", [(Shape(3, 2, 2), 5), (Shape(3, 3, 2), 3)], ids=str)
+    def test_certification_images_match_references(self, monkeypatch, shape, field):
+        transform = oracle._transform
+        results, states = self._recorded(monkeypatch)
+        assert certify_theorem(shape, [field]).ok
+        # every image after the first for a key came from the memo
+        assert len(states) > 10 * len(results)
+        assert None not in states and max(states) <= oracle._IMAGE_LIMIT
+        # with no memo set, _transform computes every image afresh
+        assert oracle._images is None
+        for (w, a, c, p), images in results.items():
+            assert images == {transform(w, a, c, p)}, (w, a, c, p)
+            assert images == {_reference_canonical_transform(w, a, c, p)}, (w, a, c, p)
+
+    def test_key_holds_generator_and_field(self, monkeypatch):
+        # F_3 points are in RREF over F_5 too, so each (w, c) is asked for
+        # under every a and both fields, with one memo throughout.
+        monkeypatch.setattr(oracle, "_images", {})
+        points = enumerate_grassmannian(S222, 3)
+        for w, c in itertools.product(points, range(3)):
+            for a, p in itertools.product(range(S222.n - 1), (3, 5)):
+                want = _reference_canonical_transform(w, a, c, p)
+                assert oracle._transform(w, a, c, p) == want, (w, a, c, p)
+        assert oracle._images
+
+    def test_memo_never_exceeds_its_limit(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_images", {})
+        limit = oracle._IMAGE_LIMIT
+        w = enumerate_grassmannian(Shape(1, 1, 1), 3)[0]
+        for c in range(limit + 10):
+            assert oracle._transform(w, 0, c, 99991) == (
+                _reference_canonical_transform(w, 0, c, 99991)
+            )
+        assert len(oracle._images) == limit
+
+    def test_one_orbit_large_field_runs_without_memo(self, monkeypatch):
+        # One source per generator, so no image is asked for twice.
+        results, states = self._recorded(monkeypatch)
+        assert certify_theorem(Shape(2, 1, 0), [99991]).ok
+        assert len(states) == len(results) == 99991
+        assert set(states) == {None}
+
+    def test_working_set_of_a_pass(self, monkeypatch):
+        # A pass asks each source for the same keys, one per sampled point
+        # and c, and the memo ends it holding sum_k min(3, |O_k|) * F images.
+        shape, field = Shape(2, 1, 1), 31
+        results, states = self._recorded(monkeypatch)
+        assert certify_theorem(shape, [field]).ok
+        sizes = classify_orbits(shape, field).sizes
+        keys = sum(min(3, size) for size in sizes) * field
+        assert max(states) == len(results) == keys
+        assert len(states) == len(sizes) * keys
+
+    def test_limit_covers_every_admitted_pass(self):
+        size, reached_by = _working_set_bound()
+        assert size == 4695 < oracle._IMAGE_LIMIT
+        assert sorted(reached_by) == [
+            ((1, 2, 1), 313),
+            ((1, 2, 2), 313),
+            ((2, 1, 1), 313),
+            ((2, 1, 2), 313),
+        ]
+
+    def test_memo_dropped_when_certification_ends(self, monkeypatch):
+        assert certify_theorem(Shape(3, 2, 2), [3]).ok
+        assert oracle._images is None
+
+        def fail(cls, a, source):
+            assert oracle._images == {}
+            raise RuntimeError("stopped mid-pass")
+
+        monkeypatch.setattr(oracle, "_count_images", fail)
+        with pytest.raises(RuntimeError):
+            certify_theorem(Shape(3, 2, 2), [3])
+        assert oracle._images is None
