@@ -763,8 +763,8 @@ def _working_set_bound():
 
 class TestImageMemo:
     def _recorded(self, monkeypatch):
-        """Wrap oracle._transform; return {args: set of results} and a list
-        of the memo's (kind, size) at each call."""
+        """Wrap oracle._transform; return {args: set of results} and, for
+        each call, the memo's size after it, or None when no memo was set."""
         results = {}
         states = []
         transform = oracle._transform
