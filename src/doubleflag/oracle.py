@@ -6,6 +6,11 @@ intersections with the standard flags), and evaluates the Hecke convolution
 action by direct counting.  This certifies the symbolic three-case action
 numerically: the counted coefficients must equal q, q-1 or 1 as predicted.
 
+The classification works one pivot cell at a time.  A cell's points are
+the pairs of a + combination and a - combination of its rows' halves, and
+the span walk that fixes each half of a point's key is taken once per
+combination in the cell, not once per point.
+
 The double coset B s_i B factors as X_i+ s_i B with the root subgroup
 X_i+ = {I + c E_{i,i+1}}, so for a B-invariant characteristic function xi:
 
@@ -133,33 +138,66 @@ def grassmannian_size(shape: Shape, field_size: int) -> int:
     return total
 
 
+def _cells(shape: Shape, field_size: int):
+    """The Grassmannian's pivot cells: for each pivot-column choice, in
+    ``itertools.combinations`` order, the list of its RREF rows, each as
+    (+ halves, - halves).  A half is the row's entries in the + columns
+    0..p-1 or the - columns p..n-1: 1 at the pivot if it lies there, any
+    value at the free columns there (right of the pivot, outside pivot
+    columns), 0 elsewhere.  Each side's halves vary the last free entry
+    fastest.  The free entries of a row take their values independently,
+    so the row's options are every + half followed by every - half."""
+    n, p = shape.n, shape.p
+    values = range(field_size)
+    for pivots in itertools.combinations(range(n), shape.r):
+        rows = []
+        for piv in pivots:
+            halves = []
+            for lo, hi in ((0, p), (p, n)):
+                free = [col for col in range(max(lo, piv + 1), hi) if col not in pivots]
+                options = []
+                for vals in itertools.product(values, repeat=len(free)):
+                    half = [0] * (hi - lo)
+                    if lo <= piv < hi:
+                        half[piv - lo] = 1
+                    for col, v in zip(free, vals):
+                        half[col - lo] = v
+                    options.append(tuple(half))
+                halves.append(options)
+            rows.append(halves)
+        yield rows
+
+
+def _nth(options, index: int) -> list:
+    """The ``index``-th item of ``itertools.product(*options)``, the last
+    factor varying fastest, read off the mixed-radix digits of ``index``."""
+    out = []
+    for opts in reversed(options):
+        index, digit = divmod(index, len(opts))
+        out.append(opts[digit])
+    return out[::-1]
+
+
+def _row_options(rows) -> list:
+    """Each cell row's full rows, + half then - half, the - half fastest."""
+    return [[a + b for a in plus for b in minus] for plus, minus in rows]
+
+
 def enumerate_grassmannian(shape: Shape, field_size: int) -> list:
     """All r-planes in F^n, each as its unique r x n RREF basis matrix.
 
-    For each pivot-column choice, every RREF row is built once: its pivot
-    is 1, and its free entries sit to the right of the pivot, outside pivot
-    columns.  The points are the products of one row per pivot, so points
-    share their row tuples.  ``itertools.product`` varies the last row
-    fastest and each row's options vary their last free entry fastest, so
-    points come out with the free entries in (row, col) order, the last
-    varying fastest.
+    For each pivot cell of ``_cells``, every RREF row is built once from
+    its + and - halves: its pivot is 1, and its free entries sit to the
+    right of the pivot, outside pivot columns.  The points are the products
+    of one row per pivot, so points share their row tuples.
+    ``itertools.product`` varies the last row fastest and each row's
+    options vary their last free entry fastest, so points come out with
+    the free entries in (row, col) order, the last varying fastest.
     """
     total = grassmannian_size(shape, field_size)
-    n, r = shape.n, shape.r
     out = []
-    for pivots in itertools.combinations(range(n), r):
-        row_options = []
-        for piv in pivots:
-            free = [col for col in range(piv + 1, n) if col not in pivots]
-            options = []
-            for values in itertools.product(range(field_size), repeat=len(free)):
-                row = [0] * n
-                row[piv] = 1
-                for col, v in zip(free, values):
-                    row[col] = v
-                options.append(tuple(row))
-            row_options.append(options)
-        out.extend(itertools.product(*row_options))
+    for rows in _cells(shape, field_size):
+        out.extend(itertools.product(*_row_options(rows)))
     if len(out) != total:
         raise AssertionError(f"enumerated {len(out)} points, expected {total}")
     return out
@@ -228,14 +266,14 @@ def _span_table(r: int, field_size: int) -> _SpanTable:
     """The span table of F^r over the field, shared by every shape with this
     r.  Its spans are subspaces of F^r and each step reads only a span and
     a vector of F^r, so nothing else changes it.  ``_SpanTable.walk`` is
-    the one place it is stepped: ``classify_orbits`` walks it for each
-    point's key, and ``rank_profile`` for each new key's profile.  It never
-    holds more steps than the walks that filled it took.
+    the one place it is stepped: ``classify_orbits`` walks it once for
+    each + and each - combination of a pivot cell, and ``rank_profile``
+    for each new key's profile.  It never holds more steps than the walks
+    that filled it took.
     A field ``_check_field`` refuses raises on every call, since
     ``lru_cache`` keeps no exception.  A float equal to a cached size would
-    hit that size's entry, so ``rank_profile`` passes the size through
-    ``operator.index`` first, and ``classify_orbits`` refuses a float when
-    it enumerates the points."""
+    hit that size's entry, so ``rank_profile`` and ``classify_orbits`` pass
+    the size through ``operator.index`` first."""
     return _SpanTable(_check_field(field_size))
 
 
@@ -253,8 +291,9 @@ def rank_profile(w, shape: Shape, field_size: int) -> tuple:
     ..., U_0, and walking the - columns q, q-1, ..., 1 from U_i meets U_i +
     M_{q-1}, ..., U_i + M_0 (``_SpanTable.walk``), so row i is read off
     that walk, with r - dim(U_i) = entry (i, q) last.  ``classify_orbits``
-    reads the U_i and M_j walks on their own, p + q steps, as a point's
-    key, and calls this only for a key it has not met.
+    reads the U_i and M_j walks on their own as a point's key, each walk
+    once per + or - combination of a pivot cell, and calls this only for
+    a key it has not met.
 
     ``w`` is any r x n integer matrix whose reduction mod ``field_size`` has
     rank r, such as a Grassmannian point; its entries need not lie in
@@ -306,47 +345,136 @@ class OrbitClassification(
     __slots__ = ()
 
 
+def classify_orbits(shape: Shape, field_size: int) -> OrbitClassification:
+    """Group all subspaces by rank profile and match them to orbit graphs.
+
+    The field size is coerced with ``operator.index`` before the cached
+    classification is looked up, so a float or str raises TypeError
+    whatever has run before.  ``classify_orbits.cache_clear()`` empties
+    that cache.  The classification is ``_classify_orbits``.
+    """
+    return _classify_orbits(shape, operator.index(field_size))
+
+
 # verify classifies one field at a time, and certify_theorem reuses that
 # classification for every generator and orbit; a near-budget one holds
 # about 10^5 points, so only the two most recent are kept.
 @lru_cache(maxsize=2)
-def classify_orbits(shape: Shape, field_size: int) -> OrbitClassification:
-    """Group all subspaces by rank profile and match them to orbit graphs.
+def _classify_orbits(shape: Shape, field_size: int) -> OrbitClassification:
+    """Group all subspaces by rank profile and match them to orbit graphs,
+    one pivot cell at a time.
 
     Any profile without a matching graph (or vice versa) is a hard failure:
     it would falsify the rank-matrix classification.
 
-    Proof that the walk key fixes the profile.  Each point walks the span
-    table twice from the zero space (``_SpanTable.walk``): through its +
-    columns p, p-1, ..., 1, meeting U_{p-1}, ..., U_0, and through its -
-    columns q, q-1, ..., 1, meeting M_{q-1}, ..., M_0, where U_i and M_j are
-    the spans in F^r of the + columns after i and the - columns after j
-    (U_p = M_q = 0).  The tuple of span ids met is the point's key.  A span
-    id stands for one subspace of F^r, so the key fixes every U_i and M_j,
+    Proof that the walk key fixes the profile.  A point's key is the span
+    ids met walking the span table twice from the zero space
+    (``_SpanTable.walk``): through its + columns p, p-1, ..., 1, meeting
+    U_{p-1}, ..., U_0, and through its - columns q, q-1, ..., 1, meeting
+    M_{q-1}, ..., M_0, where U_i and M_j are the spans in F^r of the +
+    columns after i and the - columns after j (U_p = M_q = 0).  A span id
+    stands for one subspace of F^r, so the key fixes every U_i and M_j,
     hence every dim(U_i + M_j), and entry (i, j) of the rank profile is
     r - dim(U_i + M_j) (see ``rank_profile``).  Two points with one key
-    thus have one profile and lie in one orbit.  So ``rank_profile`` runs
-    only for a key not seen before, and each point costs p + q table steps
-    and one dict lookup instead of the p + (p+1)q steps of its profile.
+    thus have one profile and lie in one orbit, so ``rank_profile`` runs
+    only for a key not seen before.
+
+    Proof that a cell's keys factor.  In the cell of one pivot choice
+    (``_cells``), row i's options are every pair (a_i, b_i) of a + half
+    and a - half, since its free entries take their values independently.
+    So the cell's points are the pairs (A, B) of a + combination
+    A = (a_0, ..., a_{r-1}) in the product of the + halves and a -
+    combination B in the product of the - halves.  The U-walk reads only
+    the + columns, which are A's, and the M-walk only the - columns, which
+    are B's.  So each of the |U| + combinations is walked once (p steps)
+    and each of the |M| - combinations once (q steps), and each walk is
+    interned to a small int, one numbering for the whole shape; the key of
+    point (A, B) is the pair (u, m) of their ints, and equal pairs are
+    equal keys.  ``index_of`` is filled once per pair met in the cell,
+    ``rank_profile`` running on the point built from the first + and -
+    combinations met with those ints.
+
+    Index arithmetic.  The pair table lists the cell's orbit indices at
+    u * |M| + m, for the u-th + and m-th - combination in product order.
+    ``enumerate_grassmannian`` lists the cell's points in
+    ``itertools.product`` order over the rows, each row's options (a_i,
+    b_i) with b_i fastest, so the point with digits (a_0, b_0, ..., a_{r-1},
+    b_{r-1}) sits there at the mixed-radix number of those digits.  Its u
+    is sum a_i * P_i and its m is sum b_i * M_i, where P_i and M_i are the
+    products of the + and - option counts of the rows after i.  So row i's
+    option (a_i, b_i) adds a_i * P_i * |M| + b_i * M_i to the table index,
+    and the point's table index is the sum of its rows' offsets, taken in
+    ``itertools.product`` order.  When |U| = 1 or |M| = 1, every a_i or
+    every b_i is 0, the table index is the point's position in the cell,
+    and no offsets are needed.  With r = 0 the one cell has no rows, one
+    point and empty walks.
+
+    The alignment check.  The cells hand out orbit indices in order, and
+    the points come from ``enumerate_grassmannian`` looked up through the
+    module; each point must equal the cell's own point at its position,
+    and the cells must use up exactly the enumerated points, or
+    AssertionError is raised (a raise, not ``assert``, so ``python -O``
+    keeps it).  Each cell's index iterator is zipped before the shared
+    points iterator, so a finished cell takes no point from the next.
     """
     graphs = enumerate_graphs(shape)
     profile_to_index = {rank_matrix(g).entries: k for k, g in enumerate(graphs)}
-    p, n = shape.p, shape.n
     walk = _span_table(shape.r, field_size).walk
-    index_of = {}  # walk key -> orbit index
+    walk_ids = {}  # span ids met by a walk -> its small int
+    index_of = {}  # (+ walk int, - walk int) -> orbit index
+
+    def walks(halves) -> tuple:
+        """Each combination's walk int, in product order; a tuple, which
+        ``itertools.product`` takes without a copy."""
+        flipped = [[h[::-1] for h in row] for row in halves]
+        return tuple([
+            walk_ids.setdefault(tuple(walk(0, zip(*comb))), len(walk_ids))
+            for comb in itertools.product(*flipped)
+        ])
+
+    points = enumerate_grassmannian(shape, field_size)
+    rest = iter(points)
+    used = 0
     buckets = [[] for _ in graphs]
     orbit_of = {}
-    for w in enumerate_grassmannian(shape, field_size):
-        cols = list(zip(*w)) or [()] * n
-        key = (*walk(0, cols[p - 1::-1]), *walk(0, cols[:p - 1:-1]))
-        k = index_of.get(key)
-        if k is None:
-            k = profile_to_index.get(rank_profile(w, shape, field_size))
-            if k is None:
-                raise AssertionError(f"subspace with unmatched rank profile: {w}")
-            index_of[key] = k
-        buckets[k].append(w)
-        orbit_of[w] = k
+    for rows in _cells(shape, field_size):
+        plus, minus = zip(*rows) if rows else ((), ())
+        us = walks(plus)
+        ms = walks(minus)
+        m_ids = dict.fromkeys(ms)
+        for u in dict.fromkeys(us):
+            for m in m_ids:
+                if (u, m) not in index_of:
+                    a = _nth(plus, us.index(u))
+                    b = _nth(minus, ms.index(m))
+                    w = tuple(x + y for x, y in zip(a, b))
+                    k = profile_to_index.get(rank_profile(w, shape, field_size))
+                    if k is None:
+                        raise AssertionError(f"subspace with unmatched rank profile: {w}")
+                    index_of[u, m] = k
+        # orbit index at u * |M| + m, which is the point order when one side
+        # has one combination
+        ks = map(index_of.__getitem__, itertools.product(us, ms))
+        if len(us) > 1 and len(ms) > 1:
+            table = list(ks)
+            su, sm = len(table), len(ms)
+            offsets = []
+            for row_plus, row_minus in rows:
+                su //= len(row_plus)
+                sm //= len(row_minus)
+                offsets.append(
+                    [i * su + j * sm for i in range(len(row_plus)) for j in range(len(row_minus))]
+                )
+            ks = map(table.__getitem__, map(sum, itertools.product(*offsets)))
+        cell = itertools.product(*_row_options(rows))
+        for k, w, expected in zip(ks, rest, cell):
+            if w != expected:
+                raise AssertionError(f"point {w} is not the cell's point {expected}")
+            buckets[k].append(w)
+            orbit_of[w] = k
+        used += len(us) * len(ms)
+    if used != len(points):
+        raise AssertionError(f"cells hold {used} points, enumerated {len(points)}")
     if any(not bucket for bucket in buckets):
         raise AssertionError("some orbit graph received no Grassmannian points")
     return OrbitClassification(
@@ -357,6 +485,9 @@ def classify_orbits(shape: Shape, field_size: int) -> OrbitClassification:
         orbit_of,
         tuple(tuple(b) for b in buckets),
     )
+
+
+classify_orbits.cache_clear = _classify_orbits.cache_clear
 
 
 def expected_orbit_size(g: Graph, field_size: int) -> int:

@@ -62,6 +62,14 @@ class TestFieldValidation:
             rank_profile(w, S222, 3.0)
         with pytest.raises(TypeError):
             enumerate_grassmannian(S222, 3.0)
+        with pytest.raises(TypeError):
+            classify_orbits(S222, 3.0)
+
+    def test_cache_clear_reaches_the_classification_cache(self):
+        cls = classify_orbits(S222, 3)
+        assert classify_orbits(S222, 3) is cls
+        classify_orbits.cache_clear()
+        assert classify_orbits(S222, 3) is not cls
 
 
 def _product_gaussian_binomial(n, r, q):
@@ -130,6 +138,86 @@ class TestGrassmannian:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "raised\n"
+
+
+def _pivots(w):
+    return tuple(row.index(1) for row in w)
+
+
+def _drop_first(points):
+    return points[1:]
+
+
+def _drop_last(points):
+    return points[:-1]
+
+
+def _append_copy(points):
+    return [*points, points[0]]
+
+
+def _swap_at_cell_boundary(points):
+    """Swap the last point of the first pivot cell and the first of the next."""
+    i = next(i for i in range(1, len(points)) if _pivots(points[i]) != _pivots(points[0]))
+    points = list(points)
+    points[i - 1], points[i] = points[i], points[i - 1]
+    return points
+
+
+def _swap_far_apart(points):
+    """Swap the second point, in the first pivot cell, and the last one."""
+    points = list(points)
+    assert _pivots(points[1]) != _pivots(points[-1])
+    points[1], points[-1] = points[-1], points[1]
+    return points
+
+
+class TestCellAlignment:
+    # (3,2,2) has cells with several + and several - combinations, so the
+    # mixed-radix re-indexing runs as well as the one-sided cells.
+    @pytest.mark.parametrize(
+        "damage",
+        [_drop_first, _drop_last, _append_copy, _swap_at_cell_boundary, _swap_far_apart],
+    )
+    def test_misaligned_points_raise(self, monkeypatch, damage):
+        exact = oracle.enumerate_grassmannian
+        monkeypatch.setattr(
+            oracle, "enumerate_grassmannian", lambda shape, field: damage(exact(shape, field))
+        )
+        classify_orbits.cache_clear()
+        try:
+            with pytest.raises(AssertionError):
+                classify_orbits(Shape(3, 2, 2), 3)
+        finally:
+            classify_orbits.cache_clear()
+
+    def test_alignment_checked_under_optimize(self):
+        # The alignment check must survive ``python -O``, which strips asserts.
+        script = (
+            "from doubleflag import Shape, oracle\n"
+            "exact = oracle.enumerate_grassmannian\n"
+            "def swap(points):\n"
+            "    points = list(points)\n"
+            "    points[1], points[-1] = points[-1], points[1]\n"
+            "    return points\n"
+            "for damage in (lambda points: points[:-1], swap):\n"
+            "    oracle.enumerate_grassmannian = lambda s, f: damage(exact(s, f))\n"
+            "    oracle.classify_orbits.cache_clear()\n"
+            "    try:\n"
+            "        oracle.classify_orbits(Shape(3, 2, 2), 3)\n"
+            "    except AssertionError:\n"
+            "        print('raised')\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "raised\nraised\n"
 
 
 class TestRankProfile:
@@ -355,6 +443,40 @@ SMALL_JOBS = [
 ] + [(S222, 5), (S222, 7)]
 
 
+# Over F_5 and F_7: every shape with p+q <= 4, and two near 20k points.
+WIDE_FIELD_JOBS = [
+    (Shape(p, q, r), field)
+    for field in (5, 7)
+    for p in range(1, 4)
+    for q in range(1, 5 - p)
+    for r in range(p + q + 1)
+] + [(Shape(3, 2, 2), 5), (Shape(2, 3, 2), 5)]
+
+# Cells with one fixed side: with p = 1 every cell has one + combination,
+# with q = 1 one - combination, and r = 0 or r = n has one point.
+ONE_SIDED_JOBS = [
+    (Shape(1, 2, 1), 31),
+    (Shape(1, 2, 2), 31),
+    (Shape(2, 1, 1), 31),
+    (Shape(2, 1, 2), 31),
+    (Shape(1, 3, 2), 7),
+    (Shape(3, 1, 2), 7),
+    (Shape(1, 1, 1), 101),
+    (Shape(3, 3, 0), 7),
+    (Shape(3, 3, 6), 7),
+    (Shape(2, 4, 0), 11),
+    (Shape(2, 4, 6), 11),
+]
+
+
+def _assert_classification_matches_reference(shape, field):
+    cls = classify_orbits(shape, field)
+    sizes, orbit_of, points = _reference_classify_orbits(shape, field)
+    assert cls.graphs == Basis(shape).graphs
+    assert (cls.sizes, cls.points) == (sizes, points), (shape, field)
+    assert list(cls.orbit_of.items()) == list(orbit_of.items()), (shape, field)
+
+
 class TestDifferential:
     def test_enumeration_matches_nested_loops(self):
         for shape, field in SMALL_JOBS:
@@ -364,11 +486,22 @@ class TestDifferential:
 
     def test_classification_matches_per_point_profiles(self):
         for shape, field in SMALL_JOBS:
-            cls = classify_orbits(shape, field)
-            sizes, orbit_of, points = _reference_classify_orbits(shape, field)
-            assert cls.graphs == Basis(shape).graphs
-            assert (cls.sizes, cls.points) == (sizes, points), (shape, field)
-            assert list(cls.orbit_of.items()) == list(orbit_of.items()), (shape, field)
+            _assert_classification_matches_reference(shape, field)
+
+    @pytest.mark.parametrize(
+        "jobs", [WIDE_FIELD_JOBS, ONE_SIDED_JOBS], ids=["wide-fields", "one-sided"]
+    )
+    def test_classification_matches_on_more_jobs(self, jobs):
+        for shape, field in jobs:
+            _assert_classification_matches_reference(shape, field)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.data())
+    def test_classification_matches_on_random_jobs(self, p, q, data):
+        shape = Shape(p, q, data.draw(st.integers(0, p + q)))
+        field = data.draw(st.sampled_from((3, 5, 7, 11, 13)))
+        assume(gaussian_binomial(shape.n, shape.r, field) <= 2000)
+        _assert_classification_matches_reference(shape, field)
 
     def test_one_rank_profile_per_walk_key(self, monkeypatch):
         calls = []
