@@ -9,7 +9,9 @@ numerically: the counted coefficients must equal q, q-1 or 1 as predicted.
 The classification works one pivot cell at a time.  A cell's points are
 the pairs of a + combination and a - combination of its rows' halves, and
 the span walk that fixes each half of a point's key is taken once per
-combination in the cell, not once per point.
+combination in the cell, not once per point.  Every point's orbit is read
+from the cell's table of (+, -) pairs at the mixed-radix index of its
+rows' options.
 
 The double coset B s_i B factors as X_i+ s_i B with the root subgroup
 X_i+ = {I + c E_{i,i+1}}, so for a B-invariant characteristic function xi:
@@ -19,8 +21,8 @@ X_i+ = {I + c E_{i,i+1}}, so for a B-invariant characteristic function xi:
 a sum of #F membership tests.  Membership in a Borel orbit is decided by
 rank-profile equality, never by enumerating the Borel group.  The counting
 moves the same sampled points for every source orbit of a generator, so
-``_transform`` keeps each image it computes for the rest of that
-generator's pass, in a dict of at most ``_IMAGE_LIMIT`` entries.
+``_transform`` is an ``lru_cache`` large enough to keep every image of a
+generator's pass until the pass has reused it.
 """
 
 from __future__ import annotations
@@ -42,12 +44,6 @@ from .core import (
 from .hecke import Basis, ModuleVector, _check_generator, _image_terms, generators
 
 ENUMERATION_BUDGET = 10**5
-
-# The images ``_transform`` has computed in the running generator pass of
-# ``certify_theorem``, keyed by its arguments, or None outside such a pass;
-# and the most entries it ever holds.
-_images = None
-_IMAGE_LIMIT = 8192
 
 
 def gaussian_binomial(n: int, r: int, q: int) -> int:
@@ -74,8 +70,7 @@ def rref(rows, p: int):
     come out in the unique reduced form of their span: equal spans give
     equal rows.  It runs once per new step of the span table, which
     ``_SpanTable.walk`` alone steps, and once per orbit base point;
-    ``_transform`` keeps a point in this form without calling it, and
-    computes each image once per generator pass of a certification.
+    ``_transform`` keeps a point in this form without calling it.
     """
     mat = [[x % p for x in row] for row in rows]
     nrows = len(mat)
@@ -261,7 +256,7 @@ class _SpanTable:
         return out
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)
 def _span_table(r: int, field_size: int) -> _SpanTable:
     """The span table of F^r over the field, shared by every shape with this
     r.  Its spans are subspaces of F^r and each step reads only a span and
@@ -271,9 +266,8 @@ def _span_table(r: int, field_size: int) -> _SpanTable:
     for each new key's profile.  It never holds more steps than the walks
     that filled it took.
     A field ``_check_field`` refuses raises on every call, since
-    ``lru_cache`` keeps no exception.  A float equal to a cached size would
-    hit that size's entry, so ``rank_profile`` and ``classify_orbits`` pass
-    the size through ``operator.index`` first."""
+    ``lru_cache`` keeps no exception.  The cache is typed, so a float or
+    bool equal to a cached int size misses that entry and is refused."""
     return _SpanTable(_check_field(field_size))
 
 
@@ -306,7 +300,7 @@ def rank_profile(w, shape: Shape, field_size: int) -> tuple:
     p, q, r = shape.p, shape.q, shape.r
     if len(w) != r or any(len(row) != p + q for row in w):
         raise ValueError(f"w must have {r} rows of {p + q} entries for {shape}")
-    table = _span_table(r, operator.index(field_size))
+    table = _span_table(r, field_size)
     dims, walk = table.dims, table.walk
     cols = list(zip(*w)) or [()] * (p + q)
     minus = cols[:p - 1:-1]  # - columns q down to 1
@@ -345,27 +339,19 @@ class OrbitClassification(
     __slots__ = ()
 
 
-def classify_orbits(shape: Shape, field_size: int) -> OrbitClassification:
-    """Group all subspaces by rank profile and match them to orbit graphs.
-
-    The field size is coerced with ``operator.index`` before the cached
-    classification is looked up, so a float or str raises TypeError
-    whatever has run before.  ``classify_orbits.cache_clear()`` empties
-    that cache.  The classification is ``_classify_orbits``.
-    """
-    return _classify_orbits(shape, operator.index(field_size))
-
-
 # verify classifies one field at a time, and certify_theorem reuses that
 # classification for every generator and orbit; a near-budget one holds
 # about 10^5 points, so only the two most recent are kept.
-@lru_cache(maxsize=2)
-def _classify_orbits(shape: Shape, field_size: int) -> OrbitClassification:
+@lru_cache(maxsize=2, typed=True)
+def classify_orbits(shape: Shape, field_size: int) -> OrbitClassification:
     """Group all subspaces by rank profile and match them to orbit graphs,
     one pivot cell at a time.
 
     Any profile without a matching graph (or vice versa) is a hard failure:
-    it would falsify the rank-matrix classification.
+    it would falsify the rank-matrix classification.  The field size is
+    coerced by ``_check_field`` first.  The cache is typed, so a float or
+    bool equal to a cached int size misses that entry and is refused, and
+    the result's ``field_size`` is always an int.
 
     Proof that the walk key fixes the profile.  A point's key is the span
     ids met walking the span table twice from the zero space
@@ -404,10 +390,9 @@ def _classify_orbits(shape: Shape, field_size: int) -> OrbitClassification:
     products of the + and - option counts of the rows after i.  So row i's
     option (a_i, b_i) adds a_i * P_i * |M| + b_i * M_i to the table index,
     and the point's table index is the sum of its rows' offsets, taken in
-    ``itertools.product`` order.  When |U| = 1 or |M| = 1, every a_i or
-    every b_i is 0, the table index is the point's position in the cell,
-    and no offsets are needed.  With r = 0 the one cell has no rows, one
-    point and empty walks.
+    ``itertools.product`` order.  Every cell is indexed this way; when
+    |U| = 1 or |M| = 1 the offsets give each point its own position.  With
+    r = 0 the one cell has no rows, one point and empty walks.
 
     The alignment check.  The cells hand out orbit indices in order, and
     the points come from ``enumerate_grassmannian`` looked up through the
@@ -417,6 +402,7 @@ def _classify_orbits(shape: Shape, field_size: int) -> OrbitClassification:
     keeps it).  Each cell's index iterator is zipped before the shared
     points iterator, so a finished cell takes no point from the next.
     """
+    field_size = _check_field(field_size)
     graphs = enumerate_graphs(shape)
     profile_to_index = {rank_matrix(g).entries: k for k, g in enumerate(graphs)}
     walk = _span_table(shape.r, field_size).walk
@@ -452,27 +438,24 @@ def _classify_orbits(shape: Shape, field_size: int) -> OrbitClassification:
                     if k is None:
                         raise AssertionError(f"subspace with unmatched rank profile: {w}")
                     index_of[u, m] = k
-        # orbit index at u * |M| + m, which is the point order when one side
-        # has one combination
-        ks = map(index_of.__getitem__, itertools.product(us, ms))
-        if len(us) > 1 and len(ms) > 1:
-            table = list(ks)
-            su, sm = len(table), len(ms)
-            offsets = []
-            for row_plus, row_minus in rows:
-                su //= len(row_plus)
-                sm //= len(row_minus)
-                offsets.append(
-                    [i * su + j * sm for i in range(len(row_plus)) for j in range(len(row_minus))]
-                )
-            ks = map(table.__getitem__, map(sum, itertools.product(*offsets)))
+        # orbit index at u * |M| + m
+        table = list(map(index_of.__getitem__, itertools.product(us, ms)))
+        su, sm = len(table), len(ms)
+        offsets = []
+        for row_plus, row_minus in rows:
+            su //= len(row_plus)
+            sm //= len(row_minus)
+            offsets.append(
+                [i * su + j * sm for i in range(len(row_plus)) for j in range(len(row_minus))]
+            )
+        ks = map(table.__getitem__, map(sum, itertools.product(*offsets)))
         cell = itertools.product(*_row_options(rows))
         for k, w, expected in zip(ks, rest, cell):
             if w != expected:
                 raise AssertionError(f"point {w} is not the cell's point {expected}")
             buckets[k].append(w)
             orbit_of[w] = k
-        used += len(us) * len(ms)
+        used += len(table)
     if used != len(points):
         raise AssertionError(f"cells hold {used} points, enumerated {len(points)}")
     if any(not bucket for bucket in buckets):
@@ -485,9 +468,6 @@ def _classify_orbits(shape: Shape, field_size: int) -> OrbitClassification:
         orbit_of,
         tuple(tuple(b) for b in buckets),
     )
-
-
-classify_orbits.cache_clear = _classify_orbits.cache_clear
 
 
 def expected_orbit_size(g: Graph, field_size: int) -> int:
@@ -520,9 +500,10 @@ def classification_ok(cls: OrbitClassification) -> bool:
     )
 
 
+@lru_cache(maxsize=8192)
 def _transform(w, a: int, c: int, p: int):
-    """Image of the subspace under s_i u(c)^{-1}, in RREF, computed once
-    per generator pass of ``certify_theorem``.
+    """Image of the subspace under s_i u(c)^{-1}, in RREF, cached so that
+    a generator pass of ``certify_theorem`` computes each image once.
 
     u(c)^{-1} = I - c E_{a,a+1} and s_i swaps coordinates a and b = a+1
     (0-based), so each basis row changes in two coordinates only:
@@ -555,38 +536,25 @@ def _transform(w, a: int, c: int, p: int):
     RREF every entry before a row's pivot is 0 and the pivot is 1, so the
     pivot is ``row.index(1)``.
 
-    The memo.  ``certify_theorem`` calls ``_count_images`` once per
+    The cache.  ``certify_theorem`` calls ``_count_images`` once per
     (generator, source orbit), and each call moves the same sampled points
     by every c, so in one generator's pass each image is asked for once
-    per source orbit.  For each pass over a shape with more than one orbit,
-    ``certify_theorem`` sets ``_images`` to a new dict, and back to None
-    when it returns.  The dict is keyed by all four arguments, since each
-    of them changes the image; an image found there is returned at once,
-    and a new one is stored only while the dict holds fewer than
-    ``_IMAGE_LIMIT`` entries, so it never holds more.  While ``_images``
-    is None, as in ``convolution_action``'s single count, every call
-    computes its image.  The fix-up stays in this function, not in a
-    helper it calls: one more Python call per transform made the one-orbit
-    run ``verify --p 12 --q 1 --r 0 --field 99991`` about 13% slower.
+    per source orbit.  The cache is keyed by all four arguments, since
+    each of them changes the image.
 
-    Proof that the limit drops no image that would be reused.  A pass over
-    the generator at ``a`` asks for (x, a, c, F) for the first
+    Proof that the cache evicts no image before its pass reuses it.  A
+    pass over the generator at ``a`` asks for (x, a, c, F) for the first
     min(3, |O_k|) points x of each orbit O_k and every c in F: at most
-    3 * orbits * F keys.  Over every shape with a generator and more than
-    one orbit, and every field whose Grassmannian is within
-    ``ENUMERATION_BUDGET``, that is at most 4,695, reached by (2,1,1),
-    (2,1,2), (1,2,1) and (1,2,2) over F_313.  So under the limit of 8,192
-    each image is stored at its first call, and every later call is one
-    lookup.  A shape with one orbit has one source per generator, so no
-    key is asked for twice; its passes run with no dict, since there a
-    lookup that always misses made the same run about 40% slower.
+    3 * orbits * F keys.  Over every shape with a generator and every
+    field whose Grassmannian is within ``ENUMERATION_BUDGET``, that is at
+    most 4,695 when the shape has more than one orbit, reached by (2,1,1),
+    (2,1,2), (1,2,1) and (1,2,2) over F_313; with one orbit there is one
+    source, so no key is asked for twice.  An LRU cache evicts a key only
+    after ``maxsize`` other keys have been used since its last use.
+    Between two uses of a key in one pass, fewer than 4,695 other keys are
+    used, so under the ``maxsize`` of 8,192 each image is computed at its
+    first call in the pass, and every later call in the pass is a hit.
     """
-    images = _images
-    if images is not None:
-        key = w, a, c, p
-        image = images.get(key)
-        if image is not None:
-            return image
     b = a + 1
     rows = list(w)
     ka = kb = -1
@@ -620,10 +588,7 @@ def _transform(w, a: int, c: int, p: int):
             f = rows[j][col]
             if f:
                 rows[j] = tuple((u - f * v) % p for u, v in zip(rows[j], row))
-    image = tuple(rows)
-    if images is not None and len(images) < _IMAGE_LIMIT:
-        images[key] = image
-    return image
+    return tuple(rows)
 
 
 def _count_images(cls: OrbitClassification, a: int, source: int) -> dict:
@@ -638,7 +603,7 @@ def _count_images(cls: OrbitClassification, a: int, source: int) -> dict:
     one ``_transform`` call, looked up through the module on every call.
     The calls do not depend on ``source``, so within one generator's pass
     ``_transform`` computes each image for the first source and returns
-    it from its memo for every later one.
+    it from its cache for every later one.
     """
     field_size = cls.field_size
     # read once: each named-tuple field read is a descriptor call
@@ -676,14 +641,14 @@ def convolution_action(
     ``_count_images`` on the field's ``classify_orbits``; this wraps its
     counts in a ``ModuleVector``.  Raises ValueError for a generator
     outside the shape or an orbit g of another shape, and TypeError for a
-    non-integer index or field size, before any counting.  The field size
-    is coerced before ``classify_orbits`` looks it up, so a float equal to
-    a classified field is refused, not served that field's points.
+    non-integer index or field size, before any counting: the typed
+    ``classify_orbits`` cache refuses a float equal to a classified field
+    rather than serving that field's points.
     """
     i = _check_generator(shape, side, i)
     if g.shape != shape:
         raise ValueError(f"orbit of shape {g.shape} given for shape {shape}")
-    cls = classify_orbits(shape, operator.index(field_size))
+    cls = classify_orbits(shape, field_size)
     a = i - 1 if side == "+" else shape.p + i - 1
     return ModuleVector(shape, _count_images(cls, a, Basis(shape).index[g]))
 
@@ -738,31 +703,22 @@ def certify_theorem(shape: Shape, field_sizes) -> CertificationReport:
     ``_count_images`` for that orbit as the source.
 
     One generator's records form one pass of ``_count_images`` calls that
-    move the same points, so each pass gets a new, empty ``_images`` memo
-    for ``_transform``, and none is left when this returns: the memo holds
-    one pass's images, which are all that repeat.  A shape with one orbit
-    has one source, so nothing repeats and its passes get no memo.  Field
-    sizes are coerced with ``operator.index`` before any cached
-    classification is looked up, so a float raises TypeError whatever has
-    run before.
+    move the same points, and ``_transform``'s cache returns each image
+    after the pass's first source has asked for it.  Field sizes are
+    coerced with ``operator.index`` before any field is classified, so a
+    float raises TypeError before any work.
     """
-    global _images
     field_sizes = [operator.index(f) for f in field_sizes]
     basis = Basis(shape)
-    reuse = len(basis.graphs) > 1
     records = []
-    try:
-        for field_size in field_sizes:
-            cls = classify_orbits(shape, field_size)
-            for side, i in generators(shape):
-                _images = {} if reuse else None
-                a = i - 1 if side == "+" else shape.p + i - 1
-                for idx, (case, jdx) in enumerate(basis.action[(side, i)]):
-                    expected = {k: c(field_size) for k, c in _image_terms(idx, case, jdx)}
-                    observed = _count_images(cls, a, idx)
-                    records.append(
-                        CertificationRecord(field_size, side, i, idx, case.value, expected, observed)
-                    )
-    finally:
-        _images = None
+    for field_size in field_sizes:
+        cls = classify_orbits(shape, field_size)
+        for side, i in generators(shape):
+            a = i - 1 if side == "+" else shape.p + i - 1
+            for idx, (case, jdx) in enumerate(basis.action[(side, i)]):
+                expected = {k: c(field_size) for k, c in _image_terms(idx, case, jdx)}
+                observed = _count_images(cls, a, idx)
+                records.append(
+                    CertificationRecord(field_size, side, i, idx, case.value, expected, observed)
+                )
     return CertificationReport(shape, tuple(records))

@@ -65,6 +65,22 @@ class TestFieldValidation:
         with pytest.raises(TypeError):
             classify_orbits(S222, 3.0)
 
+    def test_index_field_size_classified_as_int(self):
+        class Three:
+            def __index__(self):
+                return 3
+
+        cls = classify_orbits(S222, Three())
+        assert type(cls.field_size) is int
+        assert cls == classify_orbits(S222, 3)
+
+    def test_bool_field_size_refused_after_int_classification(self):
+        # True == 1 and hash(True) == hash(1); the typed cache keys a bool
+        # apart from an int, so it reaches the field check.
+        classify_orbits(S222, 3)
+        with pytest.raises(ValueError):
+            classify_orbits(S222, True)
+
     def test_cache_clear_reaches_the_classification_cache(self):
         cls = classify_orbits(S222, 3)
         assert classify_orbits(S222, 3) is cls
@@ -567,7 +583,7 @@ class TestDifferential:
 
     def test_certification_transforms_every_sample(self, monkeypatch):
         # The count bench/golden.json records for verify (2,2,2) over F_11.
-        # The counting must look _transform up at each call: the memo inside
+        # The counting must look _transform up at each call: the cache inside
         # _transform leaves the count as it is, but a cache wrapped around
         # it, or a batched transform, would change it.
         calls = []
@@ -896,94 +912,85 @@ def _working_set_bound():
 
 class TestImageMemo:
     def _recorded(self, monkeypatch):
-        """Wrap oracle._transform; return {args: set of results} and, for
-        each call, the memo's size after it, or None when no memo was set."""
-        results = {}
-        states = []
+        """Wrap oracle._transform after emptying its cache; return the
+        cached function, {args: set of results} and the list of calls."""
         transform = oracle._transform
+        transform.cache_clear()
+        results = {}
+        calls = []
 
         def recording(w, a, c, p):
             image = transform(w, a, c, p)
             results.setdefault((w, a, c, p), set()).add(image)
-            memo = oracle._images
-            states.append(None if memo is None else len(memo))
+            calls.append(1)
             return image
 
         monkeypatch.setattr(oracle, "_transform", recording)
-        return results, states
+        return transform, results, calls
 
     @pytest.mark.parametrize("shape,field", [(Shape(3, 2, 2), 5), (Shape(3, 3, 2), 3)], ids=str)
     def test_certification_images_match_references(self, monkeypatch, shape, field):
-        transform = oracle._transform
-        results, states = self._recorded(monkeypatch)
+        transform, results, calls = self._recorded(monkeypatch)
         assert certify_theorem(shape, [field]).ok
-        # every image after the first for a key came from the memo
-        assert len(states) > 10 * len(results)
-        assert None not in states and max(states) <= oracle._IMAGE_LIMIT
-        # with no memo set, _transform computes every image afresh
-        assert oracle._images is None
+        info = transform.cache_info()
+        # every image after the first for a key came from the cache
+        assert len(calls) > 10 * len(results)
+        assert (info.misses, info.hits) == (len(results), len(calls) - len(results))
         for (w, a, c, p), images in results.items():
-            assert images == {transform(w, a, c, p)}, (w, a, c, p)
+            assert images == {transform.__wrapped__(w, a, c, p)}, (w, a, c, p)
             assert images == {_reference_canonical_transform(w, a, c, p)}, (w, a, c, p)
 
-    def test_key_holds_generator_and_field(self, monkeypatch):
+    def test_key_holds_generator_and_field(self):
         # F_3 points are in RREF over F_5 too, so each (w, c) is asked for
-        # under every a and both fields, with one memo throughout.
-        monkeypatch.setattr(oracle, "_images", {})
+        # under every a and both fields, with one cache throughout.
+        transform = oracle._transform
+        transform.cache_clear()
         points = enumerate_grassmannian(S222, 3)
-        for w, c in itertools.product(points, range(3)):
-            for a, p in itertools.product(range(S222.n - 1), (3, 5)):
-                want = _reference_canonical_transform(w, a, c, p)
-                assert oracle._transform(w, a, c, p) == want, (w, a, c, p)
-        assert oracle._images
+        for _ in range(2):
+            for w, c in itertools.product(points, range(3)):
+                for a, p in itertools.product(range(S222.n - 1), (3, 5)):
+                    want = _reference_canonical_transform(w, a, c, p)
+                    assert transform(w, a, c, p) == want, (w, a, c, p)
+        keys = len(points) * 3 * (S222.n - 1) * 2
+        assert transform.cache_info()[:2] == (keys, keys)
 
-    def test_memo_never_exceeds_its_limit(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_images", {})
-        limit = oracle._IMAGE_LIMIT
+    def test_memo_never_exceeds_its_limit(self):
+        transform = oracle._transform
+        transform.cache_clear()
+        limit = transform.cache_info().maxsize
         w = enumerate_grassmannian(Shape(1, 1, 1), 3)[0]
         for c in range(limit + 10):
-            assert oracle._transform(w, 0, c, 99991) == (
-                _reference_canonical_transform(w, 0, c, 99991)
-            )
-        assert len(oracle._images) == limit
-
-    def test_one_orbit_large_field_runs_without_memo(self, monkeypatch):
-        # One source per generator, so no image is asked for twice.
-        results, states = self._recorded(monkeypatch)
-        assert certify_theorem(Shape(2, 1, 0), [99991]).ok
-        assert len(states) == len(results) == 99991
-        assert set(states) == {None}
+            assert transform(w, 0, c, 99991) == _reference_canonical_transform(w, 0, c, 99991)
+        assert transform.cache_info().currsize == limit
 
     def test_working_set_of_a_pass(self, monkeypatch):
         # A pass asks each source for the same keys, one per sampled point
-        # and c, and the memo ends it holding sum_k min(3, |O_k|) * F images.
+        # and c: sum_k min(3, |O_k|) * F of them, each computed once.
         shape, field = Shape(2, 1, 1), 31
-        results, states = self._recorded(monkeypatch)
+        transform, results, calls = self._recorded(monkeypatch)
         assert certify_theorem(shape, [field]).ok
         sizes = classify_orbits(shape, field).sizes
         keys = sum(min(3, size) for size in sizes) * field
-        assert max(states) == len(results) == keys
-        assert len(states) == len(sizes) * keys
+        assert transform.cache_info().misses == len(results) == keys
+        assert len(calls) == len(sizes) * keys
+
+    def test_largest_pass_computes_each_image_once(self):
+        # (2,1,1) over F_313 has 5 orbits holding 11 sampled points, so its
+        # one pass asks for 11 * 313 = 3,443 keys, 5 times over.  A cache
+        # smaller than that evicts each key before its next use and misses
+        # every call.
+        transform = oracle._transform
+        transform.cache_clear()
+        assert certify_theorem(Shape(2, 1, 1), [313]).ok
+        info = transform.cache_info()
+        assert (info.misses, info.hits) == (3443, 4 * 3443)
 
     def test_limit_covers_every_admitted_pass(self):
         size, reached_by = _working_set_bound()
-        assert size == 4695 < oracle._IMAGE_LIMIT
+        assert size == 4695 < oracle._transform.cache_info().maxsize
         assert sorted(reached_by) == [
             ((1, 2, 1), 313),
             ((1, 2, 2), 313),
             ((2, 1, 1), 313),
             ((2, 1, 2), 313),
         ]
-
-    def test_memo_dropped_when_certification_ends(self, monkeypatch):
-        assert certify_theorem(Shape(3, 2, 2), [3]).ok
-        assert oracle._images is None
-
-        def fail(cls, a, source):
-            assert oracle._images == {}
-            raise RuntimeError("stopped mid-pass")
-
-        monkeypatch.setattr(oracle, "_count_images", fail)
-        with pytest.raises(RuntimeError):
-            certify_theorem(Shape(3, 2, 2), [3])
-        assert oracle._images is None

@@ -27,6 +27,19 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_global_statements():
+    # A function that rebinds module state shares it with every caller in
+    # the process, so one call or test can change the next; caches belong
+    # to functools.lru_cache, and other state to an object that is passed.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Global)
+    ]
+    assert found == []
+
+
 def _modules_after_cli_import():
     """Modules a fresh ``python -S`` process holds after importing the CLI."""
     code = "import sys, doubleflag, doubleflag.cli; print(' '.join(sys.modules))"
