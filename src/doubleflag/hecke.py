@@ -53,9 +53,20 @@ def _case(a: tuple, i: int) -> GeneratorCase:
 
 def _reflected(arrays: tuple, s: int, i: int) -> tuple:
     """Partner arrays of s_i . g on side s (0 for +, 1 for -): swap entries
-    i, i+1 of that side's array and rename partners i <-> i+1 in the other."""
-    own = arrays[s][:i] + (arrays[s][i + 1], arrays[s][i]) + arrays[s][i + 2 :]
-    other = tuple(i + 1 if x == i else i if x == i + 1 else x for x in arrays[1 - s])
+    i, i+1 of that side's array and rename partners i <-> i+1 in the other.
+
+    Only the partners of i and i+1 hold those labels in the other array:
+    entry x > 0 of one side means entry x of the other side is its vertex.
+    So the renaming rewrites those two entries and scans nothing."""
+    a = arrays[s]
+    x, y = a[i], a[i + 1]
+    own = a[:i] + (y, x) + a[i + 2 :]
+    other = list(arrays[1 - s])
+    if x > 0:
+        other[x] = i + 1
+    if y > 0:
+        other[y] = i
+    other = tuple(other)
     return (own, other) if s == 0 else (other, own)
 
 
@@ -76,6 +87,8 @@ class Basis:
     vertex's degree, or both vertices carry an edge, and a[i] != a[i+1]
     because a vertex of the other side is joined to at most one vertex.
     Either way the swap changes a, so the reflected orbit is another one.
+    So the table sets the case I partner to k without reflecting, and
+    looks up the reflected arrays only in cases II and III.
     """
 
     def __init__(self, shape: Shape):
@@ -86,9 +99,14 @@ class Basis:
         self.action = {}
         for side, i in generators(shape):
             s = "+-".index(side)
-            self.action[(side, i)] = tuple(
-                (_case(a[s], i), by_arrays[_reflected(a, s, i)]) for a in arrays
-            )
+            row = []
+            for k, a in enumerate(arrays):
+                case = _case(a[s], i)
+                if case is GeneratorCase.CASE_I:
+                    row.append((case, k))
+                else:
+                    row.append((case, by_arrays[_reflected(a, s, i)]))
+            self.action[(side, i)] = tuple(row)
 
     def __len__(self):
         return len(self.graphs)
@@ -139,7 +157,8 @@ class ModuleVector(namedtuple("ModuleVector", "shape coords")):
 
     @staticmethod
     def basis_vector(shape: Shape, index: int) -> "ModuleVector":
-        return ModuleVector(shape, {index: ONE})
+        # ONE is nonzero, so the normalising constructor would keep it as is.
+        return tuple.__new__(ModuleVector, (shape, {index: ONE}))
 
     def __eq__(self, other):
         return (
@@ -242,17 +261,16 @@ def _relations(shape: Shape) -> list:
     return relations
 
 
-def _vanishes(terms: tuple, table: dict, v: ModuleVector) -> bool:
-    """Whether the sum of c * word(v) over the terms (c, word) is zero at
-    q = _Q0.  Each c is an int already evaluated at _Q0, ``table[gen][k]``
-    holds the (orbit, coefficient at _Q0) pairs of T_gen xi_k, and each
-    word is applied to v in full, right to left."""
-    start = v.specialize(_Q0)
+def _vanishes(terms: tuple, start: dict) -> bool:
+    """Whether the sum of c * word(v) over the terms (c, columns) is zero at
+    q = _Q0, where ``start`` is v at _Q0.  Each c is an int already
+    evaluated at _Q0, and ``columns`` lists the word's letters in the order
+    they act, each as the tuple whose entry k holds the (orbit, coefficient
+    at _Q0) pairs of T xi_k.  Each word is applied to v in full."""
     residue = {}
-    for coeff, word in terms:
+    for coeff, columns in terms:
         vec = start
-        for gen in reversed(word):
-            column = table[gen]
+        for column in columns:
             out = {}
             for idx, y in vec.items():
                 for k, c in column[idx]:
@@ -275,10 +293,13 @@ def verify_relations(shape: Shape) -> list:
     A relation is a sum of terms c(q) * word that must vanish on every basis
     vector.  Evaluation at q = x commutes with the arithmetic, so it is
     checked with plain integers at the single point q = _Q0 = 64, and that
-    decides it: ``_vanishes`` applies each word to the basis vector in
-    full, right to left, and adds c * word(v) into one residue.  Write |f|
-    for the sum of the absolute values of the coefficients of an integer
-    polynomial f; |fg| <= |f| |g|.
+    decides it.  Each generator's column table holds ``_image_terms`` at
+    _Q0, with every distinct coefficient evaluated once; each relation's
+    words become tuples of those columns in the order they act, once per
+    relation; and ``_vanishes`` applies every word to the basis vector in
+    full and adds c * word(v) into one residue.  Write |f| for the sum of
+    the absolute values of the coefficients of an integer polynomial f;
+    |fg| <= |f| |g|.
 
     * Each column of T_i has summed |coefficient| <= 3: case I gives
       |q| = 1, case II |q-1| + |q| = 3 and case III |1| = 1.
@@ -300,22 +321,30 @@ def verify_relations(shape: Shape) -> list:
     on ``_image_terms`` and the relation coefficients.
     """
     basis = Basis(shape)
-    table = {
-        gen: tuple(
-            tuple((k, c(_Q0)) for k, c in _image_terms(idx, case, jdx))
-            for idx, (case, jdx) in enumerate(action)
-        )
-        for gen, action in basis.action.items()
-    }
+    at_q0 = {}
+    table = {}
+    for gen, action in basis.action.items():
+        column = []
+        for idx, (case, jdx) in enumerate(action):
+            terms = []
+            for k, c in _image_terms(idx, case, jdx):
+                y = at_q0.get(c)
+                if y is None:
+                    y = at_q0[c] = c(_Q0)
+                terms.append((k, y))
+            column.append(tuple(terms))
+        table[gen] = tuple(column)
     report = []
     for name, terms in _relations(shape):
-        at_q0 = tuple((coeff(_Q0), word) for coeff, word in terms)
-        failed = (
-            c
-            for c in range(len(basis))
-            if not _vanishes(at_q0, table, ModuleVector.basis_vector(shape, c))
+        words = tuple(
+            (coeff(_Q0), tuple(table[gen] for gen in reversed(word))) for coeff, word in terms
         )
-        witness = next(failed, None)
+        witness = None
+        for c in range(len(basis)):
+            v = ModuleVector.basis_vector(shape, c)
+            if not _vanishes(words, {k: y(_Q0) for k, y in v.coords.items()}):
+                witness = c
+                break
         report.append(RelationCheck(name, witness is None, witness))
     return report
 

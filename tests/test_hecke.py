@@ -273,6 +273,33 @@ def test_q1_action_is_permutation():
         assert hecke.q1_action_is_permutation(shape), shape
 
 
+def full_scan_reflected(arrays, s, i):
+    """_reflected as it was first written: the other array is scanned
+    whole for the labels i and i+1."""
+    own = arrays[s][:i] + (arrays[s][i + 1], arrays[s][i]) + arrays[s][i + 2 :]
+    other = tuple(i + 1 if x == i else i if x == i + 1 else x for x in arrays[1 - s])
+    return (own, other) if s == 0 else (other, own)
+
+
+def test_reflected_matches_full_scan():
+    # _reflected rewrites only the partners of i and i+1; Basis sets the
+    # case I partner to k without a lookup, so this also checks that the
+    # lookup would have found k there.
+    checked = 0
+    for shape in small_shapes(7):
+        basis = Basis(shape)
+        arrays = [(g.plus, g.minus) for g in basis.graphs]
+        by_arrays = {a: k for k, a in enumerate(arrays)}
+        for side, i in generators(shape):
+            s = "+-".index(side)
+            for k, a in enumerate(arrays):
+                reflected = hecke._reflected(a, s, i)
+                assert reflected == full_scan_reflected(a, s, i), (shape, side, i, k)
+                assert basis.action[(side, i)][k][1] == by_arrays[reflected], (shape, k)
+                checked += 1
+    assert checked == 23116
+
+
 def test_basis_builds_no_graph(monkeypatch):
     shape = Shape(5, 3, 4)
     enumerate_graphs(shape)
@@ -362,6 +389,13 @@ def case_ii_partner_one(idx, case, jdx):
     return _image_terms(idx, case, jdx)
 
 
+def case_ii_orbits_swapped(idx, case, jdx):
+    """_image_terms with the two case II orbits swapped: (q-1) xi' + q xi."""
+    if case is GeneratorCase.CASE_II:
+        return ((jdx, Q - 1), (idx, Q))
+    return _image_terms(idx, case, jdx)
+
+
 def reference_verify_relations(shape):
     """verify_relations as IntPoly identities, before the integer
     evaluation."""
@@ -409,11 +443,15 @@ def reference_verify_relations(shape):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(small_shapes(6)), st.booleans())
-def test_relations_match_polynomial_reference(shape, mutate):
-    # With the mutated coefficient both checks must also agree on which
-    # relations fail.
-    image_terms = case_ii_partner_one if mutate else _image_terms
+@given(
+    st.sampled_from(small_shapes(6)),
+    st.sampled_from([_image_terms, case_ii_partner_one, case_ii_orbits_swapped]),
+)
+def test_relations_match_polynomial_reference(shape, image_terms):
+    # With a mutated rule both checks must also agree on which relations
+    # fail and on their witnesses.  Swapping the case II orbits keeps every
+    # coefficient, so verify_relations must take the orbits of its integer
+    # table from _image_terms too, not from a layout of its own.
     with mock.patch.object(hecke, "_image_terms", image_terms):
         assert verify_relations(shape) == reference_verify_relations(shape)
 
