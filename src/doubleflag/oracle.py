@@ -8,10 +8,11 @@ numerically: the counted coefficients must equal q, q-1 or 1 as predicted.
 
 The classification works one pivot cell at a time.  A cell's points are
 the pairs of a + combination and a - combination of its rows' halves, and
-the span walk that fixes each half of a point's key is taken once per
-combination in the cell, not once per point.  Every point's orbit is read
-from the cell's table of (+, -) pairs at the mixed-radix index of its
-rows' options.
+a side's combinations are the product of its columns' vectors.  So the
+span walk that fixes each half of a point's key is stepped once per
+distinct walk prefix and vector of the next column, not once per point or
+per combination.  Every point's orbit is read from the cell's table of
+(+, -) pairs at the column-major index of its rows' options.
 
 The double coset B s_i B factors as X_i+ s_i B with the root subgroup
 X_i+ = {I + c E_{i,i+1}}, so for a B-invariant characteristic function xi:
@@ -22,7 +23,8 @@ a sum of #F membership tests.  Membership in a Borel orbit is decided by
 rank-profile equality, never by enumerating the Borel group.  The counting
 moves the same sampled points for every source orbit of a generator, so
 ``_transform`` is an ``lru_cache`` large enough to keep every image of a
-generator's pass until the pass has reused it.
+generator's pass until the pass has reused it.  An image that is not a
+classified point raises AssertionError naming the point, c and generator.
 """
 
 from __future__ import annotations
@@ -136,46 +138,33 @@ def grassmannian_size(shape: Shape, field_size: int) -> int:
 def _cells(shape: Shape, field_size: int):
     """The Grassmannian's pivot cells: for each pivot-column choice, in
     ``itertools.combinations`` order, the list of its RREF rows, each as
-    (+ halves, - halves).  A half is the row's entries in the + columns
-    0..p-1 or the - columns p..n-1: 1 at the pivot if it lies there, any
-    value at the free columns there (right of the pivot, outside pivot
-    columns), 0 elsewhere.  Each side's halves vary the last free entry
-    fastest.  The free entries of a row take their values independently,
-    so the row's options are every + half followed by every - half."""
+    (+ entries, - entries).  A side's entries are, for each of its columns
+    (the + columns 0..p-1 or the - columns p..n-1), the values the row
+    takes there: (1,) at the pivot, every field value at a free column
+    (right of the pivot, outside pivot columns), (0,) elsewhere.  Every
+    entry takes its values independently of the others."""
     n, p = shape.n, shape.p
-    values = range(field_size)
+    values = tuple(range(field_size))
     for pivots in itertools.combinations(range(n), shape.r):
         rows = []
         for piv in pivots:
-            halves = []
-            for lo, hi in ((0, p), (p, n)):
-                free = [col for col in range(max(lo, piv + 1), hi) if col not in pivots]
-                options = []
-                for vals in itertools.product(values, repeat=len(free)):
-                    half = [0] * (hi - lo)
-                    if lo <= piv < hi:
-                        half[piv - lo] = 1
-                    for col, v in zip(free, vals):
-                        half[col - lo] = v
-                    options.append(tuple(half))
-                halves.append(options)
-            rows.append(halves)
+            entries = [
+                (1,) if col == piv else values if col > piv and col not in pivots else (0,)
+                for col in range(n)
+            ]
+            rows.append((tuple(entries[:p]), tuple(entries[p:])))
         yield rows
 
 
-def _nth(options, index: int) -> list:
-    """The ``index``-th item of ``itertools.product(*options)``, the last
-    factor varying fastest, read off the mixed-radix digits of ``index``."""
-    out = []
-    for opts in reversed(options):
-        index, digit = divmod(index, len(opts))
-        out.append(opts[digit])
-    return out[::-1]
-
-
 def _row_options(rows) -> list:
-    """Each cell row's full rows, + half then - half, the - half fastest."""
-    return [[a + b for a in plus for b in minus] for plus, minus in rows]
+    """Each cell row's full rows: every + half, the product of its +
+    entries, followed by every - half, the - half fastest.  Each half
+    varies its last free entry fastest."""
+    out = []
+    for plus, minus in rows:
+        minus_halves = list(itertools.product(*minus))
+        out.append([a + b for a in itertools.product(*plus) for b in minus_halves])
+    return out
 
 
 def enumerate_grassmannian(shape: Shape, field_size: int) -> list:
@@ -261,14 +250,58 @@ def _span_table(r: int, field_size: int) -> _SpanTable:
     """The span table of F^r over the field, shared by every shape with this
     r.  Its spans are subspaces of F^r and each step reads only a span and
     a vector of F^r, so nothing else changes it.  ``_SpanTable.walk`` is
-    the one place it is stepped: ``classify_orbits`` walks it once for
-    each + and each - combination of a pivot cell, and ``rank_profile``
-    for each new key's profile.  It never holds more steps than the walks
-    that filled it took.
+    the one place it is stepped: ``_WalkTrie`` steps each distinct walk
+    prefix of a pivot cell's side by each vector of the next column, and
+    ``rank_profile`` walks it for each new key's profile.  It never holds
+    more steps than the walks that filled it took.
     A field ``_check_field`` refuses raises on every call, since
     ``lru_cache`` keeps no exception.  The cache is typed, so a float or
     bool equal to a cached int size misses that entry and is refused."""
     return _SpanTable(_check_field(field_size))
+
+
+class _WalkTrie:
+    """Walk prefixes interned as small ints, one numbering per shape.
+
+    A prefix is the span ids met walking the first columns of a side's
+    combination from the zero span.  Node 0 is the empty prefix, and a
+    longer one is the node ``nodes[parent, span]`` of its parent prefix and
+    its last span id, which ``spans`` holds per node.  So two prefixes get
+    one node exactly when their span-id tuples are equal (see
+    ``classify_orbits``).
+    """
+
+    def __init__(self, walk):
+        self.walk = walk  # a _SpanTable's walk, the one stepper
+        self.nodes = {}
+        self.spans = [0]
+
+    def walks(self, side) -> tuple:
+        """Each combination's walk int, for a side given as its rows'
+        entries (one half of each ``_cells`` row): the combinations in
+        product order over the side's columns, last column first, each
+        column's vectors in product order over the rows.
+
+        Each distinct prefix of a level is stepped by each vector of the
+        next column once, and the next level is every entry of the level
+        replaced by its node's row of children.  The last level is built as
+        a tuple, which ``itertools.product`` takes without a copy."""
+        walk, nodes, spans = self.walk, self.nodes, self.spans
+        level = (0,)
+        for column in reversed(list(zip(*side))):
+            children = {}
+            for node in dict.fromkeys(level):
+                s = spans[node]
+                row = children[node] = []
+                for v in itertools.product(*column):
+                    t = walk(s, (v,))[0]
+                    child = nodes.get((node, t))
+                    if child is None:
+                        child = nodes[node, t] = len(spans)
+                        spans.append(t)
+                    row.append(child)
+            level = tuple(itertools.chain.from_iterable(map(children.__getitem__, level)))
+        return level
 
 
 def rank_profile(w, shape: Shape, field_size: int) -> tuple:
@@ -366,33 +399,60 @@ def classify_orbits(shape: Shape, field_size: int) -> OrbitClassification:
     only for a key not seen before.
 
     Proof that a cell's keys factor.  In the cell of one pivot choice
-    (``_cells``), row i's options are every pair (a_i, b_i) of a + half
-    and a - half, since its free entries take their values independently.
-    So the cell's points are the pairs (A, B) of a + combination
-    A = (a_0, ..., a_{r-1}) in the product of the + halves and a -
-    combination B in the product of the - halves.  The U-walk reads only
-    the + columns, which are A's, and the M-walk only the - columns, which
-    are B's.  So each of the |U| + combinations is walked once (p steps)
-    and each of the |M| - combinations once (q steps), and each walk is
-    interned to a small int, one numbering for the whole shape; the key of
-    point (A, B) is the pair (u, m) of their ints, and equal pairs are
-    equal keys.  ``index_of`` is filled once per pair met in the cell,
-    ``rank_profile`` running on the point built from the first + and -
-    combinations met with those ints.
+    (``_cells``), every RREF entry takes its values independently, so the
+    cell's points are the pairs (A, B) of a + combination A, the r x p
+    matrix of the rows' + entries, and a - combination B, the r x q matrix
+    of their - entries.  The U-walk reads only the + columns, which are
+    A's, and the M-walk only the - columns, which are B's.  So each side's
+    combinations are walked on their own and each walk is interned to a
+    small int, one numbering for the whole shape; the key of point (A, B)
+    is the pair (u, m) of their ints, and equal pairs are equal keys.
+    ``index_of`` is filled once per pair met in the cell, ``rank_profile``
+    running on the point built from the first + and - combinations met with
+    those ints.
+
+    The column product.  Entry (i, j) of a side's combination ranges over
+    row i's values at column j, independently of every other entry.  So the
+    side's combinations are the product over its columns j of V_j, the
+    product over the rows of their values at column j (``itertools.product``,
+    the last row fastest): a combination is one vector of each V_j.  Its
+    walk steps through its columns p, p-1, ..., 1 (or q, ..., 1), so the
+    combinations are listed in product order over V_{p-1}, ..., V_0, the
+    first walked column slowest.
+
+    Prefix sharing.  A walk prefix, the span ids met over the first t
+    walked columns, is a node of a trie keyed by (parent node, span id),
+    node 0 the empty prefix, and ``spans`` holds each node's last span.  By
+    induction on t, two prefixes get one node exactly when their span-id
+    tuples are equal: the key holds the parent, which stands for the tuple
+    without its last id, and that last id.  A prefix's step by a vector is
+    the step of its last span (``_SpanTable.walk``), so each distinct node
+    of a level is stepped by each vector of the next column once, giving
+    the row of its children in V order, and the next level is every entry
+    of the level replaced by its node's row, in order.  So level t lists
+    the node of each t-column prefix in product order, and the last level
+    lists each combination's walk int: equal ints are equal walks.
 
     Index arithmetic.  The pair table lists the cell's orbit indices at
-    u * |M| + m, for the u-th + and m-th - combination in product order.
-    ``enumerate_grassmannian`` lists the cell's points in
-    ``itertools.product`` order over the rows, each row's options (a_i,
-    b_i) with b_i fastest, so the point with digits (a_0, b_0, ..., a_{r-1},
-    b_{r-1}) sits there at the mixed-radix number of those digits.  Its u
-    is sum a_i * P_i and its m is sum b_i * M_i, where P_i and M_i are the
-    products of the + and - option counts of the rows after i.  So row i's
-    option (a_i, b_i) adds a_i * P_i * |M| + b_i * M_i to the table index,
-    and the point's table index is the sum of its rows' offsets, taken in
-    ``itertools.product`` order.  Every cell is indexed this way; when
-    |U| = 1 or |M| = 1 the offsets give each point its own position.  With
-    r = 0 the one cell has no rows, one point and empty walks.
+    u * |M| + m, for the u-th + and m-th - combination in column-walk
+    order.  That position u is the mixed-radix number of the combination's
+    column digits, column 0 least significant, and column j's digit is the
+    mixed-radix number of its entries' value positions, the last row least
+    significant.  So entry (i, j) at value position d adds d * st(i, j) to
+    u, where st runs from 1 through column 0's rows r-1, ..., 0, then column
+    1's, and so on, each entry multiplying it by its number of values; the
+    same holds for m.  ``enumerate_grassmannian`` lists the cell's points
+    in ``itertools.product`` order over the rows, each row's options
+    (a_i, b_i) with b_i fastest and each half in product order over its
+    entries.  So row i's option (a_i, b_i) adds its + entries' share of u
+    times |M|, plus its - entries' share of m, to the table index, and the
+    point's table index is the sum of its rows' offsets, taken in
+    ``itertools.product`` order.  When |U| = 1 or |M| = 1 the offsets give
+    each point its own position.  With r = 0 the one cell has no rows, one
+    point and empty walks.  A new pair's representative is decoded from the
+    same digits: the u-th combination's vector of column j is the digit of
+    V_j read off u, column 0 first, and the point's rows are its + and -
+    columns zipped.
 
     The alignment check.  The cells hand out orbit indices in order, and
     the points come from ``enumerate_grassmannian`` looked up through the
@@ -405,34 +465,47 @@ def classify_orbits(shape: Shape, field_size: int) -> OrbitClassification:
     field_size = _check_field(field_size)
     graphs = enumerate_graphs(shape)
     profile_to_index = {rank_matrix(g).entries: k for k, g in enumerate(graphs)}
-    walk = _span_table(shape.r, field_size).walk
-    walk_ids = {}  # span ids met by a walk -> its small int
+    walks = _WalkTrie(_span_table(shape.r, field_size).walk).walks
     index_of = {}  # (+ walk int, - walk int) -> orbit index
 
-    def walks(halves) -> tuple:
-        """Each combination's walk int, in product order; a tuple, which
-        ``itertools.product`` takes without a copy."""
-        flipped = [[h[::-1] for h in row] for row in halves]
-        return tuple([
-            walk_ids.setdefault(tuple(walk(0, zip(*comb))), len(walk_ids))
-            for comb in itertools.product(*flipped)
-        ])
+    def strides(side) -> list:
+        """Each entry (i, j) of the side's rows as (its values, st(i, j))."""
+        out = [[] for _ in side]
+        step = 1
+        for column in zip(*side):
+            for row, vals in reversed(list(zip(out, column))):
+                row.append((vals, step))
+                step *= len(vals)
+        return out
 
-    points = enumerate_grassmannian(shape, field_size)
-    rest = iter(points)
-    used = 0
-    buckets = [[] for _ in graphs]
-    orbit_of = {}
-    for rows in _cells(shape, field_size):
+    def offsets(side_strides) -> list:
+        """Each row's share of its side's index, per half of the row in
+        product order over its entries."""
+        return [
+            list(map(sum, itertools.product(*[range(0, len(v) * st, st) for v, st in row])))
+            for row in side_strides
+        ]
+
+    def decode(side_strides, index) -> list:
+        """The rows of the side's ``index``-th combination, each entry read
+        off its digit of ``index``."""
+        return [tuple(v[index // st % len(v)] for v, st in row) for row in side_strides]
+
+    def cell_orbits(rows):
+        """The orbit index of each of the cell's points, in enumeration
+        order, and the cell's point count.  The walk ints are dropped on
+        return, before the cell's points are placed; only the pair table
+        lives on in the iterator."""
         plus, minus = zip(*rows) if rows else ((), ())
+        plus_strides, minus_strides = strides(plus), strides(minus)
         us = walks(plus)
         ms = walks(minus)
         m_ids = dict.fromkeys(ms)
         for u in dict.fromkeys(us):
             for m in m_ids:
                 if (u, m) not in index_of:
-                    a = _nth(plus, us.index(u))
-                    b = _nth(minus, ms.index(m))
+                    a = decode(plus_strides, us.index(u))
+                    b = decode(minus_strides, ms.index(m))
                     w = tuple(x + y for x, y in zip(a, b))
                     k = profile_to_index.get(rank_profile(w, shape, field_size))
                     if k is None:
@@ -440,22 +513,27 @@ def classify_orbits(shape: Shape, field_size: int) -> OrbitClassification:
                     index_of[u, m] = k
         # orbit index at u * |M| + m
         table = list(map(index_of.__getitem__, itertools.product(us, ms)))
-        su, sm = len(table), len(ms)
-        offsets = []
-        for row_plus, row_minus in rows:
-            su //= len(row_plus)
-            sm //= len(row_minus)
-            offsets.append(
-                [i * su + j * sm for i in range(len(row_plus)) for j in range(len(row_minus))]
-            )
-        ks = map(table.__getitem__, map(sum, itertools.product(*offsets)))
+        sm = len(ms)
+        row_offsets = [
+            [x * sm + y for x in xs for y in ys]
+            for xs, ys in zip(offsets(plus_strides), offsets(minus_strides))
+        ]
+        return map(table.__getitem__, map(sum, itertools.product(*row_offsets))), len(table)
+
+    points = enumerate_grassmannian(shape, field_size)
+    rest = iter(points)
+    used = 0
+    buckets = [[] for _ in graphs]
+    orbit_of = {}
+    for rows in _cells(shape, field_size):
+        ks, size = cell_orbits(rows)
         cell = itertools.product(*_row_options(rows))
         for k, w, expected in zip(ks, rest, cell):
             if w != expected:
                 raise AssertionError(f"point {w} is not the cell's point {expected}")
             buckets[k].append(w)
             orbit_of[w] = k
-        used += len(table)
+        used += size
     if used != len(points):
         raise AssertionError(f"cells hold {used} points, enumerated {len(points)}")
     if any(not bucket for bucket in buckets):
@@ -597,37 +675,50 @@ def _count_images(cls: OrbitClassification, a: int, source: int) -> dict:
 
     The value at a point x is the number of c in F with s_i u(c)^{-1} x in
     the source orbit.  It is counted at the first three points of every
-    orbit, which must agree (constancy), and the total mass, the sum of
-    value times orbit size, must be F times the source orbit's size, which
-    pins the support exactly.  Each (sampled point, field element) makes
-    one ``_transform`` call, looked up through the module on every call.
-    The calls do not depend on ``source``, so within one generator's pass
-    ``_transform`` computes each image for the first source and returns
-    it from its cache for every later one.
+    orbit, which must agree with the first one's count (constancy), and the
+    total mass, the sum of value times orbit size, must be F times the
+    source orbit's size, which pins the support exactly.
+
+    The count is one flat loop: orbits, then sampled points, then c.  Each
+    (sampled point, field element) makes one ``_transform`` call, looked up
+    through the module on every call, and its image's orbit is read as
+    ``orbit_of[y]``.  Every image is a point of the Grassmannian, so an
+    image missing from ``orbit_of`` means ``_transform`` or the
+    classification is wrong: the ``KeyError`` becomes an AssertionError
+    naming the field, ``a``, the source, the point and c.  Every check is a
+    raise, not ``assert``, so ``python -O`` keeps it.  The calls do not
+    depend on ``source``, so within one generator's pass ``_transform``
+    computes each image for the first source and returns it from its cache
+    for every later one.
     """
     field_size = cls.field_size
     # read once: each named-tuple field read is a descriptor call
     orbit_of = cls.orbit_of
-
-    def value_at(x) -> int:
-        count = 0
-        for c in range(field_size):
-            y = _transform(x, a, c, field_size)
-            if orbit_of.get(y, -1) == source:
-                count += 1
-        return count
-
+    field = range(field_size)
     coords = {}
-    for k, points in enumerate(cls.points):
-        vals = {value_at(x) for x in points[:3]}
-        if len(vals) != 1:
-            raise AssertionError(f"convolution not constant on orbit {k}")
-        v = vals.pop()
-        if v:
-            coords[k] = v
+    try:
+        for k, points in enumerate(cls.points):
+            first = -1
+            for x in points[:3]:
+                count = 0
+                for c in field:
+                    if orbit_of[_transform(x, a, c, field_size)] == source:
+                        count += 1
+                if first < 0:
+                    first = count
+                elif count != first:
+                    raise AssertionError(f"convolution not constant on orbit {k}")
+            if first:
+                coords[k] = first
+    except KeyError:
+        raise AssertionError(
+            f"image of point {x} under c = {c} (field {field_size}, a = {a},"
+            f" source orbit {source}) is not a classified point"
+        ) from None
 
-    mass = sum(v * cls.sizes[k] for k, v in coords.items())
-    if mass != field_size * cls.sizes[source]:
+    sizes = cls.sizes
+    mass = sum(v * sizes[k] for k, v in coords.items())
+    if mass != field_size * sizes[source]:
         raise AssertionError("convolution mass balance failed")
     return coords
 

@@ -485,6 +485,30 @@ ONE_SIDED_JOBS = [
 ]
 
 
+# One-sided cells over F_101, where a side's free columns hold 101 or
+# 101^2 vectors.
+ONE_SIDED_F101_JOBS = [
+    (Shape(1, 2, 1), 101),
+    (Shape(1, 2, 2), 101),
+    (Shape(2, 1, 1), 101),
+    (Shape(2, 1, 2), 101),
+]
+
+
+def _reference_walks(side, walk):
+    """Test-only copy of the per-combination walk: every combination of
+    the side's rows' halves, in product order over the rows, walked from
+    the zero span through its columns last to first.  Returns {its columns
+    in walk order: the span ids met}."""
+    halves = [list(itertools.product(*entries)) for entries in side]
+    flipped = [[h[::-1] for h in row] for row in halves]
+    out = {}
+    for comb in itertools.product(*flipped):
+        columns = tuple(zip(*comb))
+        out[columns] = tuple(walk(0, columns))
+    return out
+
+
 def _assert_classification_matches_reference(shape, field):
     cls = classify_orbits(shape, field)
     sizes, orbit_of, points = _reference_classify_orbits(shape, field)
@@ -518,6 +542,33 @@ class TestDifferential:
         field = data.draw(st.sampled_from((3, 5, 7, 11, 13)))
         assume(gaussian_binomial(shape.n, shape.r, field) <= 2000)
         _assert_classification_matches_reference(shape, field)
+
+    @pytest.mark.parametrize(
+        "jobs",
+        [WIDE_FIELD_JOBS, ONE_SIDED_JOBS, ONE_SIDED_F101_JOBS],
+        ids=["wide-fields", "one-sided", "one-sided-f101"],
+    )
+    def test_column_walks_match_per_combination_walks(self, jobs):
+        # Over every side of every cell of a shape, sharing one trie as
+        # classify_orbits does: two combinations get one walk int exactly
+        # when their span-id tuples are equal.  The ints come in product
+        # order over the side's columns, last column first.
+        for shape, field in jobs:
+            walk = oracle._span_table(shape.r, field).walk
+            trie = oracle._WalkTrie(walk)
+            pairs = set()
+            for rows in oracle._cells(shape, field):
+                for side in zip(*rows) if rows else ((), ()):
+                    ints = trie.walks(side)
+                    reference = _reference_walks(side, walk)
+                    columns = [itertools.product(*col) for col in reversed(list(zip(*side)))]
+                    combs = list(itertools.product(*columns))
+                    assert len(ints) == len(combs) == len(reference), (shape, field)
+                    pairs.update(zip(ints, map(reference.__getitem__, combs)))
+            assert len(pairs) == len({u for u, _ in pairs}) == len({t for _, t in pairs}), (
+                shape,
+                field,
+            )
 
     def test_one_rank_profile_per_walk_key(self, monkeypatch):
         calls = []
@@ -796,6 +847,90 @@ class TestConvolution:
         shape = Shape(3, 2, 2)
         with pytest.raises(TypeError):
             convolution_action(shape, 3, "+", 1.5, make_graph(shape, [(1, 1), (2, 2)]))
+
+
+S211 = Shape(2, 1, 1)
+
+
+def _damaged_transform(damage, exact):
+    """The transform ``exact`` with one damage, for (2,1,1) over F_3, whose
+    orbits hold 1, 1, 3, 2 and 6 points.  From source orbit 0 under the
+    generator at a = 0 only orbit 0 counts.  "image" doubles the image of
+    orbit 2's first point at c = 1, which is then no RREF basis;
+    "constancy" sends orbit 2's second point onto the source's point for
+    every c; "mass" sends every point of orbit 3 there."""
+    cls = classify_orbits(S211, 3)
+    source_point = cls.points[0][0]
+
+    def damaged(w, a, c, p):
+        y = exact(w, a, c, p)
+        if damage == "image" and (w, c) == (cls.points[2][0], 1):
+            return tuple(tuple(2 * x % p for x in row) for row in y)
+        if damage == "constancy" and w == cls.points[2][1]:
+            return source_point
+        if damage == "mass" and w in cls.points[3]:
+            return source_point
+        return y
+
+    return damaged
+
+
+def _damage_message(damage):
+    if damage == "image":
+        point = classify_orbits(S211, 3).points[2][0]
+        return (
+            f"image of point {point} under c = 1 (field 3, a = 0, source orbit 0)"
+            " is not a classified point"
+        )
+    if damage == "constancy":
+        return "convolution not constant on orbit 2"
+    return "convolution mass balance failed"
+
+
+DAMAGES = ["image", "constancy", "mass"]
+
+
+class TestCountingChecks:
+    def test_undamaged_counts(self):
+        # The counts the damages change, and the doubled image is no
+        # classified point.
+        cls = classify_orbits(S211, 3)
+        assert cls.sizes == (1, 1, 3, 2, 6)
+        assert oracle._count_images(cls, 0, 0) == {0: 3}
+        doubled = _damaged_transform("image", oracle._transform)(cls.points[2][0], 0, 1, 3)
+        assert doubled not in cls.orbit_of
+
+    @pytest.mark.parametrize("damage", DAMAGES)
+    def test_damaged_transform_raises(self, monkeypatch, damage):
+        monkeypatch.setattr(oracle, "_transform", _damaged_transform(damage, oracle._transform))
+        with pytest.raises(AssertionError) as info:
+            certify_theorem(S211, [3])
+        assert str(info.value) == _damage_message(damage)
+
+    def test_damage_checked_under_optimize(self):
+        # Every check must survive ``python -O``, which strips asserts.
+        script = (
+            "from doubleflag import oracle\n"
+            "from test_oracle import DAMAGES, S211, _damaged_transform\n"
+            "exact = oracle._transform\n"
+            "for damage in DAMAGES:\n"
+            "    oracle._transform = _damaged_transform(damage, exact)\n"
+            "    try:\n"
+            "        oracle.certify_theorem(S211, [3])\n"
+            "    except AssertionError as exc:\n"
+            "        print(exc)\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        path = os.pathsep.join([str(root / "src"), str(root / "tests")])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [_damage_message(d) for d in DAMAGES]
 
 
 def reference_certify_theorem(shape, field_sizes):
