@@ -71,7 +71,7 @@ def rref(rows, p: int):
     scaled to 1 and its column is cleared in every other row, so the rows
     come out in the unique reduced form of their span: equal spans give
     equal rows.  It runs once per new step of the span table, which
-    ``_SpanTable.walk`` alone steps, and once per orbit base point;
+    ``_SpanTable.step`` alone fills, and once per orbit base point;
     ``_transform`` keeps a point in this form without calling it.
     """
     mat = [[x % p for x in row] for row in rows]
@@ -192,9 +192,9 @@ class _SpanTable:
 
     Span ``s`` stands for the subspace whose nonzero ``rref`` rows are
     ``bases[s]``; ``ids`` maps those rows back to ``s``, so equal subspaces
-    share one id.  ``dims[s]`` is its dimension and ``steps[s][col]`` the id
-    of the span of ``s`` and the vector ``col``.  Span 0 is the zero space.
-    ``walk`` fills each step on first use, by one ``rref`` call.
+    share one id.  ``dims[s]`` is its dimension and ``steps[s][v]`` the id
+    of the span of ``s`` and the vector ``v``.  Span 0 is the zero space.
+    ``step`` fills each step on first use, by one ``rref`` call.
     """
 
     def __init__(self, field_size: int):
@@ -204,9 +204,27 @@ class _SpanTable:
         self.ids = {(): 0}
         self.steps = [{}]
 
-    def extend(self, s: int, col) -> int:
-        """Fill and return ``steps[s][col]``."""
-        rows, rank = rref(self.bases[s] + (col,), self.field_size)
+    def step(self, s: int, v) -> int:
+        """``steps[s][v]``, the id of the span of ``s`` and ``v``, filled
+        by one ``rref`` call if missing.  This is the one place the table
+        is stepped; a walk is a fold of it over its columns.
+
+        Proof of the step.  A span's id is its nonzero canonical ``rref``
+        rows, which the reduced form makes unique to the subspace, so equal
+        subspaces share one id, and ``dims`` of an id is the dimension of
+        its subspace.  The step from a span by a vector is the id of the
+        ``rref`` of the span's rows and the vector, which span their sum.
+        It depends only on the subspace, the vector, r and the field, so
+        one table per (r, field) serves every point and shape, and a step
+        filled once is one dict lookup instead of an elimination after.
+        By induction on k, folding ``step`` over columns 0..k from ``s``
+        meets the span of ``s`` and those columns.
+        """
+        try:
+            return self.steps[s][v]
+        except KeyError:
+            pass
+        rows, rank = rref(self.bases[s] + (v,), self.field_size)
         basis = rows[:rank]
         t = self.ids.get(basis)
         if t is None:
@@ -214,46 +232,19 @@ class _SpanTable:
             self.bases.append(basis)
             self.dims.append(len(basis))
             self.steps.append({})
-        self.steps[s][col] = t
+        self.steps[s][v] = t
         return t
-
-    def walk(self, s: int, cols) -> list:
-        """The span ids met adding each column of ``cols`` in turn to span
-        ``s``, filling a missing step with ``extend``.  This is the one
-        place the table is stepped.
-
-        Proof of the walk.  A span's id is its nonzero canonical ``rref``
-        rows, which the reduced form makes unique to the subspace, so equal
-        subspaces share one id, and ``dims`` of an id is the dimension of
-        its subspace.  The step from a span by a column is the id of the
-        ``rref`` of the span's rows and the column, which span their sum.
-        It depends only on the subspace, the column, r and the field, so
-        one table per (r, field) serves every point and shape, and a step
-        filled once is one dict lookup instead of an elimination after.
-        By induction on k, the k-th id met (from 0) is the span of ``s``
-        and columns 0..k: it is the step by column k from the (k-1)-th id,
-        or from ``s`` when k = 0.
-        """
-        steps = self.steps
-        out = []
-        for col in cols:
-            try:
-                s = steps[s][col]
-            except KeyError:
-                s = self.extend(s, col)
-            out.append(s)
-        return out
 
 
 @lru_cache(maxsize=8, typed=True)
 def _span_table(r: int, field_size: int) -> _SpanTable:
     """The span table of F^r over the field, shared by every shape with this
     r.  Its spans are subspaces of F^r and each step reads only a span and
-    a vector of F^r, so nothing else changes it.  ``_SpanTable.walk`` is
+    a vector of F^r, so nothing else changes it.  ``_SpanTable.step`` is
     the one place it is stepped: ``_WalkTrie`` steps each distinct walk
     prefix of a pivot cell's side by each vector of the next column, and
-    ``rank_profile`` walks it for each new key's profile.  It never holds
-    more steps than the walks that filled it took.
+    ``rank_profile`` folds it over each new key's columns.  It never holds
+    more steps than those calls took.
     A field ``_check_field`` refuses raises on every call, since
     ``lru_cache`` keeps no exception.  The cache is typed, so a float or
     bool equal to a cached int size misses that entry and is refused."""
@@ -268,13 +259,15 @@ class _WalkTrie:
     longer one is the node ``nodes[parent, span]`` of its parent prefix and
     its last span id, which ``spans`` holds per node.  So two prefixes get
     one node exactly when their span-id tuples are equal (see
-    ``classify_orbits``).
+    ``classify_orbits``).  ``paths`` holds each node's columns, in walk
+    order, as the first combination that reached it walked them.
     """
 
-    def __init__(self, walk):
-        self.walk = walk  # a _SpanTable's walk, the one stepper
+    def __init__(self, step):
+        self.step = step  # a _SpanTable's step, the one stepper
         self.nodes = {}
         self.spans = [0]
+        self.paths = [()]
 
     def walks(self, side) -> tuple:
         """Each combination's walk int, for a side given as its rows'
@@ -286,7 +279,7 @@ class _WalkTrie:
         next column once, and the next level is every entry of the level
         replaced by its node's row of children.  The last level is built as
         a tuple, which ``itertools.product`` takes without a copy."""
-        walk, nodes, spans = self.walk, self.nodes, self.spans
+        step, nodes, spans, paths = self.step, self.nodes, self.spans, self.paths
         level = (0,)
         for column in reversed(list(zip(*side))):
             children = {}
@@ -294,11 +287,12 @@ class _WalkTrie:
                 s = spans[node]
                 row = children[node] = []
                 for v in itertools.product(*column):
-                    t = walk(s, (v,))[0]
+                    t = step(s, v)
                     child = nodes.get((node, t))
                     if child is None:
                         child = nodes[node, t] = len(spans)
                         spans.append(t)
+                        paths.append(paths[node] + (v,))
                     row.append(child)
             level = tuple(itertools.chain.from_iterable(map(children.__getitem__, level)))
         return level
@@ -314,10 +308,11 @@ def rank_profile(w, shape: Shape, field_size: int) -> tuple:
     rank equals row rank.  With U_i the span of + columns i+1..p and M_j
     the span of - columns j+1..q, entry (i, j) is r - dim(U_i + M_j).
 
-    Walking the + columns p, p-1, ..., 1 from the zero span meets U_{p-1},
-    ..., U_0, and walking the - columns q, q-1, ..., 1 from U_i meets U_i +
-    M_{q-1}, ..., U_i + M_0 (``_SpanTable.walk``), so row i is read off
-    that walk, with r - dim(U_i) = entry (i, q) last.  ``classify_orbits``
+    Folding ``_SpanTable.step`` over the + columns p, p-1, ..., 1 from the
+    zero span meets U_p = 0, U_{p-1}, ..., U_0, and over the - columns q,
+    q-1, ..., 1 from U_i meets U_i, U_i + M_{q-1}, ..., U_i + M_0, so row i
+    is that fold read backwards, with r - dim(U_i) = entry (i, q) last.
+    ``classify_orbits``
     reads the U_i and M_j walks on their own as a point's key, each walk
     once per + or - combination of a pivot cell, and calls this only for
     a key it has not met.
@@ -334,14 +329,13 @@ def rank_profile(w, shape: Shape, field_size: int) -> tuple:
     if len(w) != r or any(len(row) != p + q for row in w):
         raise ValueError(f"w must have {r} rows of {p + q} entries for {shape}")
     table = _span_table(r, field_size)
-    dims, walk = table.dims, table.walk
+    dims, step = table.dims, table.step
     cols = list(zip(*w)) or [()] * (p + q)
     minus = cols[:p - 1:-1]  # - columns q down to 1
     rows = []
-    for u in [0, *walk(0, cols[p - 1::-1])]:  # U_p, U_{p-1}, ..., U_0
-        row = [r - dims[s] for s in reversed(walk(u, minus))]
-        row.append(r - dims[u])
-        rows.append(tuple(row))
+    for u in itertools.accumulate(cols[p - 1::-1], step, initial=0):  # U_p, ..., U_0
+        sums = [*itertools.accumulate(minus, step, initial=u)]  # U_i + M_q, ..., U_i + M_0
+        rows.append(tuple(r - dims[s] for s in reversed(sums)))
     rows.reverse()
     if rows[0][0]:
         raise ValueError(f"w has rank {r - rows[0][0]} mod {field_size}, not r = {r}")
@@ -387,8 +381,8 @@ def classify_orbits(shape: Shape, field_size: int) -> OrbitClassification:
     the result's ``field_size`` is always an int.
 
     Proof that the walk key fixes the profile.  A point's key is the span
-    ids met walking the span table twice from the zero space
-    (``_SpanTable.walk``): through its + columns p, p-1, ..., 1, meeting
+    ids met stepping the span table twice from the zero space
+    (``_SpanTable.step``): through its + columns p, p-1, ..., 1, meeting
     U_{p-1}, ..., U_0, and through its - columns q, q-1, ..., 1, meeting
     M_{q-1}, ..., M_0, where U_i and M_j are the spans in F^r of the +
     columns after i and the - columns after j (U_p = M_q = 0).  A span id
@@ -407,9 +401,8 @@ def classify_orbits(shape: Shape, field_size: int) -> OrbitClassification:
     combinations are walked on their own and each walk is interned to a
     small int, one numbering for the whole shape; the key of point (A, B)
     is the pair (u, m) of their ints, and equal pairs are equal keys.
-    ``index_of`` is filled once per pair met in the cell, ``rank_profile``
-    running on the point built from the first + and - combinations met with
-    those ints.
+    ``index_of`` is filled once per new pair met in the cell, by
+    ``rank_profile`` of one representative with that key (see below).
 
     The column product.  Entry (i, j) of a side's combination ranges over
     row i's values at column j, independently of every other entry.  So the
@@ -426,12 +419,15 @@ def classify_orbits(shape: Shape, field_size: int) -> OrbitClassification:
     induction on t, two prefixes get one node exactly when their span-id
     tuples are equal: the key holds the parent, which stands for the tuple
     without its last id, and that last id.  A prefix's step by a vector is
-    the step of its last span (``_SpanTable.walk``), so each distinct node
+    the step of its last span (``_SpanTable.step``), so each distinct node
     of a level is stepped by each vector of the next column once, giving
     the row of its children in V order, and the next level is every entry
     of the level replaced by its node's row, in order.  So level t lists
     the node of each t-column prefix in product order, and the last level
-    lists each combination's walk int: equal ints are equal walks.
+    lists each combination's walk int: equal ints are equal walks.  A new
+    node's ``paths`` entry is its parent's with the vector that stepped
+    it, so by the same induction it holds the columns, in walk order, of a
+    prefix whose span ids are the node's.
 
     Index arithmetic.  The pair table lists the cell's orbit indices at
     u * |M| + m, for the u-th + and m-th - combination in column-walk
@@ -449,10 +445,15 @@ def classify_orbits(shape: Shape, field_size: int) -> OrbitClassification:
     point's table index is the sum of its rows' offsets, taken in
     ``itertools.product`` order.  When |U| = 1 or |M| = 1 the offsets give
     each point its own position.  With r = 0 the one cell has no rows, one
-    point and empty walks.  A new pair's representative is decoded from the
-    same digits: the u-th combination's vector of column j is the digit of
-    V_j read off u, column 0 first, and the point's rows are its + and -
-    columns zipped.
+    point and empty walks.
+
+    The representative.  A new pair (u, m) is given the point whose + and
+    - columns are ``paths[u]`` and ``paths[m]`` reversed, so columns 0, 1,
+    ... in order, zipped into rows.  Its walks are u and m, so its key is
+    (u, m), and by the first proof its profile is the profile of every
+    point of the cell with that key.  It need not be a point of this cell,
+    since the numbering is shared, but its rank is r: corner (0, 0) of the
+    profile is r - rank, and the cell's points with that key have rank r.
 
     The alignment check.  The cells hand out orbit indices in order, and
     the points come from ``enumerate_grassmannian`` looked up through the
@@ -465,31 +466,21 @@ def classify_orbits(shape: Shape, field_size: int) -> OrbitClassification:
     field_size = _check_field(field_size)
     graphs = enumerate_graphs(shape)
     profile_to_index = {rank_matrix(g).entries: k for k, g in enumerate(graphs)}
-    walks = _WalkTrie(_span_table(shape.r, field_size).walk).walks
+    trie = _WalkTrie(_span_table(shape.r, field_size).step)
+    walks, paths = trie.walks, trie.paths
     index_of = {}  # (+ walk int, - walk int) -> orbit index
 
-    def strides(side) -> list:
-        """Each entry (i, j) of the side's rows as (its values, st(i, j))."""
-        out = [[] for _ in side]
-        step = 1
-        for column in zip(*side):
-            for row, vals in reversed(list(zip(out, column))):
-                row.append((vals, step))
-                step *= len(vals)
-        return out
-
-    def offsets(side_strides) -> list:
+    def offsets(side) -> list:
         """Each row's share of its side's index, per half of the row in
-        product order over its entries."""
-        return [
-            list(map(sum, itertools.product(*[range(0, len(v) * st, st) for v, st in row])))
-            for row in side_strides
-        ]
-
-    def decode(side_strides, index) -> list:
-        """The rows of the side's ``index``-th combination, each entry read
-        off its digit of ``index``."""
-        return [tuple(v[index // st % len(v)] for v, st in row) for row in side_strides]
+        product order over its entries: entry (i, j) at value position d
+        adds d * st(i, j)."""
+        shares = [[] for _ in side]
+        st = 1
+        for column in zip(*side):
+            for row, vals in reversed(list(zip(shares, column))):
+                row.append(range(0, len(vals) * st, st))
+                st *= len(vals)
+        return [list(map(sum, itertools.product(*row))) for row in shares]
 
     def cell_orbits(rows):
         """The orbit index of each of the cell's points, in enumeration
@@ -497,16 +488,13 @@ def classify_orbits(shape: Shape, field_size: int) -> OrbitClassification:
         return, before the cell's points are placed; only the pair table
         lives on in the iterator."""
         plus, minus = zip(*rows) if rows else ((), ())
-        plus_strides, minus_strides = strides(plus), strides(minus)
         us = walks(plus)
         ms = walks(minus)
         m_ids = dict.fromkeys(ms)
         for u in dict.fromkeys(us):
             for m in m_ids:
                 if (u, m) not in index_of:
-                    a = decode(plus_strides, us.index(u))
-                    b = decode(minus_strides, ms.index(m))
-                    w = tuple(x + y for x, y in zip(a, b))
+                    w = tuple(zip(*paths[u][::-1], *paths[m][::-1]))
                     k = profile_to_index.get(rank_profile(w, shape, field_size))
                     if k is None:
                         raise AssertionError(f"subspace with unmatched rank profile: {w}")
@@ -516,7 +504,7 @@ def classify_orbits(shape: Shape, field_size: int) -> OrbitClassification:
         sm = len(ms)
         row_offsets = [
             [x * sm + y for x in xs for y in ys]
-            for xs, ys in zip(offsets(plus_strides), offsets(minus_strides))
+            for xs, ys in zip(offsets(plus), offsets(minus))
         ]
         return map(table.__getitem__, map(sum, itertools.product(*row_offsets))), len(table)
 

@@ -445,11 +445,7 @@ def _walk_keys(shape, field_size):
         cols = list(zip(*w)) or [()] * shape.n
         key = []
         for walk in (cols[shape.p - 1 :: -1], cols[: shape.p - 1 : -1]):
-            s = 0
-            for col in walk:
-                step = table.steps[s].get(col)
-                s = table.extend(s, col) if step is None else step
-                key.append(s)
+            key.extend(_walk(table.step, 0, walk))
         keys.add(tuple(key))
     return keys
 
@@ -495,7 +491,12 @@ ONE_SIDED_F101_JOBS = [
 ]
 
 
-def _reference_walks(side, walk):
+def _walk(step, s, cols):
+    """The span ids met stepping from span ``s`` by each column in turn."""
+    return list(itertools.accumulate(cols, step, initial=s))[1:]
+
+
+def _reference_walks(side, step):
     """Test-only copy of the per-combination walk: every combination of
     the side's rows' halves, in product order over the rows, walked from
     the zero span through its columns last to first.  Returns {its columns
@@ -505,8 +506,23 @@ def _reference_walks(side, walk):
     out = {}
     for comb in itertools.product(*flipped):
         columns = tuple(zip(*comb))
-        out[columns] = tuple(walk(0, columns))
+        out[columns] = tuple(_walk(step, 0, columns))
     return out
+
+
+def _cell_tries(jobs):
+    """For each job, its span table's step and a trie that has walked every
+    side of every cell, shared as ``classify_orbits`` shares it; yields
+    (shape, field, step, trie, [(side, its walk ints)])."""
+    for shape, field in jobs:
+        step = oracle._span_table(shape.r, field).step
+        trie = oracle._WalkTrie(step)
+        sides = [
+            (side, trie.walks(side))
+            for rows in oracle._cells(shape, field)
+            for side in (zip(*rows) if rows else ((), ()))
+        ]
+        yield shape, field, step, trie, sides
 
 
 def _assert_classification_matches_reference(shape, field):
@@ -553,22 +569,37 @@ class TestDifferential:
         # classify_orbits does: two combinations get one walk int exactly
         # when their span-id tuples are equal.  The ints come in product
         # order over the side's columns, last column first.
-        for shape, field in jobs:
-            walk = oracle._span_table(shape.r, field).walk
-            trie = oracle._WalkTrie(walk)
+        for shape, field, step, _, sides in _cell_tries(jobs):
             pairs = set()
-            for rows in oracle._cells(shape, field):
-                for side in zip(*rows) if rows else ((), ()):
-                    ints = trie.walks(side)
-                    reference = _reference_walks(side, walk)
-                    columns = [itertools.product(*col) for col in reversed(list(zip(*side)))]
-                    combs = list(itertools.product(*columns))
-                    assert len(ints) == len(combs) == len(reference), (shape, field)
-                    pairs.update(zip(ints, map(reference.__getitem__, combs)))
+            for side, ints in sides:
+                reference = _reference_walks(side, step)
+                columns = [itertools.product(*col) for col in reversed(list(zip(*side)))]
+                combs = list(itertools.product(*columns))
+                assert len(ints) == len(combs) == len(reference), (shape, field)
+                pairs.update(zip(ints, map(reference.__getitem__, combs)))
             assert len(pairs) == len({u for u, _ in pairs}) == len({t for _, t in pairs}), (
                 shape,
                 field,
             )
+
+    @pytest.mark.parametrize(
+        "jobs", [WIDE_FIELD_JOBS, ONE_SIDED_F101_JOBS], ids=["wide-fields", "one-sided-f101"]
+    )
+    def test_trie_paths_walk_to_their_nodes(self, jobs):
+        # classify_orbits builds a new key's representative from the paths
+        # of its two walk ints, so stepping a node's path from the zero span
+        # must meet exactly the span ids of the node's prefix.
+        nodes = 0
+        for shape, field, step, trie, _ in _cell_tries(jobs):
+            prefix = [()]
+            for (parent, t), node in trie.nodes.items():
+                assert node == len(prefix), (shape, field)
+                prefix.append(prefix[parent] + (t,))
+            assert len(trie.paths) == len(trie.spans) == len(prefix), (shape, field)
+            for node, path in enumerate(trie.paths):
+                assert tuple(_walk(step, 0, path)) == prefix[node], (shape, field, node)
+            nodes += len(prefix)
+        assert nodes > 10 * len(jobs)
 
     def test_one_rank_profile_per_walk_key(self, monkeypatch):
         calls = []
@@ -693,6 +724,28 @@ class TestDifferential:
             rank_profile(w, shape, 3)
         assert calls == []
 
+    def test_classification_eliminations_per_step(self, monkeypatch):
+        # A cold classification eliminates only to fill its span table: one
+        # rref call per step it fills, and none when classified again.
+        calls = []
+        eliminate = oracle.rref
+
+        def counted(rows, p):
+            calls.append(1)
+            return eliminate(rows, p)
+
+        monkeypatch.setattr(oracle, "rref", counted)
+        oracle._span_table.cache_clear()
+        oracle.classify_orbits.cache_clear()
+        shape = Shape(3, 2, 2)
+        classify_orbits(shape, 5)
+        table = oracle._span_table(shape.r, 5)
+        assert 0 < len(calls) == sum(map(len, table.steps))
+        calls.clear()
+        oracle.classify_orbits.cache_clear()
+        classify_orbits(shape, 5)
+        assert calls == []
+
     def test_walk_meets_the_span_of_each_prefix(self, monkeypatch):
         # Each id a walk meets stands for the span of its start and the
         # columns added so far, checked by Gauss-Jordan; a repeated walk
@@ -703,7 +756,7 @@ class TestDifferential:
         walks = []
 
         def check(s, cols):
-            ids = table.walk(s, cols)
+            ids = _walk(table.step, s, cols)
             assert len(ids) == len(cols)
             for k, t in enumerate(ids):
                 rows, rank = _reference_rref(table.bases[s] + tuple(cols[: k + 1]), 3)
@@ -724,7 +777,7 @@ class TestDifferential:
 
         monkeypatch.setattr(oracle, "rref", counted)
         for s, cols, ids in walks:
-            assert table.walk(s, cols) == ids
+            assert _walk(table.step, s, cols) == ids
         assert calls == []
         assert len(walks) == 1210 * 5
 
