@@ -73,12 +73,14 @@ class Graph(namedtuple("Graph", "shape plus minus")):
             raise ValueError(f"partner arrays must have lengths {p + 1} and {q + 1}")
         if plus[0] or minus[0]:
             raise ValueError("entry 0 of a partner array is padding and must be 0")
-        if any(not -1 <= e <= q for e in plus) or any(not -1 <= e <= p for e in minus):
+        if min(plus) < -1 or max(plus) > q or min(minus) < -1 or max(minus) > p:
             raise ValueError("partner array entry out of range")
-        if any(j > 0 and minus[j] != i for i, j in enumerate(plus)) or any(
-            i > 0 and plus[i] != j for j, i in enumerate(minus)
-        ):
-            raise ValueError("the partner arrays disagree on an edge")
+        for i, j in enumerate(plus):
+            if j > 0 and minus[j] != i:
+                raise ValueError("the partner arrays disagree on an edge")
+        for j, i in enumerate(minus):
+            if i > 0 and plus[i] != j:
+                raise ValueError("the partner arrays disagree on an edge")
         if p + 1 - plus.count(0) + minus.count(-1) != r:
             raise ValueError("#edges + #marks must equal r")
         return tuple.__new__(cls, (shape, plus, minus))
@@ -260,25 +262,43 @@ def admissible_triples(shape: Shape) -> list:
 
 @lru_cache(maxsize=None)
 def enumerate_graphs(shape: Shape) -> tuple:
-    """All orbit graphs for the shape, in a fixed lexicographic order.  The
-    partner arrays are written directly, and ``Graph`` checks each once."""
+    """All orbit graphs for the shape, in a fixed lexicographic order: by
+    type (k, s, t), then the k + ends, the k - ends, the bijection sigma
+    between them, the s + marks and the t - marks.
+
+    The partner arrays are written directly.  Each side's mark choices are
+    listed once per choice of edge ends, outside the loop over sigma.  Per
+    sigma, each marked array is a copy of the edge array with -1 written
+    at the marks: every - array once, before the + marks loop, and every
+    + array once per + marks.  Each orbit is then built by ``Graph``, so
+    every check of ``Graph`` runs once per orbit."""
     p, q = shape.p, shape.q
     out = []
     for k, s, t in admissible_triples(shape):
         for plus_ends in itertools.combinations(range(1, p + 1), k):
             rest_plus = [i for i in range(1, p + 1) if i not in plus_ends]
+            plus_marks = list(itertools.combinations(rest_plus, s))
             for minus_ends in itertools.combinations(range(1, q + 1), k):
                 rest_minus = [j for j in range(1, q + 1) if j not in minus_ends]
+                minus_marks = list(itertools.combinations(rest_minus, t))
                 for sigma in itertools.permutations(plus_ends):
                     plus, minus = [0] * (p + 1), [0] * (q + 1)
                     for i, j in zip(sigma, minus_ends):
                         plus[i], minus[j] = j, i
-                    for mp in itertools.combinations(rest_plus, s):
-                        marked_plus = tuple(-1 if i in mp else e for i, e in enumerate(plus))
-                        for mm in itertools.combinations(rest_minus, t):
-                            marked_minus = tuple(-1 if j in mm else e for j, e in enumerate(minus))
-                            out.append(Graph(shape, marked_plus, marked_minus))
+                    marked_minus = [_with_marks(minus, mm) for mm in minus_marks]
+                    for mp in plus_marks:
+                        marked_plus = _with_marks(plus, mp)
+                        for mm in marked_minus:
+                            out.append(Graph(shape, marked_plus, mm))
     return tuple(out)
+
+
+def _with_marks(array: list, marks: tuple) -> tuple:
+    """A copy of the partner array with -1 at each marked vertex."""
+    array = array.copy()
+    for i in marks:
+        array[i] = -1
+    return tuple(array)
 
 
 def triple_count(shape: Shape, triple) -> int:
@@ -307,30 +327,54 @@ class Invariants(namedtuple("Invariants", "a_plus a_minus b c dim")):
 def invariants(g: Graph) -> Invariants:
     """Orbital invariants and the orbit dimension.
 
-    a+/a- count ascents of the degree sequence on each side, b is the number
-    of edges, c the number of edge crossings; the dimension is
+    a+/a- count ascents of the degree sequence on each side (pairs of
+    vertices i < j with deg i < deg j), b is the number of edges, c the
+    number of edge crossings; the dimension is
     p(p-1)/2 + q(q-1)/2 + a+ + a- + b(b+1)/2 + c.  Cached like
     ``rank_matrix``, so ``build_poset``'s dimensions and the CLI's rows
-    share one computation per orbit.
+    share one computation per orbit.  Every field is an int.
+
+    ``_ascents`` counts a side's ascents in one pass.  Each ascent (i, j)
+    is counted once, at its later vertex j, so the sum over j of the
+    number of earlier vertices of smaller degree is the ascent count.  A
+    degree is 0, 1 or 2, so that number is 0 at degree 0, n0 at degree 1
+    and n0 + n1 at degree 2, where n0 and n1 count the earlier vertices of
+    degree 0 and 1; the pass keeps n0 and n1 as it goes.
     """
     p, q = g.shape.p, g.shape.q
-    dplus = [vertex_degree(e) for e in g.plus[1:]]
-    dminus = [vertex_degree(e) for e in g.minus[1:]]
-    a_plus = sum(1 for i in range(p) for j in range(i + 1, p) if dplus[i] < dplus[j])
-    a_minus = sum(1 for i in range(q) for j in range(i + 1, q) if dminus[i] < dminus[j])
+    a_plus, a_minus = _ascents(g.plus), _ascents(g.minus)
     b = g.triple()[0]
     c = crossings(g)
     dim = p * (p - 1) // 2 + q * (q - 1) // 2 + a_plus + a_minus + b * (b + 1) // 2 + c
     return Invariants(a_plus, a_minus, b, c, dim)
 
 
+def _ascents(array: tuple) -> int:
+    """Ascents of the degree sequence of one side's partner array, in one
+    pass; see ``invariants``."""
+    n0 = n1 = total = 0
+    for e in array[1:]:
+        if e < 0:
+            total += n0 + n1
+        elif e:
+            total += n0
+            n1 += 1
+        else:
+            n0 += 1
+    return total
+
+
 def crossings(g: Graph) -> int:
     """Pairs of edges (i,j), (k,l) with i < k and j > l: the inversions of
-    the - partners read along the + array."""
-    ends = [j for j in g.plus if j > 0]
-    return sum(
-        1 for a in range(len(ends)) for b in range(a + 1, len(ends)) if ends[a] > ends[b]
-    )
+    the - partners read along the + array, in one pass.  ``seen`` has bit j
+    set for each partner j read so far, so at edge (k, l) the set bits
+    above bit l are the earlier edges that it crosses."""
+    c = seen = 0
+    for j in g.plus:
+        if j > 0:
+            c += (seen >> j).bit_count()
+            seen |= 1 << j
+    return c
 
 
 class RankMatrix(namedtuple("RankMatrix", "entries")):
@@ -368,12 +412,24 @@ def rank_matrix(g: Graph) -> RankMatrix:
       from 0 once, and every column step stays 0/1.
     - Corner (p,q) counts every edge and mark once, and ``Graph`` forces
       #edges + #marks = r.
+
+    One list holds the current row: row 0 counts up from the int 0, and
+    row i adds the int 1 in place over its columns e..q (0..q for a marked
+    i+), with each row stored as a tuple copy.  So every entry is an int,
+    never a bool, which would compare equal to 0 or 1 but print as JSON
+    ``false`` or ``true``.
     """
-    row = list(itertools.accumulate(int(e < 0) for e in g.minus))
+    row, marks = [], 0
+    for e in g.minus:
+        if e < 0:
+            marks += 1
+        row.append(marks)
     rows = [tuple(row)]
+    end = len(row)
     for e in g.plus[1:]:
         if e:
-            row[max(e, 0) :] = [v + 1 for v in row[max(e, 0) :]]
+            for j in range(e if e > 0 else 0, end):
+                row[j] += 1
         rows.append(tuple(row))
     return RankMatrix(tuple(rows))
 

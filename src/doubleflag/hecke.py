@@ -27,7 +27,7 @@ import operator
 from collections import namedtuple
 from functools import lru_cache
 
-from .core import Graph, Shape, enumerate_graphs, triple_count, vertex_degree
+from .core import Graph, Shape, enumerate_graphs, triple_count
 from .polynomial import ONE, Q, ZERO, IntPoly
 
 
@@ -37,18 +37,36 @@ class GeneratorCase(enum.Enum):
     CASE_III = "III"
 
 
+# The members as module globals: reading a member as a class attribute
+# goes through the enum's descriptor, which the per-orbit loops would pay
+# on every comparison.
+_CASE_I, _CASE_II, _CASE_III = GeneratorCase
+
+
 def _case(a: tuple, i: int) -> GeneratorCase:
     """The case of generator i at an orbit, from its side's partner array
-    (``Graph.plus`` or ``Graph.minus``), with degrees by ``vertex_degree``."""
-    d, d2 = vertex_degree(a[i]), vertex_degree(a[i + 1])
-    if d == d2 != 1:
-        return GeneratorCase.CASE_I
-    if d < d2:
-        return GeneratorCase.CASE_II
-    if d > d2:
-        return GeneratorCase.CASE_III
-    # Two edge ends: the edges cross when their partners are out of order.
-    return GeneratorCase.CASE_II if a[i] > a[i + 1] else GeneratorCase.CASE_III
+    (``Graph.plus`` or ``Graph.minus``).
+
+    The rule reads degrees d, d' of vertices i, i+1 (0 free, 1 edge end,
+    2 marked, as ``vertex_degree`` gives them): case I if d = d' != 1;
+    else case II if d < d' and case III if d > d'; and for two edge ends,
+    case II if the edges cross (the partners are out of order), else III.
+
+    The two entries x, y are compared first.  Equal entries mean case I:
+    an entry of 0 or -1 fixes its degree (0 or 2), and two edge ends never
+    hold the same partner, since the partner vertex is joined to one
+    vertex only; so x = y means both free or both marked.  Unequal
+    entries that are both edge ends compare as partners.  Otherwise the
+    degrees differ, because unequal entries of equal degree are both edge
+    ends, and they are read inline."""
+    x, y = a[i], a[i + 1]
+    if x == y:
+        return _CASE_I
+    if x > 0 and y > 0:
+        return _CASE_II if x > y else _CASE_III
+    d = 2 if x < 0 else 1 if x else 0
+    d2 = 2 if y < 0 else 1 if y else 0
+    return _CASE_II if d < d2 else _CASE_III
 
 
 def _reflected(arrays: tuple, s: int, i: int) -> tuple:
@@ -60,13 +78,13 @@ def _reflected(arrays: tuple, s: int, i: int) -> tuple:
     So the renaming rewrites those two entries and scans nothing."""
     a = arrays[s]
     x, y = a[i], a[i + 1]
-    own = a[:i] + (y, x) + a[i + 2 :]
-    other = list(arrays[1 - s])
+    own, other = list(a), list(arrays[1 - s])
+    own[i], own[i + 1] = y, x
     if x > 0:
         other[x] = i + 1
     if y > 0:
         other[y] = i
-    other = tuple(other)
+    own, other = tuple(own), tuple(other)
     return (own, other) if s == 0 else (other, own)
 
 
@@ -102,7 +120,7 @@ class Basis:
             row = []
             for k, a in enumerate(arrays):
                 case = _case(a[s], i)
-                if case is GeneratorCase.CASE_I:
+                if case is _CASE_I:
                     row.append((case, k))
                 else:
                     row.append((case, by_arrays[_reflected(a, s, i)]))
@@ -183,9 +201,9 @@ _Q_MINUS_ONE = Q - 1
 def _image_terms(idx: int, case: GeneratorCase, jdx: int) -> tuple:
     """T_i xi_idx as (orbit index, coefficient) pairs, where jdx is the
     reflected orbit: q xi, (q-1) xi + q xi' or xi' by the three cases."""
-    if case is GeneratorCase.CASE_I:
+    if case is _CASE_I:
         return ((idx, Q),)
-    if case is GeneratorCase.CASE_II:
+    if case is _CASE_II:
         return ((idx, _Q_MINUS_ONE), (jdx, Q))
     return ((jdx, ONE),)
 
@@ -372,7 +390,7 @@ def q1_action_is_permutation(shape: Shape) -> bool:
     """
     for table in Basis(shape).action.values():
         for idx, (case, jdx) in enumerate(table):
-            if case is GeneratorCase.CASE_I and jdx != idx:
+            if case is _CASE_I and jdx != idx:
                 return False
             if table[jdx][1] != idx:
                 return False

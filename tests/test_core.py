@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -150,6 +154,33 @@ class TestGraphValidation:
             Graph._make((S222, plus, minus))
         with pytest.raises(ValueError):
             make_graph(S222, [(1, 1), (2, 2)])._replace(plus=plus, minus=minus)
+
+    def test_raw_arrays_rejected_under_optimize(self):
+        # ``python -O`` strips asserts; every check of ``Graph`` must still
+        # raise on each input of test_raw_arrays_rejected.
+        (mark,) = [
+            m for m in self.test_raw_arrays_rejected.pytestmark if m.name == "parametrize"
+        ]
+        inputs = mark.args[1]
+        script = (
+            "from doubleflag import Graph, Shape\n"
+            "print(__debug__)\n"
+            f"for plus, minus in {inputs!r}:\n"
+            "    try:\n"
+            "        Graph(Shape(2, 2, 2), plus, minus)\n"
+            "    except ValueError:\n"
+            "        print('raised')\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n" + "raised\n" * len(inputs)
 
     def test_replace_validates(self):
         g = make_graph(S222, [(1, 1), (2, 2)])
@@ -571,6 +602,14 @@ def test_rank_matrix_matches_reference():
         assert rank_matrix(g) == reference_rank_matrix(g), g
 
 
+def test_rank_matrix_and_invariants_are_ints():
+    # The reference tests compare with ==, and True == 1: a bool entry would
+    # pass them, yet print as ``true`` in the CLI's JSON.
+    for g in small_orbits():
+        assert all(type(x) is int for row in rank_matrix(g).entries for x in row), g
+        assert all(type(x) is int for x in invariants(g)), g
+
+
 def test_rank_matrix_is_a_rank_profile():
     for g in small_orbits():
         assert_rank_profile(g)
@@ -585,6 +624,26 @@ def test_enumeration_matches_reference(monkeypatch):
     monkeypatch.setattr(core, "make_graph", fail)
     for shape in SMALL_SHAPES:
         assert enumerate_graphs.__wrapped__(shape) == expected[shape], shape
+
+
+def test_enumeration_checks_every_orbit(monkeypatch):
+    # enumerate_graphs builds every orbit through Graph, so each of its
+    # checks runs once per orbit.
+    new = Graph.__new__
+    calls = 0
+
+    def counting_new(cls, *args):
+        nonlocal calls
+        calls += 1
+        return new(cls, *args)
+
+    monkeypatch.setattr(Graph, "__new__", counting_new)
+    shapes = [shape for shape in SMALL_SHAPES if shape.n <= 6]
+    assert len(shapes) == 85
+    for shape in shapes:
+        calls = 0
+        graphs = enumerate_graphs.__wrapped__(shape)
+        assert calls == len(graphs) == count_orbits(shape), shape
 
 
 def test_weyl_act_matches_reference():

@@ -21,6 +21,7 @@ from doubleflag import (
     weyl_decompose,
 )
 from doubleflag import hecke
+from doubleflag.core import vertex_degree
 from doubleflag.hecke import Basis, RelationCheck, _image_terms, generators
 from doubleflag.polynomial import ONE, Q, ZERO, IntPoly
 
@@ -70,6 +71,20 @@ def reference_classify(g, side, i):
     return GeneratorCase.CASE_II if crossing else GeneratorCase.CASE_III
 
 
+def reference_case(a, i):
+    """The three-case rule on a partner array, read through the degrees of
+    both vertices as the rule is stated."""
+    d, d2 = vertex_degree(a[i]), vertex_degree(a[i + 1])
+    if d == d2 != 1:
+        return GeneratorCase.CASE_I
+    if d < d2:
+        return GeneratorCase.CASE_II
+    if d > d2:
+        return GeneratorCase.CASE_III
+    # Two edge ends: the edges cross when their partners are out of order.
+    return GeneratorCase.CASE_II if a[i] > a[i + 1] else GeneratorCase.CASE_III
+
+
 def reference_reflect(g, side, i):
     """The graph s_i . g, by weyl_act of the adjacent transposition (i, i+1)."""
     w = [list(range(1, g.shape.p + 1)), list(range(1, g.shape.q + 1))]
@@ -114,6 +129,16 @@ class TestClassify:
                         assert dual is GeneratorCase.CASE_III
                     else:
                         assert dual is GeneratorCase.CASE_II
+
+    def test_case_matches_degree_rule(self):
+        # Every pair (x, y) of entries at i, i+1 that a valid array can
+        # hold: each of -1, 0 and partners 1..6, but never one partner twice.
+        entries = range(-1, 7)
+        pairs = [(x, y) for x in entries for y in entries if not x == y > 0]
+        assert len(pairs) == 8 * 8 - 6
+        for x, y in pairs:
+            a = (0, x, y)
+            assert hecke._case(a, 1) is reference_case(a, 1), (x, y)
 
     def test_bad_index(self):
         with pytest.raises(ValueError):
