@@ -18,8 +18,7 @@ import argparse
 import json
 import re
 import sys
-from functools import cache
-from itertools import chain
+from functools import cache, partial
 
 from .core import Shape, count_orbits, enumerate_graphs, invariants, rank_matrix
 from .hecke import operator_matrix, verify_relations, weyl_decompose
@@ -132,51 +131,89 @@ def _csv_field(text: dict, entry) -> str:
     return field
 
 
+class _CsvFields(dict):
+    """Per-matrix cache of CSV fields: an entry maps to its text, and a miss
+    goes through ``_csv_field``, so every distinct entry is checked once."""
+
+    __missing__ = _csv_field
+
+
 def _json_rows(graphs, row) -> str:
     """``json.dumps(rows, sort_keys=True, indent=2)`` for one row per orbit,
     each row written by one ``%``.
 
-    ``row(g)`` returns the orbit's ints in the row's sorted-key order and a
-    function that builds the row itself.  All rows of one orbit type
-    (k, s, t) have the same keys and the same list lengths: k edges, t
-    marked- and s marked+ vertices, and for ``invariants`` the
-    (p+1) x (q+1) rank matrix.  So ``json.dumps`` writes them with the same
-    bytes apart from the digit runs.  No key holds a digit or a ``%``, and
-    every value is a non-negative int, which ``json.dumps`` writes as
-    ``%d`` does; so each digit run is exactly one value.  Inside the list a
-    row is indented two more spaces, and ``.replace("\\n", "\\n  ")`` does
-    that exactly, because ``json.dumps`` escapes every newline inside a
-    string, so each newline it writes starts one of its lines.  The first
-    row of a type, written so with its digit runs replaced by ``%d``, is
-    therefore a template that every row of the type fills with its ints.
-    A shape has at least one orbit, so the list is never empty.
+    ``row(g)`` returns the values of the orbit's template and a function
+    that builds the row itself.  The values are the row's ints in
+    sorted-key order, then its closing text: the text that the row ends
+    with and that the template takes whole by ``%s``.
+
+    The templates are exact for three reasons.  ``json.dumps`` writes a
+    list of ints from those ints alone, each as ``%d`` writes a
+    non-negative int, and no key holds a digit or a ``%``; so each digit
+    run is exactly one value.  Its indentation depends only on nesting
+    depth: inside the list a row is indented two more spaces, and
+    ``.replace("\\n", "\\n  ")`` does that exactly, because ``json.dumps``
+    escapes every newline inside a string, so each newline it writes starts
+    one of its lines.  And one orbit type (k, s, t) means one layout: k
+    edges, t marked- and s marked+ vertices, and for ``invariants`` the
+    (p+1) x (q+1) rank matrix, which the closing text holds.  So all rows
+    of a type have the same bytes apart from the digit runs and the closing
+    text, and the first row of a type, written so, with the closing text
+    cut off and each digit run replaced by ``%d``, is a template that every
+    row of the type fills.  A shape has at least one orbit, so the list is
+    never empty.
     """
     templates = {}
     rows = []
     for g in graphs:
-        ints, build = row(g)
+        values, build = row(g)
         triple = g.triple()
         template = templates.get(triple)
         if template is None:
             text = json.dumps(build(), sort_keys=True, indent=2).replace("\n", "\n  ")
-            template = templates[triple] = re.sub("[0-9]+", "%d", text)
-        rows.append(template % ints)
+            head = text[: len(text) - len(values[-1])]
+            template = templates[triple] = re.sub("[0-9]+", "%d", head) + "%s"
+        rows.append(template % values)
     return "[\n  " + ",\n  ".join(rows) + "\n]"
 
 
 def _graph_row(g):
-    """The ints and the builder of g's graph record, for ``_json_rows``."""
-    edges, marked_minus, marked_plus = g.record_lists()
-    return (*chain(*edges), *marked_minus, *marked_plus, *g.shape), g.to_json
+    """The template values and the builder of g's graph record, for
+    ``_json_rows``.  The closing text is empty: the template is the whole
+    record."""
+    return (*g.record_ints(), *g.shape, ""), g.to_json
 
 
-def _invariants_row(g):
-    """The ints and the builder of g's ``invariants`` row, for
-    ``_json_rows``: one ``invariants`` and one ``rank_matrix`` call."""
-    inv, entries = invariants(g), rank_matrix(g).entries
-    graph_ints, graph = _graph_row(g)
-    ints = (inv.a_minus, inv.a_plus, inv.b, inv.c, inv.dim, *graph_ints, *chain(*entries))
-    return ints, lambda: {**inv._asdict(), "graph": graph(), "rank_matrix": entries}
+class _MatrixRows(dict):
+    """Per-call cache of rank-matrix rows: a row tuple maps to the JSON text
+    ``invariants --format json`` writes for it.  Every row of a shape's
+    rank matrices holds q+1 ints, and ``json.dumps(..., indent=2)`` writes a
+    list of ints from those ints alone and indents by nesting depth alone.
+    So one template serves every row: ``json.dumps`` of q+1 zeros, indented
+    six more spaces (a matrix row is three lists and objects deep: the
+    output list, the orbit's row, its ``rank_matrix``), with each 0 turned
+    into ``%d``."""
+
+    def __init__(self, q: int):
+        text = json.dumps([0] * (q + 1), indent=2).replace("\n", "\n      ")
+        self.template = text.replace("0", "%d")
+
+    def __missing__(self, row):
+        self[row] = text = self.template % row
+        return text
+
+
+def _invariants_row(matrix_rows, g):
+    """The template values and the builder of g's ``invariants`` row, for
+    ``_json_rows``: one ``invariants`` and one ``rank_matrix`` call.
+    ``rank_matrix`` is the last sorted key, so the closing text is its
+    block, each row's text read from ``matrix_rows``, and the two closing
+    brackets."""
+    a_plus, a_minus, b, c, dim = inv = invariants(g)
+    entries = rank_matrix(g).entries
+    block = ",\n      ".join(map(matrix_rows.__getitem__, entries))
+    values = (a_minus, a_plus, b, c, dim, *g.record_ints(), *g.shape, block + "\n    ]\n  }")
+    return values, lambda: {**inv._asdict(), "graph": g.to_json(), "rank_matrix": entries}
 
 
 def _cmd_enumerate(args, shape) -> int:
@@ -187,7 +224,7 @@ def _cmd_enumerate(args, shape) -> int:
 def _cmd_invariants(args, shape) -> int:
     graphs = enumerate_graphs(shape)
     if args.format == "json":
-        _emit(_json_rows(graphs, _invariants_row), args.out)
+        _emit(_json_rows(graphs, partial(_invariants_row, _MatrixRows(shape.q))), args.out)
         return 0
     lines = []
     for g in graphs:
@@ -209,14 +246,8 @@ def _cmd_hasse(args, shape) -> int:
 def _cmd_hecke_matrix(args, shape) -> int:
     op = operator_matrix(shape, args.side, args.index)
     # At most four distinct entries (0, 1, q, q-1): format each once.
-    text = {}
-    _emit(
-        "".join(
-            ",".join([text.get(e) or _csv_field(text, e) for e in row]) + "\r\n"
-            for row in op.entries
-        ),
-        args.out,
-    )
+    fields = _CsvFields()
+    _emit("".join(",".join(map(fields.__getitem__, row)) + "\r\n" for row in op.entries), args.out)
     return 0
 
 

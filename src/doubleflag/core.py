@@ -130,6 +130,31 @@ class Graph(namedtuple("Graph", "shape plus minus")):
                 marked_plus.append(i)
         return edges, [j for j, i in enumerate(self.minus) if i < 0], marked_plus
 
+    def record_ints(self) -> tuple:
+        """The ints of ``record_lists`` in the same order: each edge's i and
+        j, then ``marked_minus``, then ``marked_plus``.  The text writers
+        fill per-type templates with them (``cli._json_rows``,
+        ``poset.to_dot``).  That is exact because one type (k, s, t) means
+        one layout: k edges, t marked- and s marked+ vertices, so every
+        record of the type has lists of the same lengths; a list of ints
+        is written from those ints alone, each as ``%d`` writes it; and
+        ``json.dumps``'s indentation depends only on nesting depth.  One
+        pass over each partner array, in label order, so each list
+        comes out sorted as ``record_lists`` gives it."""
+        ints, marked_plus = [], []
+        append = ints.append
+        for i, j in enumerate(self.plus):
+            if j > 0:
+                append(i)
+                append(j)
+            elif j:
+                marked_plus.append(i)
+        for j, i in enumerate(self.minus):
+            if i < 0:
+                append(j)
+        ints += marked_plus
+        return tuple(ints)
+
     def to_json(self) -> dict:
         edges, marked_minus, marked_plus = self.record_lists()
         return {

@@ -46,17 +46,17 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
+from itertools import chain
 
 from .core import Graph, Shape, enumerate_graphs, invariants, rank_matrix
 
 # One DOT node: its index, then the graph record ``json.dumps(record,
-# sort_keys=True)`` writes, with each quote escaped, then the dimension.  The
-# record's lists, from ``Graph.record_lists``, are filled in with ``str``,
-# which for a list of ints (or of lists of ints) writes exactly the compact
-# JSON with ", " separators.
+# sort_keys=True)`` writes, with each quote escaped, then the dimension.
+# ``to_dot`` fills it once per orbit type: the three lists' contents with
+# that type's layout, the shape with its sizes, and ``%d`` elsewhere.
 _NODE = (
-    '  n%d [label="{\\"edges\\": %s, \\"marked_minus\\": %s, \\"marked_plus\\": %s,'
-    ' \\"p\\": %d, \\"q\\": %d, \\"r\\": %d}\\ndim %d"];'
+    '  n%s [label="{\\"edges\\": [%s], \\"marked_minus\\": [%s], \\"marked_plus\\": [%s],'
+    ' \\"p\\": %s, \\"q\\": %s, \\"r\\": %s}\\ndim %s"];'
 )
 
 
@@ -127,7 +127,7 @@ def build_poset(shape: Shape) -> OrbitPoset:
     orbits = enumerate_graphs(shape)
     dims = tuple(invariants(g).dim for g in orbits)
     # leq[a] holds b as a bit iff rank matrix a >= rank matrix b entrywise.
-    flat = [tuple(x for row in rank_matrix(g).entries for x in row) for g in orbits]
+    flat = [tuple(chain.from_iterable(rank_matrix(g).entries)) for g in orbits]
     leq = _dominated(flat, shape.r)
 
     # level[d] holds the orbits of dimension d.  An orbit's covers are its
@@ -156,15 +156,32 @@ def build_poset(shape: Shape) -> OrbitPoset:
 
 def to_dot(poset: OrbitPoset) -> str:
     """DOT rendering: one node per orbit labelled with its JSON record and
-    dimension, same-dimension nodes on one rank, covers drawn upward."""
+    dimension, same-dimension nodes on one rank, covers drawn upward.
+
+    Each orbit type (k, s, t) gets one node template, ``_NODE`` with the
+    shape written in and ``%d`` for the index, the dimension and each int
+    of ``Graph.record_ints``; every node of the type fills it with its own.
+    That is exact for two reasons.  ``json.dumps`` writes a list of ints
+    from those ints alone: ``[``, the ints joined by ", ", ``]``, each int
+    as ``%d`` writes it, and a list of [i, j] pairs the same way.  And one
+    type means one layout: k edges, t marked- and s marked+ vertices, in
+    the order ``record_ints`` gives them.  Rank groups and cover edges are
+    fixed ``%`` formats of their indices.
+    """
     lines = ["digraph orbits {", "  rankdir=BT;", "  node [shape=box];"]
+    templates = {}
     levels = {}
     for idx, (g, d) in enumerate(zip(poset.orbits, poset.dims)):
-        lines.append(_NODE % (idx, *g.record_lists(), *g.shape, d))
-        levels.setdefault(d, []).append(f"n{idx};")
+        triple = g.triple()
+        template = templates.get(triple)
+        if template is None:
+            k, s, t = triple
+            lists = (", ".join(["[%d, %d]"] * k), ", ".join(["%d"] * t), ", ".join(["%d"] * s))
+            template = templates[triple] = _NODE % ("%d", *lists, *poset.shape, "%d")
+        lines.append(template % (idx, *g.record_ints(), d))
+        levels.setdefault(d, []).append(idx)
     for d in sorted(levels):
-        lines.append(f"  {{ rank=same; {' '.join(levels[d])} }}")
-    for a, b in poset.covers:
-        lines.append(f"  n{a} -> n{b};")
+        lines.append("  { rank=same; %s }" % " ".join(map("n%d;".__mod__, levels[d])))
+    lines += map("  n%d -> n%d;".__mod__, poset.covers)
     lines.append("}")
     return "\n".join(lines) + "\n"

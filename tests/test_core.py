@@ -591,6 +591,15 @@ def test_arrays_match_edge_sets():
                 assert g.degree(side, i) == reference_degree(g, side, i), (g, side, i)
 
 
+def test_record_ints_flatten_record_lists():
+    # The text writers fill their per-type templates with these ints.
+    for g in small_orbits():
+        edges, marked_minus, marked_plus = g.record_lists()
+        flat = (*itertools.chain.from_iterable(edges), *marked_minus, *marked_plus)
+        assert g.record_ints() == flat, g
+        assert type(g.record_ints()) is tuple, g
+
+
 def test_invariants_match_reference():
     for g in small_orbits():
         assert crossings(g) == reference_crossings(g), g

@@ -107,11 +107,12 @@ def reference_to_dot(poset):
 
 
 def test_dot_matches_reference_on_small_shapes():
-    # every shape with p+q <= 7: node labels byte for byte as json.dumps
-    # writes them, and the same rank groups
+    # every shape with p+q <= 7, and the benchmark's closure shapes (4,4,4)
+    # and (5,3,4): node labels byte for byte as json.dumps writes them, and
+    # the same rank groups
     shapes = [Shape(p, n - p, r) for n in range(2, 8) for p in range(1, n) for r in range(n + 1)]
     assert len(shapes) == 133
-    for shape in shapes:
+    for shape in [*shapes, Shape(4, 4, 4), Shape(5, 3, 4)]:
         poset = build_poset(shape)
         assert to_dot(poset) == reference_to_dot(poset), shape
 
