@@ -121,21 +121,18 @@ def _emit(text: str, out_path):
 _CSV_QUOTED = frozenset(',"\r\n')
 
 
-def _csv_field(text: dict, entry) -> str:
-    """Cache ``str(entry)`` in ``text`` and return it.  Raises ValueError if
-    csv.writer would quote it: empty (alone on its row it is written
-    ``""``), or holding a delimiter, quote or line break."""
-    text[entry] = field = str(entry)
-    if not field or not _CSV_QUOTED.isdisjoint(field):
-        raise ValueError(f"matrix entry {field!r} would need CSV quoting")
-    return field
-
-
 class _CsvFields(dict):
-    """Per-matrix cache of CSV fields: an entry maps to its text, and a miss
-    goes through ``_csv_field``, so every distinct entry is checked once."""
+    """Per-matrix cache of CSV fields: an entry maps to its text, and each
+    distinct entry is checked once, on its miss."""
 
-    __missing__ = _csv_field
+    def __missing__(self, entry) -> str:
+        """Cache ``str(entry)`` and return it.  Raises ValueError if
+        csv.writer would quote it: empty (alone on its row it is written
+        ``""``), or holding a delimiter, quote or line break."""
+        self[entry] = field = str(entry)
+        if not field or not _CSV_QUOTED.isdisjoint(field):
+            raise ValueError(f"matrix entry {field!r} would need CSV quoting")
+        return field
 
 
 def _json_rows(graphs, row) -> str:

@@ -118,29 +118,29 @@ class Graph(namedtuple("Graph", "shape plus minus")):
 
     def record_lists(self) -> tuple:
         """The lists of the ``to_json`` record in its sorted-key order:
-        ``edges`` as [i, j] pairs, ``marked_minus``, ``marked_plus``.  Every
-        writer of graph records reads them here, so only this class knows
-        the record's layout; the keys p, q, r follow them.  One pass reads
-        both lists of the + array."""
-        edges, marked_plus = [], []
-        for i, j in enumerate(self.plus):
-            if j > 0:
-                edges.append([i, j])
-            elif j:
-                marked_plus.append(i)
-        return edges, [j for j, i in enumerate(self.minus) if i < 0], marked_plus
+        ``edges`` as [i, j] pairs, ``marked_minus``, ``marked_plus``; the
+        keys p, q, r follow them.  They are cut from ``record_ints`` by the
+        type (k, s, t): 2k edge ints, then t marked- and s marked+
+        vertices.  So only this class knows the record's layout, and
+        ``record_ints`` alone reads the partner arrays for it."""
+        ints = self.record_ints()
+        k, _, t = self.triple()
+        e, m = 2 * k, 2 * k + t
+        return [list(ints[i : i + 2]) for i in range(0, e, 2)], list(ints[e:m]), list(ints[m:])
 
     def record_ints(self) -> tuple:
-        """The ints of ``record_lists`` in the same order: each edge's i and
-        j, then ``marked_minus``, then ``marked_plus``.  The text writers
-        fill per-type templates with them (``cli._json_rows``,
+        """The ints of the graph record in its sorted-key order: each
+        edge's i and j, then ``marked_minus``, then ``marked_plus``.  This
+        is the one reader of the partner arrays for the record:
+        ``record_lists`` cuts its lists from these ints, and the text
+        writers fill per-type templates with them (``cli._json_rows``,
         ``poset.to_dot``).  That is exact because one type (k, s, t) means
         one layout: k edges, t marked- and s marked+ vertices, so every
         record of the type has lists of the same lengths; a list of ints
         is written from those ints alone, each as ``%d`` writes it; and
         ``json.dumps``'s indentation depends only on nesting depth.  One
         pass over each partner array, in label order, so each list
-        comes out sorted as ``record_lists`` gives it."""
+        comes out sorted."""
         ints, marked_plus = [], []
         append = ints.append
         for i, j in enumerate(self.plus):

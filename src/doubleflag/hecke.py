@@ -384,9 +384,10 @@ def q1_action_is_permutation(shape: Shape) -> bool:
     to be an involution, so it is a bijection of the basis and T_i at
     q = 1 is a permutation of order at most 2, as for a transposition.
 
-    Both facts are proved, so ``weyl_decompose`` no longer calls this (see
-    its docstring); ``tests/test_hecke.py`` asserts it on every shape with
-    p+q <= 7.
+    Both facts are proved in ``weyl_decompose``'s docstring, and no
+    library code calls this; ``tests/test_hecke.py`` asserts it on every
+    shape with p+q <= 7 and checks that it returns False on a damaged
+    table.
     """
     for table in Basis(shape).action.values():
         for idx, (case, jdx) in enumerate(table):

@@ -70,9 +70,10 @@ def rref(rows, p: int):
     p first, so any integers are accepted.  At each pivot the pivot row is
     scaled to 1 and its column is cleared in every other row, so the rows
     come out in the unique reduced form of their span: equal spans give
-    equal rows.  It runs once per new step of the span table, which
-    ``_SpanTable.step`` alone fills, and once per orbit base point;
-    ``_transform`` keeps a point in this form without calling it.
+    equal rows.  Its one caller is ``_SpanTable.step``, once per new step
+    of the span table.  An orbit's base point (``graph_subspace``) is
+    already in this form once its rows are sorted, and ``_transform``
+    keeps a point in this form without calling it.
     """
     mat = [[x % p for x in row] for row in rows]
     nrows = len(mat)
@@ -342,17 +343,19 @@ def rank_profile(w, shape: Shape, field_size: int) -> tuple:
     return tuple(rows)
 
 
-def graph_subspace(g: Graph, field_size: int) -> tuple:
+def graph_subspace(g: Graph) -> tuple:
     """The base point of the orbit: the column span of ``matrix_from_graph``
-    (e_i + e_{p+j} per edge, e_i per + mark, e_{p+j} per - mark), in RREF.
+    (e_i + e_{p+j} per edge, e_i per + mark, e_{p+j} per - mark), in RREF
+    over every field.
 
-    Its rank is r over every field, so every RREF row is nonzero: the
-    columns are nonzero and have disjoint supports, and
-    ``PartialPermutationPair`` proves such columns independent."""
-    rows = list(zip(*matrix_from_graph(g).matrix))
-    if not rows:
-        return ()
-    return rref(rows, field_size)[0]
+    The rows, one per column of the matrix, have 0/1 entries and disjoint
+    supports, since each row of the matrix holds at most one 1, and none
+    is zero (``PartialPermutationPair`` checks both).  So each row's first
+    nonzero entry is a 1 in a column no other row touches.  Sorted by that
+    column, which is descending tuple order, they are the reduced row
+    echelon form of their span, with no elimination.  With r = 0 there are
+    no rows and the form is ()."""
+    return tuple(sorted(zip(*matrix_from_graph(g).matrix), reverse=True))
 
 
 class OrbitClassification(

@@ -203,7 +203,7 @@ def test_classification_totality():
             # each graph's base point lies in its own orbit, which a profile
             # read against another flag (say, - columns reversed) breaks
             ok &= all(
-                cls.orbit_of[graph_subspace(g, field)] == k
+                cls.orbit_of[graph_subspace(g)] == k
                 for k, g in enumerate(cls.graphs)
             )
     report(

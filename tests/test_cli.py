@@ -101,8 +101,8 @@ def test_hasse_and_invariants_compute_each_orbit_once(capsys):
 
 
 def test_hasse_and_invariants_build_one_record_per_orbit_type(monkeypatch, capsys):
-    # DOT labels and JSON rows read Graph.record_lists; the full record is
-    # built only for each orbit type's template row.
+    # DOT labels and JSON rows are filled from Graph.record_ints; the full
+    # record is built only for each orbit type's template row.
     calls = []
     to_json = Graph.to_json
 

@@ -118,6 +118,33 @@ class TestGraphValidation:
         with pytest.raises(ValueError):
             make_graph(Shape(2, 2, 1), [(3, 1)])
 
+    @pytest.mark.parametrize(
+        "marked_plus, marked_minus",
+        [([0], []), ([6], []), ([], [0]), ([], [4])],
+    )
+    def test_marked_vertex_out_of_range_rejected(self, marked_plus, marked_minus):
+        # without the check, label 0 would write the padding entry and
+        # label p+1 or q+1 would write past the array
+        with pytest.raises(ValueError, match=r"marked vertex \d out of range"):
+            make_graph(Shape(5, 3, 1), [], marked_plus, marked_minus)
+
+    @pytest.mark.parametrize(
+        "side, i, message",
+        [
+            ("x", 1, "side must be '\\+' or '-', got 'x'"),
+            ("", 1, "side must be"),
+            ("+", 0, "vertex 0\\+ out of range"),
+            ("+", 6, "vertex 6\\+ out of range"),
+            ("-", 4, "vertex 4- out of range"),
+            ("-", -1, "vertex -1- out of range"),
+        ],
+    )
+    def test_degree_refuses_bad_vertex(self, side, i, message):
+        # entry 0 is padding and a negative index would read from the end,
+        # so both are refused, not read as a free vertex
+        with pytest.raises(ValueError, match=message):
+            GRAPH_534.degree(side, i)
+
     def test_arrays_of_paper_example(self):
         assert GRAPH_534.plus == (0, 0, 3, 0, 1, -1)
         assert GRAPH_534.minus == (0, 4, -1, 2)
@@ -255,6 +282,20 @@ class TestGraphFromMatrix:
             PartialPermutationPair._make((Shape(2, 2, 2), bad))
         with pytest.raises(ValueError):
             matrix_from_graph(make_graph(S222, [(1, 1), (2, 2)]))._replace(matrix=bad)
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (((1, 0), (0, 1), (0, 0)), "matrix must be 4 x 2"),
+            (((1, 0), (0, 1), (0, 0), (0,)), "matrix must be 4 x 2"),
+            (((1, 0, 0), (0, 1, 0), (0, 0, 0), (0, 0, 1)), "matrix must be 4 x 2"),
+            (((2, 0), (0, 1), (0, 0), (0, 0)), "entries must be 0 or 1"),
+            (((1, 0), (0, -1), (0, 0), (0, 1)), "entries must be 0 or 1"),
+        ],
+    )
+    def test_malformed_matrix_rejected(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            PartialPermutationPair(S222, matrix)
 
     def test_accepted_matrices_have_full_rank(self):
         # rank mod 101 <= rank over Q <= r, so rank r mod 101 proves full rank
@@ -592,12 +633,16 @@ def test_arrays_match_edge_sets():
 
 
 def test_record_ints_flatten_record_lists():
-    # The text writers fill their per-type templates with these ints.
+    # The text writers fill their per-type templates with these ints, and
+    # record_lists cuts its lists from them.  The reference is the sorted
+    # frozenset views, which read the partner arrays on their own.
     for g in small_orbits():
-        edges, marked_minus, marked_plus = g.record_lists()
+        edges = sorted(g.edges)
+        marked_minus, marked_plus = sorted(g.marked_minus), sorted(g.marked_plus)
         flat = (*itertools.chain.from_iterable(edges), *marked_minus, *marked_plus)
         assert g.record_ints() == flat, g
         assert type(g.record_ints()) is tuple, g
+        assert g.record_lists() == ([list(e) for e in edges], marked_minus, marked_plus), g
 
 
 def test_invariants_match_reference():

@@ -290,12 +290,38 @@ def test_partner_has_the_same_type():
 
 
 def test_q1_action_is_permutation():
-    # weyl_decompose no longer runs this check; its docstring proves both
-    # halves from Basis and _reflected, and this confirms them.
+    # No library code runs this check: weyl_decompose's docstring proves
+    # both halves from Basis and _reflected, and this confirms them.
     shapes = small_shapes(7)
     assert len(shapes) == 133
     for shape in shapes:
         assert hecke.q1_action_is_permutation(shape), shape
+
+
+def _move_case_i_partner(table):
+    """Case I at orbit k, but the partner moved to the next orbit."""
+    k = next(k for k, (case, _) in enumerate(table) if case is GeneratorCase.CASE_I)
+    table[k] = (GeneratorCase.CASE_I, (k + 1) % len(table))
+
+
+def _break_involution(table):
+    """Two case II/III pairs (a, b) and (c, d), with a sent to c instead of b."""
+    moved = [k for k, (case, _) in enumerate(table) if case is not GeneratorCase.CASE_I]
+    a = moved[0]
+    c = next(k for k in moved if k not in (a, table[a][1]))
+    table[a] = (table[a][0], c)
+
+
+@pytest.mark.parametrize("damage", [_move_case_i_partner, _break_involution])
+def test_q1_action_refuses_damaged_table(monkeypatch, damage):
+    # Either damage leaves some T_i at q = 1 no permutation of order <= 2.
+    shape = Shape(3, 2, 2)
+    real = Basis(shape)
+    assert hecke.q1_action_is_permutation(shape)
+    action = {gen: list(table) for gen, table in real.action.items()}
+    damage(action[("+", 1)])
+    monkeypatch.setattr(hecke, "Basis", lambda _shape: mock.Mock(action=action))
+    assert not hecke.q1_action_is_permutation(shape)
 
 
 def full_scan_reflected(arrays, s, i):
@@ -368,6 +394,22 @@ class TestOperatorMatrix:
     def test_no_generators(self):
         with pytest.raises(ValueError):
             operator_matrix(Shape(1, 1, 1), "+", 1)
+
+    def test_columns_match_apply_generator(self):
+        # Column c is the image of basis vector c, every other entry ZERO:
+        # a matrix filled transposed fails on every non-symmetric column.
+        columns = 0
+        for shape in small_shapes(6):
+            n = len(Basis(shape))
+            for side, i in generators(shape):
+                op = operator_matrix(shape, side, i)
+                assert len(op.entries) == n and all(len(row) == n for row in op.entries)
+                for c in range(n):
+                    image = apply_generator(side, i, ModuleVector.basis_vector(shape, c)).coords
+                    expected = tuple(image.get(k, ZERO) for k in range(n))
+                    assert tuple(row[c] for row in op.entries) == expected, (shape, side, i, c)
+                    columns += 1
+        assert columns == 5356
 
 
 S322 = Shape(3, 2, 2)
@@ -640,6 +682,23 @@ class TestWeylDecompose:
                         g = member[blk[:3]]
                         stab = sum(1 for w in group if weyl_act(w, g) == g)
                         assert blk.stabilizer_order == stab, (shape, blk[:3])
+
+    def test_orbit_size_mismatch_raises(self, monkeypatch):
+        # Without generator +1 the walk over (3,2,2) cannot move vertex 1+,
+        # so some W-orbit comes out smaller than its type's triple_count.
+        shape = Shape(3, 2, 2)
+        real = Basis(shape)
+
+        class Damaged:
+            graphs = real.graphs
+            action = {gen: t for gen, t in real.action.items() if gen != ("+", 1)}
+
+            def __len__(self):
+                return len(self.graphs)
+
+        monkeypatch.setattr(hecke, "Basis", lambda _shape: Damaged())
+        with pytest.raises(AssertionError, match=r"orbit size mismatch for type \(\d, \d, \d\)"):
+            weyl_decompose(shape)
 
     def test_trivial_shape(self):
         blocks = weyl_decompose(Shape(3, 2, 0))

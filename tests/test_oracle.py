@@ -15,9 +15,11 @@ from doubleflag import (
     classify_orbits,
     convolution_action,
     count_orbits,
+    enumerate_graphs,
     enumerate_grassmannian,
     gaussian_binomial,
     make_graph,
+    matrix_from_graph,
     rank_matrix,
     rank_profile,
 )
@@ -207,6 +209,26 @@ class TestCellAlignment:
         finally:
             classify_orbits.cache_clear()
 
+    @pytest.mark.parametrize(
+        "name, damage, message",
+        [
+            ("enumerate_graphs", lambda f: lambda s: f(s)[:-1], "unmatched rank profile"),
+            ("enumerate_graphs", lambda f: lambda s: (*f(s), f(s)[0]), "received no Grassmannian"),
+            ("rank_profile", lambda f: lambda w, s, F: (), "unmatched rank profile"),
+        ],
+        ids=["orbit_dropped", "orbit_repeated", "profile_damaged"],
+    )
+    def test_unmatched_orbits_raise(self, monkeypatch, name, damage, message):
+        # Dropping an orbit leaves its points' profile unmatched; repeating
+        # one maps its profile to the copy and leaves the first one empty.
+        monkeypatch.setattr(oracle, name, damage(getattr(oracle, name)))
+        classify_orbits.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match=message):
+                classify_orbits(Shape(3, 2, 2), 3)
+        finally:
+            classify_orbits.cache_clear()
+
     def test_alignment_checked_under_optimize(self):
         # The alignment check must survive ``python -O``, which strips asserts.
         script = (
@@ -240,8 +262,29 @@ class TestRankProfile:
     def test_paper_base_point(self):
         shape = Shape(5, 3, 4)
         g = make_graph(shape, [(2, 3), (4, 1)], [5], [2])
-        w = graph_subspace(g, 3)
+        w = graph_subspace(g)
         assert rank_profile(w, shape, 3) == rank_matrix(g).entries
+        # r = 0: no rows, and the zero space's profile is all zeros
+        g = make_graph(Shape(2, 3, 0))
+        w = graph_subspace(g)
+        assert w == ()
+        assert rank_profile(w, g.shape, 3) == rank_matrix(g).entries
+
+    def test_base_point_is_rref_of_its_columns(self):
+        # graph_subspace sorts the columns instead of eliminating; over
+        # every field that is the form rref gives, r = 0 included.
+        orbits = [
+            g
+            for n in range(2, 7)
+            for p in range(1, n)
+            for r in range(n + 1)
+            for g in enumerate_graphs(Shape(p, n - p, r))
+        ]
+        assert len(orbits) == 1485
+        for g in orbits:
+            columns = tuple(zip(*matrix_from_graph(g).matrix))
+            for field in (3, 5):
+                assert graph_subspace(g) == rref(columns, field)[0], (g, field)
 
     def test_flag_member(self):
         # W spanned by the first r "+" basis vectors

@@ -17,6 +17,7 @@ from doubleflag import (
 )
 from doubleflag import cli
 from doubleflag import poset as poset_module
+from doubleflag.hecke import Basis, GeneratorCase
 
 S222 = Shape(2, 2, 2)
 
@@ -115,6 +116,41 @@ def test_dot_matches_reference_on_small_shapes():
     for shape in [*shapes, Shape(4, 4, 4), Shape(5, 3, 4)]:
         poset = build_poset(shape)
         assert to_dot(poset) == reference_to_dot(poset), shape
+
+
+def test_second_maximal_orbit_raises():
+    # An orbit whose up-set is only itself is maximal; one besides the
+    # dense orbit must be refused, not answered with either.
+    poset = build_poset(S222)
+    leq = list(poset.leq)
+    a = next(a for a in range(len(leq)) if a != poset.top)
+    leq[a] = 1 << a
+    with pytest.raises(AssertionError, match="expected a unique maximal orbit, found 2"):
+        poset._replace(leq=tuple(leq)).top
+
+
+def test_case_ii_and_iii_partners_are_covers():
+    # The action table and the Hasse diagram agree: a case II partner is
+    # covered by its orbit and a case III partner covers it, one dimension
+    # apart.  Every shape with p+q <= 8.
+    shapes = [Shape(p, n - p, r) for n in range(2, 9) for p in range(1, n) for r in range(n + 1)]
+    assert len(shapes) == 196
+    pairs = 0
+    for shape in shapes:
+        poset = build_poset(shape)
+        covers, dims = set(poset.covers), poset.dims
+        for gen, table in Basis(shape).action.items():
+            for k, (case, j) in enumerate(table):
+                if case is GeneratorCase.CASE_I:
+                    continue
+                if case is GeneratorCase.CASE_II:
+                    cover, step = (j, k), -1
+                else:
+                    cover, step = (k, j), 1
+                witness = (shape, gen, k, case, dims[k], dims[j])
+                assert cover in covers and dims[j] == dims[k] + step, witness
+                pairs += 1
+    assert pairs == 72548
 
 
 def test_all_small_shapes_grade():
