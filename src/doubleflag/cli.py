@@ -5,8 +5,9 @@ verify.  Output is deterministic: fixed enumeration order, sorted JSON
 keys, newline-terminated files.  Every JSON output is
 ``json.dumps(obj, sort_keys=True, indent=2)``: ``weyl-decomp`` and
 ``verify`` call it on their payload, and ``enumerate`` and ``invariants
---format json`` write one row per orbit through ``_json_rows``, which calls
-it once per orbit type and fills that row's template for the rest.  CSV is
+--format json`` write one row per orbit through ``_json_rows``, which fills
+a template that it builds once per process and orbit type by calling
+``json.dumps`` on a record of that layout with every int 0.  CSV is
 written directly, byte-identical to ``csv.writer``'s default dialect.
 ``tests/test_cli.py`` checks both byte for byte on small shapes, and
 ``tests/test_golden.py`` against the benchmark digests.
@@ -15,12 +16,13 @@ written directly, byte-identical to ``csv.writer``'s default dialect.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
-from functools import cache, partial
+from functools import cache, lru_cache
 
-from .core import Shape, count_orbits, enumerate_graphs, invariants, rank_matrix
+from .core import Graph, Invariants, Shape, count_orbits, enumerate_graphs, invariants, rank_matrix
 from .hecke import operator_matrix, verify_relations, weyl_decompose
 from .oracle import (
     certify_theorem,
@@ -135,14 +137,33 @@ class _CsvFields(dict):
         return field
 
 
-def _json_rows(graphs, row) -> str:
-    """``json.dumps(rows, sort_keys=True, indent=2)`` for one row per orbit,
-    each row written by one ``%``.
+@lru_cache(maxsize=None)
+def _row_template(kind: str, triple: tuple) -> str:
+    """The template of every ``kind`` row ("graph" or "invariants") of an
+    orbit of type (k, s, t): ``json.dumps(..., sort_keys=True, indent=2)``
+    of a record of that layout with every int 0, indented one level for
+    the output list, with its closing text cut off and each digit run
+    turned into ``%d``; see ``_json_rows``.  A graph record's closing
+    text is empty, and an invariants record's is the ``_rank_block`` of
+    its one-entry rank matrix [[0]]."""
+    k, s, t = triple
+    record = {"edges": [[0, 0]] * k, "marked_minus": [0] * t, "marked_plus": [0] * s}
+    record |= dict.fromkeys(Shape._fields, 0)
+    closing = ""
+    if kind == "invariants":
+        record = {**dict.fromkeys(Invariants._fields, 0), "graph": record, "rank_matrix": [[0]]}
+        closing = _rank_block(((0,),))
+    text = json.dumps(record, sort_keys=True, indent=2).replace("\n", "\n  ")
+    return re.sub("[0-9]+", "%d", text[: len(text) - len(closing)]) + "%s"
 
-    ``row(g)`` returns the values of the orbit's template and a function
-    that builds the row itself.  The values are the row's ints in
-    sorted-key order, then its closing text: the text that the row ends
-    with and that the template takes whole by ``%s``.
+
+def _json_rows(graphs, kind: str) -> str:
+    """``json.dumps(rows, sort_keys=True, indent=2)`` for one ``kind`` row
+    per orbit, each row written by one ``%`` of its type's template.
+
+    The row's values (``_graph_row`` or ``_invariants_row``) are its ints
+    in sorted-key order, then its closing text: the text that the row
+    ends with and that the template takes whole by ``%s``.
 
     The templates are exact for three reasons.  ``json.dumps`` writes a
     list of ints from those ints alone, each as ``%d`` writes a
@@ -152,76 +173,81 @@ def _json_rows(graphs, row) -> str:
     ``.replace("\\n", "\\n  ")`` does that exactly, because ``json.dumps``
     escapes every newline inside a string, so each newline it writes starts
     one of its lines.  And one orbit type (k, s, t) means one layout: k
-    edges, t marked- and s marked+ vertices, and for ``invariants`` the
-    (p+1) x (q+1) rank matrix, which the closing text holds.  So all rows
-    of a type have the same bytes apart from the digit runs and the closing
-    text, and the first row of a type, written so, with the closing text
-    cut off and each digit run replaced by ``%d``, is a template that every
-    row of the type fills.  A shape has at least one orbit, so the list is
-    never empty.
+    edges, t marked- and s marked+ vertices.  The shape enters a row only
+    as p, q and r, which are digit runs, and for ``invariants`` as the
+    (p+1) x (q+1) rank matrix, which is the closing text.  So every row of
+    a kind and type, of any shape, has the same bytes apart from its digit
+    runs and closing text, and ``_row_template`` builds the template from
+    a record of that layout with every int 0 and no orbit at all.
+
+    ``_row_template`` is an ``lru_cache`` keyed by (kind, type), so each
+    template is built once per process, however many shapes and calls
+    share it.  It stays bounded: every key is the type of an orbit that
+    ``enumerate_graphs``, itself cached per shape, has already listed, so
+    it holds at most two templates per type that cache holds.  The
+    enumeration lists the orbits type by type, so ``groupby`` looks each
+    template up once per type and call.  A shape has at least one orbit,
+    so the list is never empty.
     """
-    templates = {}
+    row = _invariants_row if kind == "invariants" else _graph_row
     rows = []
-    for g in graphs:
-        values, build = row(g)
-        triple = g.triple()
-        template = templates.get(triple)
-        if template is None:
-            text = json.dumps(build(), sort_keys=True, indent=2).replace("\n", "\n  ")
-            head = text[: len(text) - len(values[-1])]
-            template = templates[triple] = re.sub("[0-9]+", "%d", head) + "%s"
-        rows.append(template % values)
+    for triple, group in itertools.groupby(graphs, Graph.triple):
+        template = _row_template(kind, triple)
+        rows += [template % row(g) for g in group]
     return "[\n  " + ",\n  ".join(rows) + "\n]"
 
 
-def _graph_row(g):
-    """The template values and the builder of g's graph record, for
-    ``_json_rows``.  The closing text is empty: the template is the whole
-    record."""
-    return (*g.record_ints(), *g.shape, ""), g.to_json
+def _graph_row(g) -> tuple:
+    """The template values of g's graph record, for ``_json_rows``.  The
+    closing text is empty: the template is the whole record."""
+    return (*g.record_ints(), *g.shape, "")
 
 
-class _MatrixRows(dict):
-    """Per-call cache of rank-matrix rows: a row tuple maps to the JSON text
-    ``invariants --format json`` writes for it.  Every row of a shape's
-    rank matrices holds q+1 ints, and ``json.dumps(..., indent=2)`` writes a
-    list of ints from those ints alone and indents by nesting depth alone.
-    So one template serves every row: ``json.dumps`` of q+1 zeros, indented
-    six more spaces (a matrix row is three lists and objects deep: the
-    output list, the orbit's row, its ``rank_matrix``), with each 0 turned
-    into ``%d``."""
-
-    def __init__(self, q: int):
-        text = json.dumps([0] * (q + 1), indent=2).replace("\n", "\n      ")
-        self.template = text.replace("0", "%d")
-
-    def __missing__(self, row):
-        self[row] = text = self.template % row
-        return text
+@lru_cache(maxsize=None)
+def _rank_row_template(width: int) -> str:
+    """The JSON text of every rank-matrix row of ``width`` ints, as
+    ``invariants --format json`` writes it: ``json.dumps`` of ``width``
+    zeros, indented six more spaces (a matrix row is three lists and
+    objects deep: the output list, the orbit's row, its ``rank_matrix``),
+    with each 0 turned into ``%d``.  ``json.dumps(..., indent=2)`` writes a
+    list of ints from those ints alone and indents by nesting depth alone,
+    so one template per width serves every row."""
+    text = json.dumps([0] * width, indent=2).replace("\n", "\n      ")
+    return text.replace("0", "%d")
 
 
-def _invariants_row(matrix_rows, g):
-    """The template values and the builder of g's ``invariants`` row, for
-    ``_json_rows``: one ``invariants`` and one ``rank_matrix`` call.
-    ``rank_matrix`` is the last sorted key, so the closing text is its
-    block, each row's text read from ``matrix_rows``, and the two closing
-    brackets."""
-    a_plus, a_minus, b, c, dim = inv = invariants(g)
-    entries = rank_matrix(g).entries
-    block = ",\n      ".join(map(matrix_rows.__getitem__, entries))
-    values = (a_minus, a_plus, b, c, dim, *g.record_ints(), *g.shape, block + "\n    ]\n  }")
-    return values, lambda: {**inv._asdict(), "graph": g.to_json(), "rank_matrix": entries}
+@lru_cache(maxsize=None)
+def _rank_row(row: tuple) -> str:
+    """The JSON text of one rank-matrix row, written once per process.
+    Every key is a row of a matrix that ``core.rank_matrix``, itself
+    cached per orbit, has already returned, so this cache holds no more
+    entries than that one holds rows."""
+    return _rank_row_template(len(row)) % row
+
+
+def _rank_block(entries) -> str:
+    """The closing text of an ``invariants`` row: its ``rank_matrix``
+    rows, the last sorted key, and the two closing brackets."""
+    return ",\n      ".join(map(_rank_row, entries)) + "\n    ]\n  }"
+
+
+def _invariants_row(g) -> tuple:
+    """The template values of g's ``invariants`` row, for ``_json_rows``:
+    one ``invariants`` and one ``rank_matrix`` call."""
+    a_plus, a_minus, b, c, dim = invariants(g)
+    block = _rank_block(rank_matrix(g).entries)
+    return (a_minus, a_plus, b, c, dim, *g.record_ints(), *g.shape, block)
 
 
 def _cmd_enumerate(args, shape) -> int:
-    _emit(_json_rows(enumerate_graphs(shape), _graph_row), args.out)
+    _emit(_json_rows(enumerate_graphs(shape), "graph"), args.out)
     return 0
 
 
 def _cmd_invariants(args, shape) -> int:
     graphs = enumerate_graphs(shape)
     if args.format == "json":
-        _emit(_json_rows(graphs, partial(_invariants_row, _MatrixRows(shape.q))), args.out)
+        _emit(_json_rows(graphs, "invariants"), args.out)
         return 0
     lines = []
     for g in graphs:

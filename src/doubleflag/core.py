@@ -338,9 +338,12 @@ def triple_count(shape: Shape, triple) -> int:
     )
 
 
+@lru_cache(maxsize=None)
 def count_orbits(shape: Shape) -> int:
     """Closed-form orbit count: the sum of ``triple_count`` over admissible
-    triples."""
+    triples.  Cached per shape, one int each, as ``enumerate_graphs`` caches
+    the orbits themselves: the CLI's budget check asks for it on every
+    call."""
     return sum(triple_count(shape, triple) for triple in admissible_triples(shape))
 
 

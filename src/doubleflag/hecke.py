@@ -279,6 +279,14 @@ def _relations(shape: Shape) -> list:
     return relations
 
 
+@lru_cache(maxsize=None)
+def _at_q0(c: IntPoly) -> int:
+    """The polynomial c at q = _Q0, evaluated once per process.  Its keys
+    are the coefficients of ``_image_terms``, the relations and the basis
+    vectors: six polynomials (q, q-1, 1, 1-q, -q and -1) in all."""
+    return c(_Q0)
+
+
 def _vanishes(terms: tuple, start: dict) -> bool:
     """Whether the sum of c * word(v) over the terms (c, columns) is zero at
     q = _Q0, where ``start`` is v at _Q0.  Each c is an int already
@@ -311,11 +319,14 @@ def verify_relations(shape: Shape) -> list:
     A relation is a sum of terms c(q) * word that must vanish on every basis
     vector.  Evaluation at q = x commutes with the arithmetic, so it is
     checked with plain integers at the single point q = _Q0 = 64, and that
-    decides it.  Each generator's column table holds ``_image_terms`` at
-    _Q0, with every distinct coefficient evaluated once; each relation's
-    words become tuples of those columns in the order they act, once per
+    decides it.  ``_at_q0`` evaluates each coefficient at _Q0 once per
+    process: it is an ``lru_cache`` keyed by the ``IntPoly``, and only six
+    polynomials ever reach it, so it stays that small.  Each generator's
+    column table holds ``_image_terms`` at _Q0; each relation's words
+    become tuples of those columns in the order they act, once per
     relation; and ``_vanishes`` applies every word to the basis vector in
-    full and adds c * word(v) into one residue.  Write |f| for the sum of
+    full, which starts from the vector's coordinates at _Q0, and adds
+    c * word(v) into one residue.  Write |f| for the sum of
     the absolute values of the coefficients of an integer polynomial f;
     |fg| <= |f| |g|.
 
@@ -339,28 +350,24 @@ def verify_relations(shape: Shape) -> list:
     on ``_image_terms`` and the relation coefficients.
     """
     basis = Basis(shape)
-    at_q0 = {}
     table = {}
     for gen, action in basis.action.items():
         column = []
         for idx, (case, jdx) in enumerate(action):
             terms = []
             for k, c in _image_terms(idx, case, jdx):
-                y = at_q0.get(c)
-                if y is None:
-                    y = at_q0[c] = c(_Q0)
-                terms.append((k, y))
+                terms.append((k, _at_q0(c)))
             column.append(tuple(terms))
         table[gen] = tuple(column)
     report = []
     for name, terms in _relations(shape):
         words = tuple(
-            (coeff(_Q0), tuple(table[gen] for gen in reversed(word))) for coeff, word in terms
+            (_at_q0(coeff), tuple(table[gen] for gen in reversed(word))) for coeff, word in terms
         )
         witness = None
         for c in range(len(basis)):
             v = ModuleVector.basis_vector(shape, c)
-            if not _vanishes(words, {k: y(_Q0) for k, y in v.coords.items()}):
+            if not _vanishes(words, {k: _at_q0(y) for k, y in v.coords.items()}):
                 witness = c
                 break
         report.append(RelationCheck(name, witness is None, witness))

@@ -71,9 +71,9 @@ def rref(rows, p: int):
     scaled to 1 and its column is cleared in every other row, so the rows
     come out in the unique reduced form of their span: equal spans give
     equal rows.  Its one caller is ``_SpanTable.step``, once per new step
-    of the span table.  An orbit's base point (``graph_subspace``) is
-    already in this form once its rows are sorted, and ``_transform``
-    keeps a point in this form without calling it.
+    of the span table from a nonzero span.  An orbit's base point
+    (``graph_subspace``) is already in this form once its rows are sorted,
+    and ``_transform`` keeps a point in this form without calling it.
     """
     mat = [[x % p for x in row] for row in rows]
     nrows = len(mat)
@@ -195,7 +195,8 @@ class _SpanTable:
     ``bases[s]``; ``ids`` maps those rows back to ``s``, so equal subspaces
     share one id.  ``dims[s]`` is its dimension and ``steps[s][v]`` the id
     of the span of ``s`` and the vector ``v``.  Span 0 is the zero space.
-    ``step`` fills each step on first use, by one ``rref`` call.
+    ``step`` fills each step on first use: from the zero span by scaling
+    the vector, from any other span by one ``rref`` call.
     """
 
     def __init__(self, field_size: int):
@@ -207,8 +208,9 @@ class _SpanTable:
 
     def step(self, s: int, v) -> int:
         """``steps[s][v]``, the id of the span of ``s`` and ``v``, filled
-        by one ``rref`` call if missing.  This is the one place the table
-        is stepped; a walk is a fold of it over its columns.
+        if missing: by one ``rref`` call from a nonzero span, and without
+        one from the zero span.  This is the one place the table is
+        stepped; a walk is a fold of it over its columns.
 
         Proof of the step.  A span's id is its nonzero canonical ``rref``
         rows, which the reduced form makes unique to the subspace, so equal
@@ -220,13 +222,28 @@ class _SpanTable:
         filled once is one dict lookup instead of an elimination after.
         By induction on k, folding ``step`` over columns 0..k from ``s``
         meets the span of ``s`` and those columns.
+
+        From the zero span the ``rref`` input is the one row v, and ``rref``
+        of one row reduces it mod p, finds its first nonzero entry, if any,
+        and scales the row by that entry's inverse; no other row is there to
+        clear.  The step does exactly that without the call, so it meets the
+        same id, and a v that is zero mod p stays at span 0.
+        ``tests/test_oracle.py`` checks it against ``rref`` on every vector
+        of F^r for r <= 3 and F in {3, 5, 7}, entries shifted by +-F too.
         """
         try:
             return self.steps[s][v]
         except KeyError:
             pass
-        rows, rank = rref(self.bases[s] + (v,), self.field_size)
-        basis = rows[:rank]
+        p = self.field_size
+        if s:
+            rows, rank = rref(self.bases[s] + (v,), p)
+            basis = rows[:rank]
+        else:
+            u = [x % p for x in v]
+            lead = next(filter(None, u), 0)
+            inv = pow(lead, -1, p) if lead else 0
+            basis = (tuple(x * inv % p for x in u),) if lead else ()
         t = self.ids.get(basis)
         if t is None:
             t = self.ids[basis] = len(self.bases)
@@ -320,7 +337,7 @@ def rank_profile(w, shape: Shape, field_size: int) -> tuple:
 
     ``w`` is any r x n integer matrix whose reduction mod ``field_size`` has
     rank r, such as a Grassmannian point; its entries need not lie in
-    range(field_size), since ``rref`` reduces each new span.  Raises
+    range(field_size), since each new step reduces them mod p.  Raises
     ValueError for any other ``w``, and what ``_check_field`` raises for a
     bad field whether or not its table is cached.  The rank needs no
     elimination of its own: corner (0, 0) is r - dim(U_0 + M_0) =

@@ -289,6 +289,79 @@ def test_partner_has_the_same_type():
     assert pairs == 23116
 
 
+def dual_graph(g):
+    """The r <-> n-r dual of g, of shape (p, q, n-r): entry i of a side of
+    size m moves to position m+1-i, and a free vertex (0) becomes marked
+    (-1), a marked one free, and partner j becomes m'+1-j, where m' is the
+    other side's size."""
+    p, q, r = g.shape
+
+    def flip(a, m, m2):
+        out = [0] * (m + 1)
+        for i in range(1, m + 1):
+            x = a[i]
+            out[m + 1 - i] = -1 if x == 0 else 0 if x < 0 else m2 + 1 - x
+        return tuple(out)
+
+    return Graph(Shape(p, q, p + q - r), flip(g.plus, p, q), flip(g.minus, q, p))
+
+
+def swapped_graph(g):
+    """g with its sides exchanged, of shape (q, p, r)."""
+    p, q, r = g.shape
+    return Graph(Shape(q, p, r), g.minus, g.plus)
+
+
+def symmetry_failures(shape, image, mirror):
+    """The action table of ``shape`` under a map of orbits: ``image(g)`` is
+    the mapped orbit and ``mirror(side, i)`` the mapped generator.  Returns
+    the (shape, generator, orbit) of every (generator, orbit) pair whose
+    (case, mapped partner) differs from the case and partner of the mapped
+    generator at the mapped orbit, and the number of pairs checked."""
+    basis = Basis(shape)
+    mapped = [image(g) for g in basis.graphs]
+    other = Basis(mapped[0].shape)
+    index = [other.index[h] for h in mapped]
+    assert sorted(index) == list(range(len(other))), shape  # a bijection
+    failures, pairs = [], 0
+    for (side, i), table in basis.action.items():
+        mirrored = other.action[mirror(side, i)]
+        for k, (case, partner) in enumerate(table):
+            pairs += 1
+            if mirrored[index[k]] != (case, index[partner]):
+                failures.append((shape, f"{side}{i}", basis.graphs[k]))
+    return failures, pairs
+
+
+def test_action_table_commutes_with_r_duality():
+    # ROADMAP item 5: generator (side, i) at g has the case of (side, m-i)
+    # at the dual of g, m the side's size, and partners map to partners.
+    failures, pairs = [], 0
+    for shape in small_shapes(7):
+        size = {"+": shape.p, "-": shape.q}
+        found, checked = symmetry_failures(
+            shape, dual_graph, lambda side, i: (side, size[side] - i)
+        )
+        failures += found
+        pairs += checked
+    assert failures == []
+    assert pairs == 23116
+
+
+def test_action_table_commutes_with_side_swap():
+    # ROADMAP item 5: (p, q, r) -> (q, p, r) with the partner arrays and
+    # the sides exchanged gives the same action table.
+    failures, pairs = [], 0
+    for shape in small_shapes(7):
+        found, checked = symmetry_failures(
+            shape, swapped_graph, lambda side, i: ("-" if side == "+" else "+", i)
+        )
+        failures += found
+        pairs += checked
+    assert failures == []
+    assert pairs == 23116
+
+
 def test_q1_action_is_permutation():
     # No library code runs this check: weyl_decompose's docstring proves
     # both halves from Basis and _reflected, and this confirms them.

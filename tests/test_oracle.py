@@ -746,7 +746,9 @@ class TestDifferential:
 
     def test_rank_profile_eliminations_per_point(self, monkeypatch):
         # rank_profile eliminates only to fill its span table: one rref call
-        # per table entry created, and none once the table holds every step.
+        # per table entry created from a nonzero span (a step from the zero
+        # span only scales the vector), and none once the table holds every
+        # step.
         calls = []
         eliminate = oracle.rref
 
@@ -761,7 +763,8 @@ class TestDifferential:
         for w in points:
             rank_profile(w, shape, 3)
         table = oracle._span_table(shape.r, 3)
-        assert 0 < len(calls) == sum(map(len, table.steps)) < len(points)
+        assert table.steps[0]
+        assert 0 < len(calls) == sum(map(len, table.steps[1:])) < len(points)
         calls.clear()
         for w in points:
             rank_profile(w, shape, 3)
@@ -769,7 +772,8 @@ class TestDifferential:
 
     def test_classification_eliminations_per_step(self, monkeypatch):
         # A cold classification eliminates only to fill its span table: one
-        # rref call per step it fills, and none when classified again.
+        # rref call per step it fills from a nonzero span, and none when
+        # classified again.
         calls = []
         eliminate = oracle.rref
 
@@ -783,7 +787,8 @@ class TestDifferential:
         shape = Shape(3, 2, 2)
         classify_orbits(shape, 5)
         table = oracle._span_table(shape.r, 5)
-        assert 0 < len(calls) == sum(map(len, table.steps))
+        assert table.steps[0]
+        assert 0 < len(calls) == sum(map(len, table.steps[1:]))
         calls.clear()
         oracle.classify_orbits.cache_clear()
         classify_orbits(shape, 5)
@@ -823,6 +828,32 @@ class TestDifferential:
             assert _walk(table.step, s, cols) == ids
         assert calls == []
         assert len(walks) == 1210 * 5
+
+    @pytest.mark.parametrize("field_size", [3, 5, 7])
+    def test_step_from_zero_span_matches_rref(self, monkeypatch, field_size):
+        # A step from the zero span scales v to a leading 1 instead of
+        # calling rref; it must meet the span rref gives on every vector
+        # of F^r, r <= 3, also with entries shifted by -F or +F.
+        calls = []
+        eliminate = oracle.rref
+
+        def counted(rows, p):
+            calls.append(1)
+            return eliminate(rows, p)
+
+        monkeypatch.setattr(oracle, "rref", counted)
+        entries = range(-field_size, 2 * field_size)
+        for r in range(4):
+            table = oracle._SpanTable(field_size)
+            vectors = list(itertools.product(entries, repeat=r))
+            spans = [table.step(0, v) for v in vectors]
+            assert calls == []
+            for v, t in zip(vectors, spans):
+                rows, rank = eliminate((v,), field_size)
+                assert table.bases[t] == rows[:rank], v
+                assert (t == 0) == (rank == 0), v
+            # one span per line through the origin, plus the zero span
+            assert len(table.bases) == 1 + (field_size**r - 1) // (field_size - 1)
 
     @settings(max_examples=300, deadline=None)
     @given(integer_matrix())

@@ -40,6 +40,130 @@ def test_no_global_statements():
     assert found == []
 
 
+# Methods that change a list, dict, set or deque in place.
+MUTATING_METHODS = frozenset(
+    "append extend insert pop remove clear update setdefault popitem add discard sort"
+    " reverse difference_update intersection_update symmetric_difference_update"
+    " __setitem__ __delitem__ appendleft extendleft popleft rotate".split()
+)
+
+
+def _root_name(node):
+    """The name a chain of subscripts and attributes starts from, or None."""
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _bound_names(node):
+    """The names a function or lambda binds in its own scope: its
+    parameters and every name it stores, not counting nested scopes."""
+    args = node.args
+    names = {a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]}
+    names.update(a.arg for a in (args.vararg, args.kwarg) if a)
+    body = node.body if isinstance(node.body, list) else [node.body]
+    stack = list(body)
+    while stack:
+        child = stack.pop()
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Store):
+            names.add(child.id)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(child.name)
+            continue
+        elif isinstance(child, ast.Lambda):
+            continue
+        stack.extend(ast.iter_child_nodes(child))
+    return names
+
+
+def module_state_writes(source):
+    """Lines where a function stores into (or deletes) a subscript of a
+    module-level name, or calls a mutating method on one, where the
+    function and its enclosing functions do not bind that name."""
+    tree = ast.parse(source)
+    module_names = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            module_names.add(stmt.name)
+        elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            module_names.update((a.asname or a.name).split(".")[0] for a in stmt.names)
+        else:
+            module_names.update(
+                n.id
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+            )
+    found = []
+
+    def visit(node, shared):
+        # shared: the module-level names this scope reads from the module
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, shared - _bound_names(child))
+                continue
+            target = None
+            if isinstance(child, ast.Subscript) and isinstance(child.ctx, (ast.Store, ast.Del)):
+                target = child
+            elif (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr in MUTATING_METHODS
+            ):
+                target = child.func.value
+            if target is not None and _root_name(target) in shared:
+                found.append(child.lineno)
+            visit(child, shared)
+
+    def outermost_functions(node):
+        # module and class statements may build module state; functions may not
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                yield child
+            else:
+                yield from outermost_functions(child)
+
+    for function in outermost_functions(tree):
+        visit(function, module_names - _bound_names(function))
+    return sorted(set(found))
+
+
+def test_module_state_writes_detected():
+    source = (
+        "import sys\n"
+        "_MEMO = {}\n"
+        "_SEEN = []\n"
+        "def f(x):\n"
+        "    _MEMO[x] = 1\n"
+        "    _SEEN.append(x)\n"
+        "    sys.modules['m'] = None\n"
+        "    def g(_MEMO):\n"
+        "        _MEMO[x] = 2\n"
+        "    return lambda: _MEMO.clear()\n"
+        "def h(_SEEN):\n"
+        "    _SEEN.append(1)\n"
+        "    local = {}\n"
+        "    local[1] = _MEMO.get(1)\n"
+        "    def inner():\n"
+        "        _SEEN.append(2)\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        del _MEMO[0]\n"
+    )
+    assert module_state_writes(source) == [5, 6, 7, 10, 19]
+
+
+def test_no_module_state_written_by_functions():
+    # test_no_global_statements keeps functions from rebinding module names;
+    # this keeps them from changing module-level objects in place.  A cache
+    # belongs to functools.lru_cache, other state to an object that is passed.
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in module_state_writes(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
 def _modules_after_cli_import():
     """Modules a fresh ``python -S`` process holds after importing the CLI."""
     code = "import sys, doubleflag, doubleflag.cli; print(' '.join(sys.modules))"
