@@ -62,47 +62,6 @@ def gaussian_binomial(n: int, r: int, q: int) -> int:
     return row[r]
 
 
-def rref(rows, p: int):
-    """Reduced row echelon form mod p of integer rows; returns (canonical
-    rows, rank).  Rows past the rank are zero.
-
-    This is the oracle's one elimination routine.  Entries are reduced mod
-    p first, so any integers are accepted.  At each pivot the pivot row is
-    scaled to 1 and its column is cleared in every other row, so the rows
-    come out in the unique reduced form of their span: equal spans give
-    equal rows.  Its one caller is ``_SpanTable.step``, once per new step
-    of the span table from a nonzero span.  An orbit's base point
-    (``graph_subspace``) is already in this form once its rows are sorted,
-    and ``_transform`` keeps a point in this form without calling it.
-    """
-    mat = [[x % p for x in row] for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    rank = 0
-    for col in range(ncols):
-        for k in range(rank, nrows):
-            if mat[k][col]:
-                break
-        else:
-            continue
-        row = mat[k]
-        if k != rank:
-            mat[k] = mat[rank]
-        x = row[col]
-        if x != 1:
-            inv = pow(x, -1, p)
-            row = [v * inv % p for v in row]
-        mat[rank] = row
-        for j in range(nrows):
-            f = mat[j][col]
-            if f and j != rank:
-                mat[j] = [(a - f * b) % p for a, b in zip(mat[j], row)]
-        rank += 1
-        if rank == nrows:
-            break
-    return tuple(map(tuple, mat)), rank
-
-
 def _check_field(field_size: int) -> int:
     """The field size as an int, coerced with ``operator.index`` as
     ``Shape`` coerces sizes, so a float or str raises TypeError; raise
@@ -188,67 +147,111 @@ def enumerate_grassmannian(shape: Shape, field_size: int) -> list:
     return out
 
 
+def _insert(basis: tuple, v, p: int) -> tuple:
+    """The nonzero reduced row echelon rows mod p of span(basis, v), for
+    ``basis`` in that form (with () the zero space) and ``v`` any integer
+    vector of the same length; ``basis`` itself when v lies in its span.
+
+    This is the oracle's one elimination routine.  In four steps:
+
+    1. Reduce v mod p, and for each basis row subtract f times the row,
+       where f is v's entry at the row's pivot ``row.index(1)``.  If v is
+       then zero, return ``basis``.
+    2. Scale v by the inverse of its first nonzero entry, at column c.
+    3. Clear column c in every basis row by subtracting a multiple of v.
+    4. Sort the rows in descending tuple order.
+
+    Proof.  In reduced form each row's first nonzero entry is a 1, its
+    pivot, and a pivot column is 0 in every other row; so ``row.index(1)``
+    is the pivot.  Step 1 subtracts multiples of basis rows, so it keeps
+    span(basis, v).  Row k is 0 at every other row's pivot, so its
+    subtraction zeroes v at k's pivot and leaves v's other pivot entries
+    alone: v ends 0 at every pivot column, whatever the order.  If v is
+    zero, it lay in span(basis).  Otherwise its first nonzero entry sits
+    at a column c that is no pivot column, and step 2 makes it 1.  Step 3
+    subtracts row[c] times v from a row; v is 0 before c and at every old
+    pivot column, and a row nonzero at c has its pivot before c, so each
+    row keeps its leading 1 and its zeros at the other pivots, and column
+    c is 0 in every row but v.  Step 3 also keeps the span, since v is
+    one of the rows.  So every row has a leading 1 in a column that is 0
+    in every other row.  Of two such rows, the one with the earlier pivot
+    has a 1 where the other has its leading 0s, so it is the larger tuple:
+    descending tuple order is pivot order, and the rows are the reduced
+    row echelon form of span(basis, v).  That form is unique to the
+    subspace, so equal spans give equal tuples.  Every entry is reduced
+    mod p, so it lies in range(p).
+
+    From the zero span the loop of step 1 is empty and there is no row to
+    clear, so v is only reduced and scaled: ``(v,)`` is returned before
+    step 3.  ``graph_subspace`` sorts its rows in the same order.
+    """
+    v = [x % p for x in v]
+    for row in basis:
+        f = v[row.index(1)]
+        if f:
+            v = [(x - f * y) % p for x, y in zip(v, row)]
+    lead = next(filter(None, v), 0)
+    if not lead:
+        return basis
+    if lead != 1:
+        inv = pow(lead, -1, p)
+        v = [x * inv % p for x in v]
+    v = tuple(v)
+    if not basis:
+        return (v,)
+    c = v.index(1)
+    rows = [
+        tuple((x - row[c] * y) % p for x, y in zip(row, v)) if row[c] else row
+        for row in basis
+    ]
+    rows.append(v)
+    rows.sort(reverse=True)
+    return tuple(rows)
+
+
 class _SpanTable:
     """The subspaces of F^r met so far, and the step table between them.
 
-    Span ``s`` stands for the subspace whose nonzero ``rref`` rows are
-    ``bases[s]``; ``ids`` maps those rows back to ``s``, so equal subspaces
-    share one id.  ``dims[s]`` is its dimension and ``steps[s][v]`` the id
-    of the span of ``s`` and the vector ``v``.  Span 0 is the zero space.
-    ``step`` fills each step on first use: from the zero span by scaling
-    the vector, from any other span by one ``rref`` call.
+    Span ``s`` stands for the subspace whose nonzero reduced row echelon
+    rows are ``bases[s]``; ``ids`` maps those rows back to ``s``, so equal
+    subspaces share one id, and ``len(bases[s])`` is its dimension.
+    ``steps[s][v]`` is the id of the span of ``s`` and the vector ``v``.
+    Span 0 is the zero space.  ``step`` fills each step on first use by
+    one ``_insert`` call.
     """
 
     def __init__(self, field_size: int):
         self.field_size = field_size
         self.bases = [()]
-        self.dims = [0]
         self.ids = {(): 0}
         self.steps = [{}]
 
     def step(self, s: int, v) -> int:
         """``steps[s][v]``, the id of the span of ``s`` and ``v``, filled
-        if missing: by one ``rref`` call from a nonzero span, and without
-        one from the zero span.  This is the one place the table is
-        stepped; a walk is a fold of it over its columns.
+        by one ``_insert`` call if missing.  This is the one place the
+        table is stepped; a walk is a fold of it over its columns.
 
-        Proof of the step.  A span's id is its nonzero canonical ``rref``
-        rows, which the reduced form makes unique to the subspace, so equal
-        subspaces share one id, and ``dims`` of an id is the dimension of
-        its subspace.  The step from a span by a vector is the id of the
-        ``rref`` of the span's rows and the vector, which span their sum.
-        It depends only on the subspace, the vector, r and the field, so
-        one table per (r, field) serves every point and shape, and a step
-        filled once is one dict lookup instead of an elimination after.
-        By induction on k, folding ``step`` over columns 0..k from ``s``
-        meets the span of ``s`` and those columns.
-
-        From the zero span the ``rref`` input is the one row v, and ``rref``
-        of one row reduces it mod p, finds its first nonzero entry, if any,
-        and scales the row by that entry's inverse; no other row is there to
-        clear.  The step does exactly that without the call, so it meets the
-        same id, and a v that is zero mod p stays at span 0.
-        ``tests/test_oracle.py`` checks it against ``rref`` on every vector
-        of F^r for r <= 3 and F in {3, 5, 7}, entries shifted by +-F too.
+        Proof of the step.  A span's id is its nonzero reduced rows, which
+        are unique to the subspace, so equal subspaces share one id.  The
+        step from a span by a vector is the id of ``_insert`` of the span's
+        rows and the vector, the reduced rows of their sum.  It depends
+        only on the subspace, the vector, r and the field, so one table
+        per (r, field) serves every point and shape, and a step filled once
+        is one dict lookup instead of an elimination after.  By induction
+        on k, folding ``step`` over columns 0..k from ``s`` meets the span
+        of ``s`` and those columns.  ``tests/test_oracle.py`` checks every
+        step of F^r against Gauss-Jordan elimination for r <= 3 and F in
+        {3, 5}, entries shifted by +-F too.
         """
         try:
             return self.steps[s][v]
         except KeyError:
             pass
-        p = self.field_size
-        if s:
-            rows, rank = rref(self.bases[s] + (v,), p)
-            basis = rows[:rank]
-        else:
-            u = [x % p for x in v]
-            lead = next(filter(None, u), 0)
-            inv = pow(lead, -1, p) if lead else 0
-            basis = (tuple(x * inv % p for x in u),) if lead else ()
+        basis = _insert(self.bases[s], v, self.field_size)
         t = self.ids.get(basis)
         if t is None:
             t = self.ids[basis] = len(self.bases)
             self.bases.append(basis)
-            self.dims.append(len(basis))
             self.steps.append({})
         self.steps[s][v] = t
         return t
@@ -259,10 +262,10 @@ def _span_table(r: int, field_size: int) -> _SpanTable:
     """The span table of F^r over the field, shared by every shape with this
     r.  Its spans are subspaces of F^r and each step reads only a span and
     a vector of F^r, so nothing else changes it.  ``_SpanTable.step`` is
-    the one place it is stepped: ``_WalkTrie`` steps each distinct walk
-    prefix of a pivot cell's side by each vector of the next column, and
-    ``rank_profile`` folds it over each new key's columns.  It never holds
-    more steps than those calls took.
+    the one place it is stepped, each new step by one ``_insert`` call:
+    ``_WalkTrie`` steps each distinct walk prefix of a pivot cell's side by
+    each vector of the next column, and ``rank_profile`` folds it over each
+    new key's columns.  It never holds more steps than those calls took.
     A field ``_check_field`` refuses raises on every call, since
     ``lru_cache`` keeps no exception.  The cache is typed, so a float or
     bool equal to a cached int size misses that entry and is refused."""
@@ -330,30 +333,30 @@ def rank_profile(w, shape: Shape, field_size: int) -> tuple:
     zero span meets U_p = 0, U_{p-1}, ..., U_0, and over the - columns q,
     q-1, ..., 1 from U_i meets U_i, U_i + M_{q-1}, ..., U_i + M_0, so row i
     is that fold read backwards, with r - dim(U_i) = entry (i, q) last.
-    ``classify_orbits``
-    reads the U_i and M_j walks on their own as a point's key, each walk
-    once per + or - combination of a pivot cell, and calls this only for
-    a key it has not met.
+    A span's dimension is the number of its reduced rows, ``len(bases[s])``.
+    ``classify_orbits`` reads the U_i and M_j walks on their own as a
+    point's key, each walk once per + or - combination of a pivot cell,
+    and calls this only for a key it has not met.
 
     ``w`` is any r x n integer matrix whose reduction mod ``field_size`` has
     rank r, such as a Grassmannian point; its entries need not lie in
-    range(field_size), since each new step reduces them mod p.  Raises
-    ValueError for any other ``w``, and what ``_check_field`` raises for a
-    bad field whether or not its table is cached.  The rank needs no
-    elimination of its own: corner (0, 0) is r - dim(U_0 + M_0) =
+    range(field_size), since ``_insert`` reduces each new step's vector mod
+    p.  Raises ValueError for any other ``w``, and what ``_check_field``
+    raises for a bad field whether or not its table is cached.  The rank
+    needs no elimination of its own: corner (0, 0) is r - dim(U_0 + M_0) =
     r - rank(w), so it must be 0.
     """
     p, q, r = shape.p, shape.q, shape.r
     if len(w) != r or any(len(row) != p + q for row in w):
         raise ValueError(f"w must have {r} rows of {p + q} entries for {shape}")
     table = _span_table(r, field_size)
-    dims, step = table.dims, table.step
+    bases, step = table.bases, table.step
     cols = list(zip(*w)) or [()] * (p + q)
     minus = cols[:p - 1:-1]  # - columns q down to 1
     rows = []
     for u in itertools.accumulate(cols[p - 1::-1], step, initial=0):  # U_p, ..., U_0
         sums = [*itertools.accumulate(minus, step, initial=u)]  # U_i + M_q, ..., U_i + M_0
-        rows.append(tuple(r - dims[s] for s in reversed(sums)))
+        rows.append(tuple(r - len(bases[s]) for s in reversed(sums)))
     rows.reverse()
     if rows[0][0]:
         raise ValueError(f"w has rank {r - rows[0][0]} mod {field_size}, not r = {r}")
@@ -369,9 +372,9 @@ def graph_subspace(g: Graph) -> tuple:
     supports, since each row of the matrix holds at most one 1, and none
     is zero (``PartialPermutationPair`` checks both).  So each row's first
     nonzero entry is a 1 in a column no other row touches.  Sorted by that
-    column, which is descending tuple order, they are the reduced row
-    echelon form of their span, with no elimination.  With r = 0 there are
-    no rows and the form is ()."""
+    column, which is descending tuple order as in ``_insert``, they are the
+    reduced row echelon form of their span, with no elimination.  With
+    r = 0 there are no rows and the form is ()."""
     return tuple(sorted(zip(*matrix_from_graph(g).matrix), reverse=True))
 
 
@@ -597,10 +600,12 @@ def _transform(w, a: int, c: int, p: int):
 
     ``w`` must be in RREF with entries in range(p), as every Grassmannian
     point is.  Then only a pivot at a or at b can move, and the image is
-    put back in RREF by a local fix-up instead of a call to ``rref``.  A
-    row with a pivot after b is zero at a and b and does not change, and
-    a row with a pivot before a keeps it.  Pivot columns other than a and
-    b keep their single nonzero entry.  By the pivots at a and b:
+    put back in RREF by a local fix-up instead of folding its rows through
+    ``_insert``, which was 2.1-2.6 times slower per call on the four jobs
+    of the oracle benchmark workloads.  A row with a pivot after b is zero
+    at a and b and does not change, and a row with a pivot before a keeps
+    it.  Pivot columns other than a and b keep their single nonzero entry.
+    By the pivots at a and b:
 
     * Neither: a and b are not pivot columns before or after, so the
       changed rows are already in RREF.

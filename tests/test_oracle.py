@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import os
@@ -32,8 +33,8 @@ from doubleflag.oracle import (
     classification_ok,
     expected_orbit_size,
     graph_subspace,
-    rref,
 )
+from reference import reference_rref
 
 S222 = Shape(2, 2, 2)
 
@@ -127,7 +128,7 @@ class TestGrassmannian:
     def test_rref_canonical(self):
         pts = enumerate_grassmannian(S222, 3)
         for w in pts:
-            canon, rank = rref(w, 3)
+            canon, rank = reference_rref(w, 3)
             assert canon == w
             assert rank == 2
 
@@ -272,7 +273,8 @@ class TestRankProfile:
 
     def test_base_point_is_rref_of_its_columns(self):
         # graph_subspace sorts the columns instead of eliminating; over
-        # every field that is the form rref gives, r = 0 included.
+        # every field that is the form Gauss-Jordan elimination gives, r = 0
+        # included.
         orbits = [
             g
             for n in range(2, 7)
@@ -284,7 +286,7 @@ class TestRankProfile:
         for g in orbits:
             columns = tuple(zip(*matrix_from_graph(g).matrix))
             for field in (3, 5):
-                assert graph_subspace(g) == rref(columns, field)[0], (g, field)
+                assert graph_subspace(g) == reference_rref(columns, field)[0], (g, field)
 
     def test_flag_member(self):
         # W spanned by the first r "+" basis vectors
@@ -331,7 +333,7 @@ def _reference_rank_profile(w, shape, field_size):
                 row.append(r)
                 continue
             restricted = [[v[c] for c in comp] for v in w]
-            row.append(r - rref(restricted, field_size)[1])
+            row.append(r - reference_rref(restricted, field_size)[1])
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -350,7 +352,7 @@ def _reference_transform(w, shape, side, i, c, field_size):
         [sum(row[k] * g[x][k] for k in range(n)) % field_size for x in range(n)]
         for row in w
     ]
-    return rref(rows, field_size)[0]
+    return reference_rref(rows, field_size)[0]
 
 
 def _reference_canonical_transform(w, a, c, p):
@@ -361,7 +363,7 @@ def _reference_canonical_transform(w, a, c, p):
         row = list(row)
         row[a], row[a + 1] = row[a + 1], (row[a] - c * row[a + 1]) % p
         rows.append(row)
-    return rref(rows, p)[0]
+    return reference_rref(rows, p)[0]
 
 
 def _transform_case(w, a, c):
@@ -391,31 +393,9 @@ def shape_field_point(draw):
             max_size=shape.r,
         )
     )
-    w, rank = rref(mat, field)
+    w, rank = reference_rref(mat, field)
     assume(rank == shape.r)
     return shape, field, w
-
-
-def _reference_rref(rows, p):
-    """Test-only copy of the Gauss-Jordan rref: at each pivot every other
-    row is cleared, and an entry counts as nonzero by ``% p``."""
-    mat = [list(row) for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    rank = 0
-    for col in range(ncols):
-        pivot = next((k for k in range(rank, nrows) if mat[k][col] % p), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        mat[rank] = [x * inv % p for x in mat[rank]]
-        for k in range(nrows):
-            if k != rank and mat[k][col] % p:
-                f = mat[k][col]
-                mat[k] = [(a - f * b) % p for a, b in zip(mat[k], mat[rank])]
-        rank += 1
-    return tuple(tuple(row) for row in mat), rank
 
 
 @st.composite
@@ -537,6 +517,20 @@ ONE_SIDED_F101_JOBS = [
 def _walk(step, s, cols):
     """The span ids met stepping from span ``s`` by each column in turn."""
     return list(itertools.accumulate(cols, step, initial=s))[1:]
+
+
+def _count_inserts(monkeypatch):
+    """Patch ``oracle._insert`` to record the basis of each call; returns
+    the list of recorded bases."""
+    calls = []
+    insert = oracle._insert
+
+    def counted(basis, v, p):
+        calls.append(basis)
+        return insert(basis, v, p)
+
+    monkeypatch.setattr(oracle, "_insert", counted)
+    return calls
 
 
 def _reference_walks(side, step):
@@ -745,18 +739,9 @@ class TestDifferential:
             assert rank_profile(shifted, S222, 3) == rank_profile(w, S222, 3)
 
     def test_rank_profile_eliminations_per_point(self, monkeypatch):
-        # rank_profile eliminates only to fill its span table: one rref call
-        # per table entry created from a nonzero span (a step from the zero
-        # span only scales the vector), and none once the table holds every
-        # step.
-        calls = []
-        eliminate = oracle.rref
-
-        def counted(rows, p):
-            calls.append(1)
-            return eliminate(rows, p)
-
-        monkeypatch.setattr(oracle, "rref", counted)
+        # rank_profile eliminates only to fill its span table: one _insert
+        # call per step it fills, and none once the table holds every step.
+        calls = _count_inserts(monkeypatch)
         oracle._span_table.cache_clear()
         shape = Shape(3, 2, 2)
         points = enumerate_grassmannian(shape, 3)
@@ -764,7 +749,7 @@ class TestDifferential:
             rank_profile(w, shape, 3)
         table = oracle._span_table(shape.r, 3)
         assert table.steps[0]
-        assert 0 < len(calls) == sum(map(len, table.steps[1:])) < len(points)
+        assert 0 < len(calls) == sum(map(len, table.steps)) < len(points)
         calls.clear()
         for w in points:
             rank_profile(w, shape, 3)
@@ -772,23 +757,15 @@ class TestDifferential:
 
     def test_classification_eliminations_per_step(self, monkeypatch):
         # A cold classification eliminates only to fill its span table: one
-        # rref call per step it fills from a nonzero span, and none when
-        # classified again.
-        calls = []
-        eliminate = oracle.rref
-
-        def counted(rows, p):
-            calls.append(1)
-            return eliminate(rows, p)
-
-        monkeypatch.setattr(oracle, "rref", counted)
+        # _insert call per step it fills, and none when classified again.
+        calls = _count_inserts(monkeypatch)
         oracle._span_table.cache_clear()
         oracle.classify_orbits.cache_clear()
         shape = Shape(3, 2, 2)
         classify_orbits(shape, 5)
         table = oracle._span_table(shape.r, 5)
         assert table.steps[0]
-        assert 0 < len(calls) == sum(map(len, table.steps[1:]))
+        assert 0 < len(calls) == sum(map(len, table.steps))
         calls.clear()
         oracle.classify_orbits.cache_clear()
         classify_orbits(shape, 5)
@@ -807,7 +784,7 @@ class TestDifferential:
             ids = _walk(table.step, s, cols)
             assert len(ids) == len(cols)
             for k, t in enumerate(ids):
-                rows, rank = _reference_rref(table.bases[s] + tuple(cols[: k + 1]), 3)
+                rows, rank = reference_rref(table.bases[s] + tuple(cols[: k + 1]), 3)
                 assert table.bases[t] == rows[:rank], (s, cols, k)
             walks.append((s, cols, ids))
             return ids
@@ -816,14 +793,7 @@ class TestDifferential:
             cols = list(zip(*w))
             for u in [0, *check(0, cols[shape.p - 1 :: -1])]:
                 check(u, cols[: shape.p - 1 : -1])
-        calls = []
-        eliminate = oracle.rref
-
-        def counted(rows, p):
-            calls.append(1)
-            return eliminate(rows, p)
-
-        monkeypatch.setattr(oracle, "rref", counted)
+        calls = _count_inserts(monkeypatch)
         for s, cols, ids in walks:
             assert _walk(table.step, s, cols) == ids
         assert calls == []
@@ -831,40 +801,59 @@ class TestDifferential:
 
     @pytest.mark.parametrize("field_size", [3, 5, 7])
     def test_step_from_zero_span_matches_rref(self, monkeypatch, field_size):
-        # A step from the zero span scales v to a leading 1 instead of
-        # calling rref; it must meet the span rref gives on every vector
-        # of F^r, r <= 3, also with entries shifted by -F or +F.
-        calls = []
-        eliminate = oracle.rref
-
-        def counted(rows, p):
-            calls.append(1)
-            return eliminate(rows, p)
-
-        monkeypatch.setattr(oracle, "rref", counted)
+        # A step from the zero span is one _insert call on the empty basis,
+        # which only scales v to a leading 1; it must meet the span
+        # Gauss-Jordan gives on every vector of F^r, r <= 3, also with
+        # entries shifted by -F or +F.
+        calls = _count_inserts(monkeypatch)
         entries = range(-field_size, 2 * field_size)
         for r in range(4):
+            calls.clear()
             table = oracle._SpanTable(field_size)
             vectors = list(itertools.product(entries, repeat=r))
             spans = [table.step(0, v) for v in vectors]
-            assert calls == []
+            assert calls == [()] * len(vectors)
+            assert len(calls) == sum(map(len, table.steps))
             for v, t in zip(vectors, spans):
-                rows, rank = eliminate((v,), field_size)
+                rows, rank = reference_rref((v,), field_size)
                 assert table.bases[t] == rows[:rank], v
                 assert (t == 0) == (rank == 0), v
             # one span per line through the origin, plus the zero span
             assert len(table.bases) == 1 + (field_size**r - 1) // (field_size - 1)
 
+    @pytest.mark.parametrize("field_size", [3, 5])
+    def test_every_step_matches_gauss_jordan(self, field_size):
+        # Close a table under stepping by every vector of F^r, r <= 3, each
+        # also with its entries shifted by +F, -F, +F, ... and by -F, +F,
+        # ...: every step of every span must be the nonzero Gauss-Jordan
+        # rows of the span's basis and v.
+        for r in range(4):
+            vectors = [
+                tuple(x + sign * (-1) ** k * field_size for k, x in enumerate(v))
+                for v in itertools.product(range(field_size), repeat=r)
+                for sign in (0, 1, -1)
+            ]
+            table = oracle._SpanTable(field_size)
+            # the iterator also meets the spans appended while it runs
+            for s, basis in enumerate(table.bases):
+                for v in vectors:
+                    rows, rank = reference_rref(basis + (v,), field_size)
+                    assert table.bases[table.step(s, v)] == rows[:rank], (s, v)
+            # every subspace of F^r is met once, and stepped by every vector
+            assert len(table.bases) == len(table.ids) == sum(
+                gaussian_binomial(r, k, field_size) for k in range(r + 1)
+            )
+            assert sum(map(len, table.steps)) == len(table.bases) * len(set(vectors))
+
     @settings(max_examples=300, deadline=None)
     @given(integer_matrix())
     def test_rref_matches_gauss_jordan(self, case):
+        # Folding _insert over the rows from the zero span gives the nonzero
+        # rows of the Gauss-Jordan form, in the same order.
         rows, p = case
-        ref_rows, ref_rank = _reference_rref(rows, p)
-        # The reference leaves a row that is 0 mod p from the start as given.
-        assert rref(rows, p) == (
-            tuple(tuple(x % p for x in row) for row in ref_rows),
-            ref_rank,
-        )
+        ref_rows, ref_rank = reference_rref(rows, p)
+        basis = functools.reduce(lambda b, v: oracle._insert(b, v, p), rows, ())
+        assert basis == ref_rows[:ref_rank]
 
 
 class TestClassifyOrbits:

@@ -164,6 +164,67 @@ def test_no_module_state_written_by_functions():
     assert found == []
 
 
+def _is_modular_inverse(node):
+    """Whether the node is a call ``pow(_, -1, _)``."""
+    if not (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "pow"
+        and len(node.args) == 3
+    ):
+        return False
+    exp = node.args[1]  # -1 parses as unary minus applied to 1
+    return (
+        isinstance(exp, ast.UnaryOp)
+        and isinstance(exp.op, ast.USub)
+        and isinstance(exp.operand, ast.Constant)
+        and exp.operand.value == 1
+    )
+
+
+def modular_inverse_sites(source, module):
+    """The dotted names (module, classes, functions) of the innermost
+    functions or classes whose own code calls ``pow(_, -1, _)``."""
+    found = set()
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{name}.{child.name}")
+                continue
+            if _is_modular_inverse(child):
+                found.add(name)
+            visit(child, name)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_modular_inverse_sites_detected():
+    source = (
+        "def f(x, p):\n"
+        "    return pow(x, -1, p)\n"
+        "class C:\n"
+        "    def m(self, x, p):\n"
+        "        def inner():\n"
+        "            return pow(x, -1, p)\n"
+        "        return pow(x, 2, p) + pow(x, -1)\n"
+        "def g(x, p):\n"
+        "    return [pow(y, -1, p) for y in x]\n"
+    )
+    assert modular_inverse_sites(source, "mod") == {"mod.f", "mod.C.m.inner", "mod.g"}
+
+
+def test_modular_inverse_only_in_insert_and_transform():
+    # The oracle has one elimination routine, _insert; _transform's local
+    # fix-up is the one other place that scales a row to a leading 1.  A
+    # second copy of the scaling elsewhere would be a second routine.
+    found = set().union(
+        *(modular_inverse_sites(path.read_text(encoding="utf-8"), path.stem) for path in SOURCES)
+    )
+    assert found == {"oracle._insert", "oracle._transform"}
+
+
 def _modules_after_cli_import():
     """Modules a fresh ``python -S`` process holds after importing the CLI."""
     code = "import sys, doubleflag, doubleflag.cli; print(' '.join(sys.modules))"
