@@ -25,6 +25,7 @@ from functools import cache, lru_cache
 from .core import Graph, Invariants, Shape, count_orbits, enumerate_graphs, invariants, rank_matrix
 from .hecke import operator_matrix, verify_relations, weyl_decompose
 from .oracle import (
+    ENUMERATION_BUDGET,
     certify_theorem,
     classification_ok,
     classify_orbits,
@@ -103,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         action="append",
         default=None,
-        help="odd prime field size (repeatable; default 3)",
+        help="odd prime field size (repeatable, each field once; default 3)",
     )
 
     return parser
@@ -287,9 +288,14 @@ def _cmd_weyl_decomp(args, shape) -> int:
 
 def _cmd_verify(args, shape) -> int:
     fields = args.field or [3]
-    # A bad or oversized field fails before any work starts.
-    for field_size in fields:
-        grassmannian_size(shape, field_size)
+    # A bad, repeated or oversized field fails before any work starts, and
+    # so does a list whose Grassmannians hold more points in all than the
+    # budget each one must fit.
+    if len(set(fields)) < len(fields):
+        raise ValueError("a field is given more than once")
+    points = sum(grassmannian_size(shape, field_size) for field_size in fields)
+    if points > ENUMERATION_BUDGET:
+        raise ValueError(f"the fields' Grassmannians have {points} points in all, over the budget")
     ok = True
     payload = {"shape": shape._asdict(), "fields": fields}
 

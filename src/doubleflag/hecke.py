@@ -195,17 +195,25 @@ class ModuleVector(namedtuple("ModuleVector", "shape coords")):
         return {k: v for k, v in out.items() if v}
 
 
-_Q_MINUS_ONE = Q - 1
+# The rule's three coefficients q, q - 1 and 1 as polynomials in q: the
+# values ``_image_terms`` and ``_relations`` take unless a caller gives its own.
+_SYMBOLIC = (Q, Q - 1, ONE)
 
 
-def _image_terms(idx: int, case: GeneratorCase, jdx: int) -> tuple:
+def _image_terms(idx: int, case: GeneratorCase, jdx: int, at: tuple = _SYMBOLIC) -> tuple:
     """T_i xi_idx as (orbit index, coefficient) pairs, where jdx is the
-    reflected orbit: q xi, (q-1) xi + q xi' or xi' by the three cases."""
+    reflected orbit: q xi, (q-1) xi + q xi' or xi' by the three cases.
+
+    ``at`` holds the values (q, q - 1, 1) the coefficients take: the
+    polynomials by default, or the ints at one q, as ``verify_relations``
+    (q = 64) and ``certify_theorem`` (q = |F|) pass them.  The rule is
+    written here alone, so every caller reads the same three cases."""
+    q, q_minus_one, one = at
     if case is _CASE_I:
-        return ((idx, Q),)
+        return ((idx, q),)
     if case is _CASE_II:
-        return ((idx, _Q_MINUS_ONE), (jdx, Q))
-    return ((jdx, ONE),)
+        return ((idx, q_minus_one), (jdx, q))
+    return ((jdx, one),)
 
 
 def apply_generator(side: str, i: int, v: ModuleVector) -> ModuleVector:
@@ -261,38 +269,38 @@ class RelationCheck(namedtuple("RelationCheck", "name ok witness", defaults=(Non
 _Q0 = 64
 
 
-def _relations(shape: Shape) -> list:
-    """The defining relations as (name, terms): each term is (c(q), word),
-    and the relation says the sum of c(q) * word vanishes.  A word lists
-    generators left to right and acts right to left."""
+def _relations(shape: Shape, at: tuple = _SYMBOLIC) -> list:
+    """The defining relations as (name, terms): each term is (c, word),
+    and the relation says the sum of c * word vanishes.  A word lists
+    generators left to right and acts right to left.
+
+    Each c is written from ``at``, the values (q, q - 1, 1) as
+    ``_image_terms`` takes them: 1, -(q - 1), -q or -1.  So the default
+    gives IntPoly coefficients, and ``verify_relations`` gets ints at
+    q = _Q0 with no polynomial evaluated."""
+    q, q_minus_one, one = at
     gens = generators(shape)
-    # (T+1)(T-q) v = T^2 v + (1-q) T v - q v
+    # (T+1)(T-q) v = T^2 v - (q-1) T v - q v
     relations = [
-        (f"quadratic {s}{i}", ((ONE, ((s, i), (s, i))), (1 - Q, ((s, i),)), (-Q, ())))
+        (f"quadratic {s}{i}", ((one, ((s, i), (s, i))), (-q_minus_one, ((s, i),)), (-q, ())))
         for s, i in gens
     ]
     for a, b in itertools.combinations(gens, 2):
         braid = a[0] == b[0] and abs(a[1] - b[1]) == 1
         lhs, rhs = ((a, b, a), (b, a, b)) if braid else ((a, b), (b, a))
         name = f"{'braid' if braid else 'commute'} {a[0]}{a[1]},{b[0]}{b[1]}"
-        relations.append((name, ((ONE, lhs), (-ONE, rhs))))
+        relations.append((name, ((one, lhs), (-one, rhs))))
     return relations
-
-
-@lru_cache(maxsize=None)
-def _at_q0(c: IntPoly) -> int:
-    """The polynomial c at q = _Q0, evaluated once per process.  Its keys
-    are the coefficients of ``_image_terms``, the relations and the basis
-    vectors: six polynomials (q, q-1, 1, 1-q, -q and -1) in all."""
-    return c(_Q0)
 
 
 def _vanishes(terms: tuple, start: dict) -> bool:
     """Whether the sum of c * word(v) over the terms (c, columns) is zero at
-    q = _Q0, where ``start`` is v at _Q0.  Each c is an int already
-    evaluated at _Q0, and ``columns`` lists the word's letters in the order
-    they act, each as the tuple whose entry k holds the (orbit, coefficient
-    at _Q0) pairs of T xi_k.  Each word is applied to v in full."""
+    q = _Q0, where ``start`` is v at _Q0.  Each c is the relation's int
+    coefficient, as ``_relations`` writes it from the values at _Q0, and
+    ``columns`` lists the word's letters in the order they act, each as
+    the tuple whose entry k holds T xi_k as ``_image_terms`` gives it at
+    _Q0: (orbit, int coefficient) pairs.  Each word is applied to v in
+    full."""
     residue = {}
     for coeff, columns in terms:
         vec = start
@@ -319,14 +327,15 @@ def verify_relations(shape: Shape) -> list:
     A relation is a sum of terms c(q) * word that must vanish on every basis
     vector.  Evaluation at q = x commutes with the arithmetic, so it is
     checked with plain integers at the single point q = _Q0 = 64, and that
-    decides it.  ``_at_q0`` evaluates each coefficient at _Q0 once per
-    process: it is an ``lru_cache`` keyed by the ``IntPoly``, and only six
-    polynomials ever reach it, so it stays that small.  Each generator's
-    column table holds ``_image_terms`` at _Q0; each relation's words
-    become tuples of those columns in the order they act, once per
-    relation; and ``_vanishes`` applies every word to the basis vector in
-    full, which starts from the vector's coordinates at _Q0, and adds
-    c * word(v) into one residue.  Write |f| for the sum of
+    decides it.  ``_image_terms`` and ``_relations`` take the values
+    (q, q - 1, 1) at _Q0 and so write their coefficients as ints at once:
+    no polynomial they would return is built or evaluated.  Each
+    generator's column table holds ``_image_terms`` at _Q0; each
+    relation's words become tuples of those columns in the order they
+    act, once per relation, with the relation's int coefficients; and
+    ``_vanishes`` applies every word to the basis vector in full, which
+    starts from the vector's coordinates at _Q0, and adds c * word(v)
+    into one residue.  Write |f| for the sum of
     the absolute values of the coefficients of an integer polynomial f;
     |fg| <= |f| |g|.
 
@@ -347,27 +356,22 @@ def verify_relations(shape: Shape) -> list:
     Every intermediate value is below 2^30 (columns at most 2q - 1 = 127
     at _Q0, words of three letters, coefficients at most 64), so all of it
     is small-int arithmetic.  ``tests/test_hecke.py`` checks the premises
-    on ``_image_terms`` and the relation coefficients.
+    on ``_image_terms`` and the relation coefficients, and that both,
+    given the values at a point, return the polynomials' values there.
     """
+    at = (_Q0, _Q0 - 1, 1)
     basis = Basis(shape)
-    table = {}
-    for gen, action in basis.action.items():
-        column = []
-        for idx, (case, jdx) in enumerate(action):
-            terms = []
-            for k, c in _image_terms(idx, case, jdx):
-                terms.append((k, _at_q0(c)))
-            column.append(tuple(terms))
-        table[gen] = tuple(column)
+    table = {
+        gen: tuple(_image_terms(idx, case, jdx, at) for idx, (case, jdx) in enumerate(action))
+        for gen, action in basis.action.items()
+    }
     report = []
-    for name, terms in _relations(shape):
-        words = tuple(
-            (_at_q0(coeff), tuple(table[gen] for gen in reversed(word))) for coeff, word in terms
-        )
+    for name, terms in _relations(shape, at):
+        words = tuple((coeff, tuple(table[gen] for gen in reversed(word))) for coeff, word in terms)
         witness = None
         for c in range(len(basis)):
             v = ModuleVector.basis_vector(shape, c)
-            if not _vanishes(words, {k: _at_q0(y) for k, y in v.coords.items()}):
+            if not _vanishes(words, {k: y(_Q0) for k, y in v.coords.items()}):
                 witness = c
                 break
         report.append(RelationCheck(name, witness is None, witness))

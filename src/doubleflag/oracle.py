@@ -803,8 +803,11 @@ def certify_theorem(shape: Shape, field_sizes) -> CertificationReport:
     enumeration refuses a bad or oversized field before any point is
     built), and each generator's row of ``Basis.action`` is read once.  A
     record's ``expected`` is ``_image_terms`` of its orbit's case and
-    partner, evaluated at the field size, and its ``observed`` is
-    ``_count_images`` for that orbit as the source.
+    partner at the values (F, F - 1, 1) of q, q - 1 and 1, so the rule
+    gives its int coefficients at q = F and no polynomial is evaluated;
+    its ``observed`` is ``_count_images`` for that orbit as the source.
+    The two terms of case II are distinct orbits (``Basis``), so the dict
+    keeps both.
 
     One generator's records form one pass of ``_count_images`` calls that
     move the same points, and ``_transform``'s cache returns each image
@@ -817,10 +820,11 @@ def certify_theorem(shape: Shape, field_sizes) -> CertificationReport:
     records = []
     for field_size in field_sizes:
         cls = classify_orbits(shape, field_size)
+        at = (field_size, field_size - 1, 1)
         for side, i in generators(shape):
             a = i - 1 if side == "+" else shape.p + i - 1
             for idx, (case, jdx) in enumerate(basis.action[(side, i)]):
-                expected = {k: c(field_size) for k, c in _image_terms(idx, case, jdx)}
+                expected = dict(_image_terms(idx, case, jdx, at))
                 observed = _count_images(cls, a, idx)
                 records.append(
                     CertificationRecord(field_size, side, i, idx, case.value, expected, observed)

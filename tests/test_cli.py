@@ -20,7 +20,6 @@ from doubleflag import (
     rank_matrix,
 )
 from doubleflag.cli import main
-from doubleflag.polynomial import ONE, Q
 
 
 def run(capsys, *argv):
@@ -300,13 +299,24 @@ def test_verify_passes(capsys):
     assert payload["ok"] is True
 
 
+def test_verify_certifies_distinct_fields(capsys):
+    # Distinct fields within the budget in all are certified one by one.
+    code, out = run(capsys, "verify", "--p", "2", "--q", "2", "--r", "2",
+                    "--field", "3", "--field", "5")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ok"] is True and payload["fields"] == [3, 5]
+    assert [entry["field"] for entry in payload["certification"]] == [3, 5]
+
+
 def test_verify_names_relation_witness(monkeypatch, capsys):
     # Passing relations print only name and ok; a failed one adds the first
     # orbit index whose residue is nonzero.
-    def case_ii_partner_one(idx, case, jdx):
+    def case_ii_partner_one(idx, case, jdx, at=hecke._SYMBOLIC):
         if case is GeneratorCase.CASE_II:
-            return ((idx, Q - 1), (jdx, ONE))
-        return image_terms(idx, case, jdx)
+            _, q_minus_one, one = at
+            return ((idx, q_minus_one), (jdx, one))
+        return image_terms(idx, case, jdx, at)
 
     image_terms = hecke._image_terms
     argv = ["verify", "--p", "2", "--q", "2", "--r", "2", "--field", "3"]
@@ -342,11 +352,11 @@ def test_verify_names_certification_witness(monkeypatch, capsys):
     _, out = run(capsys, *argv)
     assert all("witness" not in entry for entry in json.loads(out)["certification"])
 
-    def raised(idx, case, jdx):
-        terms = sorted(image_terms(idx, case, jdx))
+    def raised(idx, case, jdx, at=hecke._SYMBOLIC):
+        terms = sorted(image_terms(idx, case, jdx, at))
         if (idx, case, jdx) in perturbed:
             (k, c), *rest = terms
-            terms = [(k, c + 1), *rest]
+            terms = [(k, c + at[2]), *rest]
         return tuple(terms)
 
     image_terms = oracle._image_terms
@@ -559,6 +569,26 @@ def test_huge_field_refused_before_work(monkeypatch, capsys, field, r):
     monkeypatch.setattr(cli, "grassmannian_size", oracle.grassmannian_size)
     assert main(["verify", "--p", "1", "--q", "1", "--r", r, "--field", field]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--p", "1", "--q", "1", "--r", "1", "--field", "3", "--field", "3"], "more than once"),
+        (["--p", "2", "--q", "2", "--r", "2", "--field", "5", "--field", "3", "--field", "5"],
+         "more than once"),
+        # 31,110 + 89,030 = 120,140 points: each field fits the budget alone
+        (["--p", "2", "--q", "2", "--r", "2", "--field", "13", "--field", "17"], "120140 points"),
+    ],
+    ids=["field_twice", "field_twice_apart", "fields_over_budget_in_all"],
+)
+def test_field_list_refused_before_work(monkeypatch, capsys, flags, message):
+    # Only the field check itself may run, as for a single bad field.
+    sizes = [oracle.grassmannian_size(Shape(2, 2, 2), field) for field in (13, 17)]
+    assert sizes == [31110, 89030] and max(sizes) <= oracle.ENUMERATION_BUDGET < sum(sizes)
+    _forbid_work(monkeypatch)
+    monkeypatch.setattr(cli, "grassmannian_size", oracle.grassmannian_size)
+    assert message in assert_refused(capsys, ["verify", *flags])
 
 
 @pytest.mark.parametrize(

@@ -522,18 +522,22 @@ class TestRelations:
         assert "quadratic +1" in failed
 
 
-def case_ii_partner_one(idx, case, jdx):
-    """_image_terms with the case II partner coefficient 1 in place of q."""
+def case_ii_partner_one(idx, case, jdx, at=hecke._SYMBOLIC):
+    """_image_terms with the case II partner coefficient 1 in place of q,
+    both read from ``at`` = (q, q - 1, 1)."""
     if case is GeneratorCase.CASE_II:
-        return ((idx, Q - 1), (jdx, ONE))
-    return _image_terms(idx, case, jdx)
+        _, q_minus_one, one = at
+        return ((idx, q_minus_one), (jdx, one))
+    return _image_terms(idx, case, jdx, at)
 
 
-def case_ii_orbits_swapped(idx, case, jdx):
-    """_image_terms with the two case II orbits swapped: (q-1) xi' + q xi."""
+def case_ii_orbits_swapped(idx, case, jdx, at=hecke._SYMBOLIC):
+    """_image_terms with the two case II orbits swapped: (q-1) xi' + q xi,
+    both coefficients read from ``at`` = (q, q - 1, 1)."""
     if case is GeneratorCase.CASE_II:
-        return ((jdx, Q - 1), (idx, Q))
-    return _image_terms(idx, case, jdx)
+        q, q_minus_one, _ = at
+        return ((jdx, q_minus_one), (idx, q))
+    return _image_terms(idx, case, jdx, at)
 
 
 def reference_verify_relations(shape):
@@ -662,6 +666,36 @@ def test_single_point_premise_image_terms(case, partner):
     terms = _image_terms(3, case, partner)
     assert sum(l1(c) for _, c in terms) <= 3
     assert all(c.degree <= 1 for _, c in terms)
+
+
+# q = 1 is the Weyl group's point, 3 and 5 are small fields, 64 is _Q0, and
+# 99991 is the largest prime within the oracle's enumeration budget.
+RULE_VALUES = [1, 3, 5, 64, 99991]
+
+
+@pytest.mark.parametrize("value", RULE_VALUES)
+@pytest.mark.parametrize("case", list(GeneratorCase))
+@pytest.mark.parametrize("partner", [3, 5])
+def test_image_terms_at_values_match_polynomials(value, case, partner):
+    # verify_relations and certify_theorem pass the values (q, q - 1, 1) at
+    # one q; the terms must be the polynomial terms evaluated there.
+    terms = _image_terms(3, case, partner, (value, value - 1, 1))
+    assert terms == tuple((k, c(value)) for k, c in _image_terms(3, case, partner))
+    assert all(type(c) is int for _, c in terms)
+
+
+@pytest.mark.parametrize("value", RULE_VALUES)
+def test_relations_at_values_match_polynomials(value):
+    shapes = small_shapes(6)
+    assert len(shapes) == 85
+    for shape in shapes:
+        relations = hecke._relations(shape, (value, value - 1, 1))
+        evaluated = [
+            (name, tuple((c(value), word) for c, word in terms))
+            for name, terms in hecke._relations(shape)
+        ]
+        assert relations == evaluated, shape
+        assert all(type(c) is int for _, terms in relations for c, _ in terms), shape
 
 
 def test_single_point_premise_relations():

@@ -225,6 +225,108 @@ def test_modular_inverse_only_in_insert_and_transform():
     assert found == {"oracle._insert", "oracle._transform"}
 
 
+_CACHE_DECORATORS = {"cache", "lru_cache"}
+
+
+def cached_definitions(source, module):
+    """The dotted names (module, classes, functions) of the functions and
+    classes decorated with ``functools.cache`` or ``functools.lru_cache``,
+    called or not, under any spelling an import gives them: the bare
+    names, ``functools.<name>``, and aliases of the names or the module."""
+    tree = ast.parse(source)
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names |= {a.asname or a.name for a in node.names if a.name in _CACHE_DECORATORS}
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "functools"}
+
+    def is_cache(decorator):
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        if isinstance(decorator, ast.Name):
+            return decorator.id in names
+        return (
+            isinstance(decorator, ast.Attribute)
+            and decorator.attr in _CACHE_DECORATORS
+            and isinstance(decorator.value, ast.Name)
+            and decorator.value.id in modules
+        )
+
+    found = []
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qualified = f"{name}.{child.name}"
+                if any(map(is_cache, child.decorator_list)):
+                    found.append(qualified)
+                visit(child, qualified)
+            else:
+                visit(child, name)
+
+    visit(tree, module)
+    return found
+
+
+def test_cached_definitions_detected():
+    source = (
+        "import functools\n"
+        "import functools as ft\n"
+        "from functools import cache, lru_cache as memo, wraps\n"
+        "@cache\n"
+        "def a(): pass\n"
+        "@memo(maxsize=2)\n"
+        "def b(): pass\n"
+        "@functools.lru_cache\n"
+        "class C:\n"
+        "    @ft.cache\n"
+        "    def m(self): pass\n"
+        "    @wraps(a)\n"
+        "    def n(self): pass\n"
+        "@staticmethod\n"
+        "@functools.lru_cache(maxsize=None, typed=True)\n"
+        "def d(): pass\n"
+        "@lru_cache\n"
+        "def e(): pass\n"
+        "@other.cache\n"
+        "def f(): pass\n"
+    )
+    # lru_cache is imported only as memo and `other` is not functools, so
+    # neither e nor f is cached
+    assert cached_definitions(source, "mod") == ["mod.a", "mod.b", "mod.C", "mod.C.m", "mod.d"]
+
+
+# Every process-wide cache in src/: each lives as long as the process, so
+# each docstring bounds what it holds.  A new one is added here on purpose,
+# with its bound; the point values of the Hecke rule need none, since
+# _image_terms and _relations take them from their caller.
+CACHED_DEFINITIONS = {
+    "cli.build_parser",
+    "cli._row_template",
+    "cli._rank_row_template",
+    "cli._rank_row",
+    "core.enumerate_graphs",
+    "core.count_orbits",
+    "core.invariants",
+    "core.rank_matrix",
+    "hecke.Basis",
+    "oracle._span_table",
+    "oracle.classify_orbits",
+    "oracle._transform",
+}
+
+
+def test_process_wide_caches_pinned():
+    found = [
+        name
+        for path in SOURCES
+        for name in cached_definitions(path.read_text(encoding="utf-8"), path.stem)
+    ]
+    assert len(CACHED_DEFINITIONS) == 12
+    assert sorted(found) == sorted(CACHED_DEFINITIONS)
+
+
 def _modules_after_cli_import():
     """Modules a fresh ``python -S`` process holds after importing the CLI."""
     code = "import sys, doubleflag, doubleflag.cli; print(' '.join(sys.modules))"
