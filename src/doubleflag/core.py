@@ -415,9 +415,16 @@ class RankMatrix(namedtuple("RankMatrix", "entries")):
     __slots__ = ()
 
     def dominates(self, other: "RankMatrix") -> bool:
-        return all(
-            a >= b for ra, rb in zip(self.entries, other.entries) for a, b in zip(ra, rb)
-        )
+        """True iff every entry is >= the same entry of ``other``.  Raises
+        ValueError for matrices of different dimensions, which ``zip``
+        would cut to the smaller one.  Every row of a matrix has q+1
+        entries, so the row count and the first row's length fix them."""
+        a, b = self.entries, other.entries
+        if len(a) != len(b) or len(a[0]) != len(b[0]):
+            raise ValueError(
+                f"rank matrices of dimensions {len(a)}x{len(a[0])} and {len(b)}x{len(b[0])}"
+            )
+        return all(x >= y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 @lru_cache(maxsize=None)

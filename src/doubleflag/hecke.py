@@ -69,61 +69,87 @@ def _case(a: tuple, i: int) -> GeneratorCase:
     return _CASE_II if d < d2 else _CASE_III
 
 
-def _reflected(arrays: tuple, s: int, i: int) -> tuple:
-    """Partner arrays of s_i . g on side s (0 for +, 1 for -): swap entries
-    i, i+1 of that side's array and rename partners i <-> i+1 in the other.
-
-    Only the partners of i and i+1 hold those labels in the other array:
-    entry x > 0 of one side means entry x of the other side is its vertex.
-    So the renaming rewrites those two entries and scans nothing."""
-    a = arrays[s]
-    x, y = a[i], a[i + 1]
-    own, other = list(a), list(arrays[1 - s])
-    own[i], own[i + 1] = y, x
-    if x > 0:
-        other[x] = i + 1
-    if y > 0:
-        other[y] = i
-    own, other = tuple(own), tuple(other)
-    return (own, other) if s == 0 else (other, own)
-
-
 @lru_cache(maxsize=None)
 class Basis:
     """Orbit basis in canonical enumeration order, with index lookup and the
     generator action table.
 
     ``action[(side, i)][k]`` is the pair ``(case, partner)`` of the
-    generator at orbit k: its case and the index of the reflected orbit.
+    generator at orbit k: its case and the index of the reflected orbit
+    s_i . g, whose arrays are g's with entries i and i+1 of the side's
+    array a swapped and the partners i <-> i+1 renamed in the other array.
 
-    The partner is k itself exactly in case I.  ``_reflected`` swaps
-    entries i and i+1 of the side's array a and renames i <-> i+1 in the
-    other array.  In case I both entries are 0 (free) or both -1 (marked):
-    the swap changes nothing, and no vertex of the other side is joined to
-    i or i+1, so the renaming changes nothing either.  In cases II and III
-    either the degrees differ, so a[i] != a[i+1] because an entry fixes its
-    vertex's degree, or both vertices carry an edge, and a[i] != a[i+1]
-    because a vertex of the other side is joined to at most one vertex.
-    Either way the swap changes a, so the reflected orbit is another one.
-    So the table sets the case I partner to k without reflecting, and
-    looks up the reflected arrays only in cases II and III.
+    The partner is k itself exactly in case I.  In case I both entries are
+    0 (free) or both -1 (marked): the swap changes nothing, and no vertex
+    of the other side is joined to i or i+1, so the renaming changes
+    nothing either.  In cases II and III either the degrees differ, so
+    a[i] != a[i+1] because an entry fixes its vertex's degree, or both
+    vertices carry an edge, and a[i] != a[i+1] because a vertex of the
+    other side is joined to at most one vertex.  Either way the swap
+    changes a, so the reflected orbit is another one.  So the table sets
+    the case I partner to k without reflecting, and looks up the reflected
+    orbit only in cases II and III.
+
+    Orbit keys.  Let R = max(p, q) + 2.  Entry i of ``plus`` has the place
+    value R^i (i = 0..p) and entry j of ``minus`` the place value
+    R^(p+1+j) (j = 0..q), and an orbit's key is the sum over both arrays
+    of (entry + 1) times the entry's place value.  Every entry lies in
+    -1..max(p, q): -1 marked, 0 free or padding, else a partner label of
+    the other side.  So each digit entry + 1 lies in 0..R-1, and the key
+    is the base-R numeral of the digits.  A numeral whose digits lie in
+    0..R-1 has one value, so distinct orbits have distinct keys, and
+    ``by_key`` maps each key to its orbit.
+
+    The key step.  Let x = a[i] and y = a[i+1].  Only the partners of i
+    and i+1 hold the labels i and i+1 in the other array: entry x > 0 of
+    one side means entry x of the other side is its vertex.  So the
+    reflection rewrites at most four entries: a[i] becomes y and a[i+1]
+    becomes x; if x > 0, entry x of the other array goes from i to i+1;
+    if y > 0, entry y goes from i+1 to i (x != y in cases II and III, so
+    these are two entries).  Each new entry lies in -1..max(p, q) again,
+    so the reflected arrays have the digits of a key, and since the key is
+    linear in the digits their key is the key plus
+
+        delta = (y - x) (R^i - R^(i+1)) + [x > 0] R^x' - [y > 0] R^y',
+
+    where R^i and R^(i+1) are the place values of entries i and i+1 of a,
+    and R^x' and R^y' those of entries x and y of the other array.  So
+    ``by_key[key + delta]`` is the reflected orbit, read with no array
+    copied and no tuple hashed; a key with no orbit raises KeyError.
     """
 
     def __init__(self, shape: Shape):
         self.graphs = enumerate_graphs(shape)
         self.index = {g: i for i, g in enumerate(self.graphs)}
-        arrays = [(g.plus, g.minus) for g in self.graphs]
-        by_arrays = {a: k for k, a in enumerate(arrays)}
+        base = max(shape.p, shape.q) + 2
+        powers = [base**e for e in range(shape.n + 2)]
+        place = (powers[: shape.p + 1], powers[shape.p + 1 :])  # per side
+        arrays = ([g.plus for g in self.graphs], [g.minus for g in self.graphs])
+        offset = sum(powers)  # the + 1 of every digit
+        mul = operator.mul
+        keys = [
+            sum(map(mul, plus, place[0])) + sum(map(mul, minus, place[1])) + offset
+            for plus, minus in zip(*arrays)
+        ]
+        by_key = {key: k for k, key in enumerate(keys)}
         self.action = {}
         for side, i in generators(shape):
             s = "+-".index(side)
+            own, other = place[s], place[1 - s]
+            swap = own[i] - own[i + 1]
             row = []
-            for k, a in enumerate(arrays):
-                case = _case(a[s], i)
+            for k, (key, a) in enumerate(zip(keys, arrays[s])):
+                case = _case(a, i)
                 if case is _CASE_I:
                     row.append((case, k))
-                else:
-                    row.append((case, by_arrays[_reflected(a, s, i)]))
+                    continue
+                x, y = a[i], a[i + 1]
+                key += (y - x) * swap
+                if x > 0:
+                    key += other[x]
+                if y > 0:
+                    key -= other[y]
+                row.append((case, by_key[key]))
             self.action[(side, i)] = tuple(row)
 
     def __len__(self):
@@ -424,14 +450,20 @@ def weyl_decompose(shape: Shape) -> list:
       cases give xi_k (case I), (q-1) xi_k + q xi_k' = xi_k' (case II) and
       xi_k' (case III), so T_i sends xi_k to xi_k' once case I has k' = k,
       and ``Basis`` proves that the partner is k exactly in case I.  The
-      map k -> k' is an involution, so a bijection: ``_reflected`` swaps
-      entries i, i+1 of one array and renames i <-> i+1 in the other, and
-      doing both twice gives back the same arrays.
+      map k -> k' is an involution, so a bijection.  In cases II and III
+      ``Basis`` reads k' at key(k) + delta, where delta is the key step for
+      the entries x = a[i], y = a[i+1].  At k' those entries are y, x,
+      still unequal, so k' is in case II or III too, and entries x and y
+      of the other array hold i+1 and i.  So the key step at k' is
+      (x - y) (R^i - R^(i+1)) + [y > 0] R^y' - [x > 0] R^x' = -delta, and
+      the partner of k' has the key key(k) + delta - delta = key(k): it
+      is k.
     * A W-orbit holds a single type.  The walk follows the partner maps,
-      and ``_reflected`` swaps two entries of one side's partner array and
-      renames partner labels i <-> i+1 in the other array.  Marks (-1) and
-      free vertices (0) are never touched, so s and t, the counts of -1 in
-      the two arrays, and k = r - s - t are constant along every map.
+      and the key step swaps the digits of entries i and i+1 of one side's
+      array and moves entries x and y of the other array, which are
+      partner labels > 0, to the labels i+1 and i.  So no -1 entry is
+      made or unmade: s and t, the counts of -1 in the two arrays, and
+      k = r - s - t are constant along every map.
     * Each type is one W-orbit, and the types are the admissible triples.
       For each admissible (k, s, t), and for no other triple, the loop
       nest of ``enumerate_graphs`` chooses the k + ends, the k - ends, a

@@ -95,6 +95,22 @@ def grassmannian_size(shape: Shape, field_size: int) -> int:
     return total
 
 
+def _check_fields(shape: Shape, field_sizes) -> list:
+    """The field sizes as ints, checked as one list before any work: each
+    is coerced with ``operator.index``, a field given twice raises
+    ValueError, and so does what ``grassmannian_size`` refuses for one
+    field, or a list whose Grassmannians hold more than
+    ``ENUMERATION_BUDGET`` points in all.  ``certify_theorem`` and the
+    CLI's ``verify`` both call it, so they refuse the same lists."""
+    field_sizes = [operator.index(f) for f in field_sizes]
+    if len(set(field_sizes)) < len(field_sizes):
+        raise ValueError("a field is given more than once")
+    points = sum(grassmannian_size(shape, f) for f in field_sizes)
+    if points > ENUMERATION_BUDGET:
+        raise ValueError(f"the fields' Grassmannians have {points} points in all, over the budget")
+    return field_sizes
+
+
 def _cells(shape: Shape, field_size: int):
     """The Grassmannian's pivot cells: for each pivot-column choice, in
     ``itertools.combinations`` order, the list of its RREF rows, each as
@@ -811,11 +827,12 @@ def certify_theorem(shape: Shape, field_sizes) -> CertificationReport:
 
     One generator's records form one pass of ``_count_images`` calls that
     move the same points, and ``_transform``'s cache returns each image
-    after the pass's first source has asked for it.  Field sizes are
-    coerced with ``operator.index`` before any field is classified, so a
-    float raises TypeError before any work.
+    after the pass's first source has asked for it.  The field list is
+    checked by ``_check_fields`` before any field is classified, so a
+    float, a bad field, a field given twice or a list over the budget in
+    all raises before any work.
     """
-    field_sizes = [operator.index(f) for f in field_sizes]
+    field_sizes = _check_fields(shape, field_sizes)
     basis = Basis(shape)
     records = []
     for field_size in field_sizes:

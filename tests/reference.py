@@ -1,5 +1,10 @@
 """Test-only reference implementations shared by the test modules."""
 
+from itertools import chain
+
+from doubleflag.core import enumerate_graphs, rank_matrix
+from doubleflag.hecke import GeneratorCase, _case, generators
+
 
 def reference_rref(rows, p):
     """Gauss-Jordan elimination mod p, independent of ``oracle._insert``:
@@ -24,3 +29,63 @@ def reference_rref(rows, p):
                 mat[k] = [(a - f * b) % p for a, b in zip(mat[k], mat[rank])]
         rank += 1
     return tuple(tuple(row) for row in mat), rank
+
+
+def reference_up_sets(shape):
+    """``build_poset``'s up-sets as they were computed before the row
+    masks: each rank matrix flattened to its (p+1)(q+1) entries, one
+    threshold mask per (entry, value), and each orbit's up-set the AND of
+    its (p+1)(q+1) masks.  Bit b of the a-th mask is set iff
+    flat[b][e] <= flat[a][e] for every position e."""
+    flat = [tuple(chain.from_iterable(rank_matrix(g).entries)) for g in enumerate_graphs(shape)]
+    at_most = [[0] * (shape.r + 1) for _ in flat[0]]
+    for b, fb in enumerate(flat):
+        bit = 1 << b
+        for masks, v in zip(at_most, fb):
+            masks[v] |= bit
+    for masks in at_most:
+        for v in range(1, shape.r + 1):
+            masks[v] |= masks[v - 1]
+    out = []
+    for fa in flat:
+        mask = -1
+        for masks, v in zip(at_most, fa):
+            mask &= masks[v]
+        out.append(mask)
+    return tuple(out)
+
+
+def reference_reflected(arrays, s, i):
+    """Partner arrays of s_i . g on side s (0 for +, 1 for -), as copies:
+    swap entries i, i+1 of that side's array and rename partners i <-> i+1
+    in the other, rewriting only the two entries that hold those labels."""
+    a = arrays[s]
+    x, y = a[i], a[i + 1]
+    own, other = list(a), list(arrays[1 - s])
+    own[i], own[i + 1] = y, x
+    if x > 0:
+        other[x] = i + 1
+    if y > 0:
+        other[y] = i
+    own, other = tuple(own), tuple(other)
+    return (own, other) if s == 0 else (other, own)
+
+
+def reference_action(shape):
+    """``Basis.action`` as it was built before the orbit keys: each case II
+    or III partner found by hashing ``reference_reflected``'s arrays."""
+    graphs = enumerate_graphs(shape)
+    arrays = [(g.plus, g.minus) for g in graphs]
+    by_arrays = {a: k for k, a in enumerate(arrays)}
+    action = {}
+    for side, i in generators(shape):
+        s = "+-".index(side)
+        row = []
+        for k, a in enumerate(arrays):
+            case = _case(a[s], i)
+            if case is GeneratorCase.CASE_I:
+                row.append((case, k))
+            else:
+                row.append((case, by_arrays[reference_reflected(a, s, i)]))
+        action[(side, i)] = tuple(row)
+    return action

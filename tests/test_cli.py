@@ -591,6 +591,18 @@ def test_field_list_refused_before_work(monkeypatch, capsys, flags, message):
     assert message in assert_refused(capsys, ["verify", *flags])
 
 
+def test_verify_orbit_budget_checked_before_field_list(monkeypatch, capsys):
+    # Over ORBIT_BUDGET, verify refuses by the orbit count before the
+    # field list is checked: F_3 alone would also refuse (5,5,5), by its
+    # Grassmannian.
+    def not_reached(*args):
+        pytest.fail("_check_fields ran before the orbit budget check")
+
+    monkeypatch.setattr(cli, "_check_fields", not_reached)
+    err = assert_refused(capsys, ["verify", "--p", "5", "--q", "5", "--r", "5", "--field", "3"])
+    assert "10922 orbits" in err
+
+
 @pytest.mark.parametrize(
     "shape_flags",
     [["--p", "2", "--q", "1", "--r", "4"], ["--p", "-1", "--q", "2", "--r", "1"]],

@@ -410,6 +410,19 @@ class TestRankMatrix:
             mats = [rank_matrix(g).entries for g in enumerate_graphs(shape)]
             assert len(set(mats)) == len(mats)
 
+    @pytest.mark.parametrize(
+        "small, big",
+        [((Shape(1, 1, 1), 0), (Shape(3, 3, 1), -1)), ((Shape(2, 1, 1), -1), (Shape(2, 2, 1), 0))],
+        ids=["2x2_vs_4x4", "3x2_vs_3x3"],
+    )
+    def test_dominates_refuses_other_dimensions(self, small, big):
+        # zip would compare only the shared corner: the first orbit of
+        # (1,1,1) would dominate the last of (3,3,1), whose 2x2 corner is 0.
+        a, b = (rank_matrix(enumerate_graphs(shape)[k]) for shape, k in (small, big))
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="dimensions"):
+                x.dominates(y)
+
 
 def identity_perm(size):
     return tuple(range(1, size + 1))

@@ -24,6 +24,7 @@ from doubleflag import hecke
 from doubleflag.core import vertex_degree
 from doubleflag.hecke import Basis, RelationCheck, _image_terms, generators
 from doubleflag.polynomial import ONE, Q, ZERO, IntPoly
+from reference import reference_action, reference_reflected
 
 S222 = Shape(2, 2, 2)
 CROSS = make_graph(S222, [(1, 2), (2, 1)])
@@ -406,22 +407,47 @@ def full_scan_reflected(arrays, s, i):
 
 
 def test_reflected_matches_full_scan():
-    # _reflected rewrites only the partners of i and i+1; Basis sets the
-    # case I partner to k without a lookup, so this also checks that the
-    # lookup would have found k there.
+    # The Basis docstring's key step, on keys written from its definition:
+    # keys are injective, key + delta is the key of the reflected arrays
+    # as the full scan writes them, and the table's partner is the orbit
+    # with that key.  Case I has delta 0 and no lookup, so this also checks
+    # that the lookup would have found k there.
     checked = 0
     for shape in small_shapes(7):
         basis = Basis(shape)
+        base = max(shape.p, shape.q) + 2
+
+        def key(arrays):
+            return sum((e + 1) * base**pos for pos, e in enumerate((*arrays[0], *arrays[1])))
+
         arrays = [(g.plus, g.minus) for g in basis.graphs]
-        by_arrays = {a: k for k, a in enumerate(arrays)}
+        by_key = {key(a): k for k, a in enumerate(arrays)}
+        assert len(by_key) == len(arrays), shape
         for side, i in generators(shape):
             s = "+-".index(side)
+            own, other = (0, shape.p + 1) if s == 0 else (shape.p + 1, 0)
             for k, a in enumerate(arrays):
-                reflected = hecke._reflected(a, s, i)
-                assert reflected == full_scan_reflected(a, s, i), (shape, side, i, k)
-                assert basis.action[(side, i)][k][1] == by_arrays[reflected], (shape, k)
+                reflected = full_scan_reflected(a, s, i)
+                assert reference_reflected(a, s, i) == reflected, (shape, side, i, k)
+                x, y = a[s][i], a[s][i + 1]
+                delta = (y - x) * (base ** (own + i) - base ** (own + i + 1))
+                delta += (x > 0) * base ** (other + x) - (y > 0) * base ** (other + y)
+                assert key(a) + delta == key(reflected), (shape, side, i, k)
+                assert basis.action[(side, i)][k][1] == by_key[key(reflected)], (shape, k)
                 checked += 1
     assert checked == 23116
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [small_shapes(7), [Shape(4, 4, 4), Shape(5, 3, 4), Shape(5, 4, 5)]],
+    ids=["p_plus_q_le_7", "closure_and_545"],
+)
+def test_action_table_matches_reflected_reference(shapes):
+    # The key-based table against the one built by hashing reflected
+    # partner arrays, on every generator and orbit.
+    for shape in shapes:
+        assert Basis(shape).action == reference_action(shape), shape
 
 
 def test_basis_builds_no_graph(monkeypatch):

@@ -1084,6 +1084,24 @@ def _differential_jobs():
 
 
 class TestCertification:
+    @pytest.mark.parametrize(
+        "shape, fields, message",
+        [
+            (Shape(2, 1, 1), [3, 3], "more than once"),
+            # 31,110 + 89,030 = 120,140 points: each field fits the budget alone
+            (Shape(2, 2, 2), [13, 17], "120140 points"),
+        ],
+        ids=["field_twice", "fields_over_budget_in_all"],
+    )
+    def test_field_list_refused_before_classification(self, monkeypatch, shape, fields, message):
+        # The same list rule as the CLI's verify, in the library call.
+        def not_reached(*args):
+            pytest.fail("classify_orbits ran before the field list check")
+
+        monkeypatch.setattr(oracle, "classify_orbits", not_reached)
+        with pytest.raises(ValueError, match=message):
+            certify_theorem(shape, fields)
+
     @pytest.mark.parametrize("shape,field", _differential_jobs(), ids=str)
     def test_records_match_per_record_reference(self, monkeypatch, shape, field):
         counts = {}

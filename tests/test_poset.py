@@ -18,6 +18,7 @@ from doubleflag import (
 from doubleflag import cli
 from doubleflag import poset as poset_module
 from doubleflag.hecke import Basis, GeneratorCase
+from reference import reference_up_sets
 
 S222 = Shape(2, 2, 2)
 
@@ -232,6 +233,20 @@ def _reference_covers(leq):
                 covers.append((a, b))
             m &= m - 1
     return tuple(sorted(covers))
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        [Shape(p, n - p, r) for n in range(2, 8) for p in range(1, n) for r in range(n + 1)],
+        [Shape(4, 4, 4), Shape(5, 3, 4), Shape(5, 4, 5)],
+    ],
+    ids=["p_plus_q_le_7", "closure_and_545"],
+)
+def test_up_sets_match_threshold_reference(shapes):
+    # The row masks against one threshold mask per matrix entry.
+    for shape in shapes:
+        assert build_poset(shape).leq == reference_up_sets(shape), shape
 
 
 @st.composite
