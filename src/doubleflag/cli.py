@@ -24,16 +24,7 @@ from functools import cache, lru_cache
 
 from .core import Graph, Invariants, Shape, count_orbits, enumerate_graphs, invariants, rank_matrix
 from .hecke import operator_matrix, verify_relations, weyl_decompose
-# ``_check_fields`` checks the field list, so ``grassmannian_size`` is not
-# called here; it stays a name of this module because the CLI tests patch
-# it here while checking that a refusal comes before any work.
-from .oracle import (
-    _check_fields,
-    certify_theorem,
-    classification_ok,
-    classify_orbits,
-    grassmannian_size,
-)
+from .oracle import _check_fields, certify_theorem, classification_ok, classify_orbits
 from .poset import build_poset, to_dot
 
 # Largest orbit count any subcommand accepts.  It admits every shape with

@@ -39,8 +39,9 @@ class GeneratorCase(enum.Enum):
 
 # The members as module globals: reading a member as a class attribute
 # goes through the enum's descriptor, which the per-orbit loops would pay
-# on every comparison.
-_CASE_I, _CASE_II, _CASE_III = GeneratorCase
+# on every comparison.  ``_CASES`` lists them in order, so that the ints
+# 0, 1 and 2 name the three cases where a key must hash fast.
+_CASE_I, _CASE_II, _CASE_III = _CASES = tuple(GeneratorCase)
 
 
 def _case(a: tuple, i: int) -> GeneratorCase:
@@ -324,7 +325,7 @@ def _vanishes(terms: tuple, start: dict) -> bool:
     q = _Q0, where ``start`` is v at _Q0.  Each c is the relation's int
     coefficient, as ``_relations`` writes it from the values at _Q0, and
     ``columns`` lists the word's letters in the order they act, each as
-    the tuple whose entry k holds T xi_k as ``_image_terms`` gives it at
+    the sequence whose entry k holds T xi_k as ``_image_terms`` gives it at
     _Q0: (orbit, int coefficient) pairs.  Each word is applied to v in
     full."""
     residue = {}
@@ -341,6 +342,67 @@ def _vanishes(terms: tuple, start: dict) -> bool:
     return not any(residue.values())
 
 
+def _words(form: tuple, case_rows: tuple, partner_rows: tuple, at: tuple) -> list:
+    """A relation's terms as ``_vanishes`` takes them.  ``form`` is the
+    relation's (c, word) terms with each letter written 0 or 1, and row g
+    of ``case_rows`` and ``partner_rows`` gives letter g's case (an index
+    into _CASES) and partner at each position: column g's entry j is
+    ``_image_terms(j, case, partner, at)``."""
+    columns = [
+        [_image_terms(j, _CASES[case], jdx, at) for j, (case, jdx) in enumerate(zip(*rows))]
+        for rows in zip(case_rows, partner_rows)
+    ]
+    return [(coeff, [columns[g] for g in reversed(word)]) for coeff, word in form]
+
+
+def _block(c: int, maps: tuple):
+    """The block of orbit c under the partner maps of two generators: its
+    members in walk order, the letter (0 or 1) of the step from position
+    0 to 1, and whether it is a cycle.  None if a step is not undone by
+    its own map there, so the maps are not both involutions.
+
+    The walk from c takes maps[0], maps[1], maps[0], ... until it comes
+    back to c, a cycle, or reaches a member that its next map fixes.  That
+    member ends a path, and the path is walked again from it.  Each step
+    m -> m' is checked to have maps[g][m'] = m, and so the walk never
+    meets a member twice except by closing a cycle at c."""
+    g, m = 0, c
+    members = [c]
+    while (nxt := maps[g][m]) != m:
+        if maps[g][nxt] != m:
+            return None
+        if nxt == c:
+            return members, 0, True
+        members.append(nxt)
+        m, g = nxt, g ^ 1
+    join = g = g ^ 1  # maps[g] fixes the end m, so the path leaves it by the other
+    members = [m]
+    while (nxt := maps[g][m]) != m:
+        if maps[g][nxt] != m:
+            return None
+        members.append(nxt)
+        m, g = nxt, g ^ 1
+    return members, join, False
+
+
+def _block_verdicts(
+    form: tuple, join: int, cycle: bool, cases_a: bytes, cases_b: bytes, at: tuple
+) -> list:
+    """Whether the relation ``form`` vanishes at each position of a block
+    with the given picture, decided on the block's own table over the
+    positions 0..size-1, where position j has the cases cases_a[j] and
+    cases_b[j].  The step from position e to e + 1 (to 0 from the last
+    position of a cycle) is taken by letter join ^ (e & 1); every other
+    partner is the position itself."""
+    size = len(cases_a)
+    partners = [list(range(size)), list(range(size))]
+    for e in range(size if cycle else size - 1):
+        g, f = join ^ (e & 1), (e + 1) % size
+        partners[g][e], partners[g][f] = f, e
+    words = _words(form, (cases_a, cases_b), partners, at)
+    return [_vanishes(words, {j: 1}) for j in range(size)]
+
+
 def verify_relations(shape: Shape) -> list:
     """Check the defining Hecke relations as exact polynomial identities.
 
@@ -355,15 +417,9 @@ def verify_relations(shape: Shape) -> list:
     checked with plain integers at the single point q = _Q0 = 64, and that
     decides it.  ``_image_terms`` and ``_relations`` take the values
     (q, q - 1, 1) at _Q0 and so write their coefficients as ints at once:
-    no polynomial they would return is built or evaluated.  Each
-    generator's column table holds ``_image_terms`` at _Q0; each
-    relation's words become tuples of those columns in the order they
-    act, once per relation, with the relation's int coefficients; and
-    ``_vanishes`` applies every word to the basis vector in full, which
-    starts from the vector's coordinates at _Q0, and adds c * word(v)
-    into one residue.  Write |f| for the sum of
-    the absolute values of the coefficients of an integer polynomial f;
-    |fg| <= |f| |g|.
+    no polynomial they would return is built or evaluated.  Write |f| for
+    the sum of the absolute values of the coefficients of an integer
+    polynomial f; |fg| <= |f| |g|.
 
     * Each column of T_i has summed |coefficient| <= 3: case I gives
       |q| = 1, case II |q-1| + |q| = 3 and case III |1| = 1.
@@ -381,23 +437,79 @@ def verify_relations(shape: Shape) -> list:
     Since 54 < 64, a residue vanishes at _Q0 exactly when it is zero.
     Every intermediate value is below 2^30 (columns at most 2q - 1 = 127
     at _Q0, words of three letters, coefficients at most 64), so all of it
-    is small-int arithmetic.  ``tests/test_hecke.py`` checks the premises
-    on ``_image_terms`` and the relation coefficients, and that both,
-    given the values at a point, return the polynomials' values there.
+    is small-int arithmetic.
+
+    Each residue is decided once per block, not once per orbit.  A
+    relation has the letters a and b (a = b for a quadratic one), and
+    T_a sends xi_m into span{xi_m, xi_m'}, where m' is m's partner under
+    a in ``Basis.action``.  So the span of each orbit of the two partner
+    maps, a block, is invariant under both letters, and the residue at
+    xi_k lies in the span of k's block.  The partner maps are involutions
+    (proved in ``weyl_decompose``'s docstring), and two involutions have
+    dihedral orbits: a block is a path, whose ends are fixed by one map,
+    or an even cycle, and ``_block`` walks it.  Relabel the block's
+    members by their positions in the walk.  ``_image_terms`` reads its
+    orbit indices only as labels (``tests/test_hecke.py`` checks that
+    relabelling commutes with it), so under the relabelling the residue
+    at xi_k is the residue at k's position on the block's own table,
+    whose columns are ``_image_terms`` at _Q0 as before; so the bound
+    54 < 64 decides it there too.  That table is fixed by the block's
+    picture: path or cycle, the letter of the first step, and each
+    member's case under a and b.  The positions' verdicts are computed
+    the first time a picture is seen, by ``_block_verdicts``, and kept
+    for the rest of the call; blocks with the same picture share them,
+    and a member whose case differs gives another picture.  A step that
+    its own map does not undo (only a damaged table has one) makes
+    ``_block`` return None, and that orbit is decided by applying the
+    words to it on the whole table.
+
+    The check still builds one basis vector per relation and orbit, in
+    orbit order, reads the verdict at that vector's index, and stops at
+    the first orbit whose residue is nonzero: that is the witness.
+    ``tests/test_hecke.py`` checks the premises on ``_image_terms`` and
+    the relation coefficients, that both, given the values at a point,
+    return the polynomials' values there, and that the reports equal
+    ``tests/reference.py``'s orbit-by-orbit check.
     """
     at = (_Q0, _Q0 - 1, 1)
     basis = Basis(shape)
-    table = {
-        gen: tuple(_image_terms(idx, case, jdx, at) for idx, (case, jdx) in enumerate(action))
-        for gen, action in basis.action.items()
-    }
+    n = len(basis)
+    cases, maps = {}, {}
+    for gen, row in basis.action.items():
+        cases[gen] = [_CASES.index(case) for case, _ in row]
+        maps[gen] = [jdx for _, jdx in row]
+    pictures = {}  # relation form -> block picture -> verdict per position
     report = []
     for name, terms in _relations(shape, at):
-        words = tuple((coeff, tuple(table[gen] for gen in reversed(word))) for coeff, word in terms)
+        pair = terms[0][1][:2]  # the letters a, b of the first word; a, a if quadratic
+        # Keys are built from lists and bytes: in CPython a small tuple built
+        # from an iterator is not taken from the tuple free list but is put
+        # on it when freed, so each such key would grow that list for the
+        # life of the process (up to 2,000 tuples of each size).
+        form = tuple([(coeff, tuple([pair.index(gen) for gen in word])) for coeff, word in terms])
+        seen = pictures.setdefault(form, {})
+        case_rows = (cases[pair[0]], cases[pair[1]])
+        case_of_a, case_of_b = case_rows[0].__getitem__, case_rows[1].__getitem__
+        partner_rows = (maps[pair[0]], maps[pair[1]])
+        whole = None  # the words on the whole table, built if a block is damaged
+        ok = [None] * n
         witness = None
-        for c in range(len(basis)):
-            v = ModuleVector.basis_vector(shape, c)
-            if not _vanishes(words, {k: y(_Q0) for k, y in v.coords.items()}):
+        for c in range(n):
+            (k,) = ModuleVector.basis_vector(shape, c).coords
+            if ok[k] is None:
+                block = _block(k, partner_rows)
+                if block is None:
+                    whole = whole or _words(form, case_rows, partner_rows, at)
+                    ok[k] = _vanishes(whole, {k: 1})
+                else:
+                    members, join, cycle = block
+                    cases_a = bytes(map(case_of_a, members))
+                    picture = (join, cycle, cases_a, bytes(map(case_of_b, members)))
+                    if picture not in seen:
+                        seen[picture] = _block_verdicts(form, *picture, at)
+                    for m, verdict in zip(members, seen[picture]):
+                        ok[m] = verdict
+            if not ok[k]:
                 witness = c
                 break
         report.append(RelationCheck(name, witness is None, witness))

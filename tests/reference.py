@@ -2,8 +2,9 @@
 
 from itertools import chain
 
+from doubleflag import hecke
 from doubleflag.core import enumerate_graphs, rank_matrix
-from doubleflag.hecke import GeneratorCase, _case, generators
+from doubleflag.hecke import Basis, GeneratorCase, ModuleVector, RelationCheck, _case, generators
 
 
 def reference_rref(rows, p):
@@ -89,3 +90,30 @@ def reference_action(shape):
                 row.append((case, by_arrays[reference_reflected(a, s, i)]))
         action[(side, i)] = tuple(row)
     return action
+
+
+def reference_relation_checks(shape):
+    """``verify_relations`` as it was before the blocks: each relation's
+    words applied by ``hecke._vanishes`` to every basis vector in turn,
+    on column tables of the whole basis from ``hecke._image_terms`` at
+    q = _Q0, stopping at the first orbit with a nonzero residue.  The
+    hecke names are read at call time, so a patched rule or table reaches
+    this check as it reaches ``verify_relations``."""
+    q0 = hecke._Q0
+    at = (q0, q0 - 1, 1)
+    basis = Basis(shape)
+    table = {
+        gen: tuple(hecke._image_terms(idx, case, jdx, at) for idx, (case, jdx) in enumerate(action))
+        for gen, action in basis.action.items()
+    }
+    report = []
+    for name, terms in hecke._relations(shape, at):
+        words = tuple((coeff, tuple(table[gen] for gen in reversed(word))) for coeff, word in terms)
+        witness = None
+        for c in range(len(basis)):
+            v = ModuleVector.basis_vector(shape, c)
+            if not hecke._vanishes(words, {k: y(q0) for k, y in v.coords.items()}):
+                witness = c
+                break
+        report.append(RelationCheck(name, witness is None, witness))
+    return report

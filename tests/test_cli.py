@@ -497,7 +497,7 @@ WORK_ENTRY_POINTS = [
     "operator_matrix",
     "weyl_decompose",
     "verify_relations",
-    "grassmannian_size",
+    "_check_fields",
 ]
 
 SUBCOMMAND_FLAGS = {
@@ -566,7 +566,7 @@ def test_huge_field_refused_before_work(monkeypatch, capsys, field, r):
     # Refused by size before trial division, which would not finish on the
     # prime; only the field check itself may run.
     _forbid_work(monkeypatch)
-    monkeypatch.setattr(cli, "grassmannian_size", oracle.grassmannian_size)
+    monkeypatch.setattr(cli, "_check_fields", oracle._check_fields)
     assert main(["verify", "--p", "1", "--q", "1", "--r", r, "--field", field]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -587,7 +587,7 @@ def test_field_list_refused_before_work(monkeypatch, capsys, flags, message):
     sizes = [oracle.grassmannian_size(Shape(2, 2, 2), field) for field in (13, 17)]
     assert sizes == [31110, 89030] and max(sizes) <= oracle.ENUMERATION_BUDGET < sum(sizes)
     _forbid_work(monkeypatch)
-    monkeypatch.setattr(cli, "grassmannian_size", oracle.grassmannian_size)
+    monkeypatch.setattr(cli, "_check_fields", oracle._check_fields)
     assert message in assert_refused(capsys, ["verify", *flags])
 
 

@@ -24,7 +24,7 @@ from doubleflag import hecke
 from doubleflag.core import vertex_degree
 from doubleflag.hecke import Basis, RelationCheck, _image_terms, generators
 from doubleflag.polynomial import ONE, Q, ZERO, IntPoly
-from reference import reference_action, reference_reflected
+from reference import reference_action, reference_reflected, reference_relation_checks
 
 S222 = Shape(2, 2, 2)
 CROSS = make_graph(S222, [(1, 2), (2, 1)])
@@ -678,6 +678,72 @@ def test_relations_match_four_point_reference(mutate):
     assert (failed > 0) == mutate
 
 
+@pytest.mark.parametrize(
+    "rule",
+    [_image_terms, case_ii_partner_one, case_ii_orbits_swapped],
+    ids=["rule", "case_ii_partner_one", "case_ii_orbits_swapped"],
+)
+def test_block_verdicts_match_orbit_by_orbit_reference(rule):
+    # The verdicts decided once per block picture against every relation
+    # applied to every orbit on the whole table, with the real rule and
+    # with both mutants, which must fail the same relations at the same
+    # witnesses.
+    shapes = small_shapes(7) + [Shape(4, 4, 4), Shape(5, 3, 4), Shape(5, 4, 5)]
+    assert len(shapes) == 136
+    failed = 0
+    with mock.patch.object(hecke, "_image_terms", rule):
+        for shape in shapes:
+            report = verify_relations(shape)
+            assert report == reference_relation_checks(shape), shape
+            failed += sum(not rc.ok for rc in report)
+    assert (failed > 0) == (rule is not _image_terms)
+
+
+def _case_ii_to_iii(table):
+    """Case III at the first case II orbit, its partner kept."""
+    k = next(k for k, (case, _) in enumerate(table) if case is GeneratorCase.CASE_II)
+    table[k] = (GeneratorCase.CASE_III, table[k][1])
+
+
+@pytest.mark.parametrize("shape", [S222, Shape(3, 3, 3)])
+@pytest.mark.parametrize("damage", [_case_ii_to_iii, _move_case_i_partner, _break_involution])
+def test_damaged_block_keeps_its_own_verdict(monkeypatch, shape, damage):
+    # One entry of the +1 row is damaged.  A case changed from II to III
+    # gives its block another picture, so its verdict is not the one of
+    # the sound blocks that had its old picture; a moved partner breaks
+    # the involution, and the orbits whose walk meets it are checked on
+    # the whole table.  Either way the block check must report what the
+    # orbit-by-orbit check reports.  A moved case I partner is not read
+    # by the rule, so every relation still holds.
+    basis = Basis(shape)
+    table = list(basis.action[("+", 1)])
+    damage(table)
+    monkeypatch.setitem(basis.action, ("+", 1), tuple(table))
+    report = verify_relations(shape)
+    assert report == reference_relation_checks(shape)
+    failed = [rc.name for rc in report if not rc.ok]
+    if damage is _move_case_i_partner:
+        assert failed == []
+    else:
+        assert "quadratic +1" in failed
+        assert all("+1" in name.split(" ")[1].split(",") for name in failed), failed
+
+
+@pytest.mark.parametrize("at", [hecke._SYMBOLIC, (64, 63, 1), (5, 4, 1)], ids=["q", "64", "5"])
+@pytest.mark.parametrize("case", list(GeneratorCase))
+def test_image_terms_commute_with_relabelling(case, at):
+    # verify_relations decides a block on a table over the positions
+    # 0..size-1.  That equals the residue on the whole table only if the
+    # rule reads its orbit indices as labels: relabelling the arguments
+    # relabels the terms, and changes nothing else.
+    sigma = [5, 2, 7, 0, 3, 6, 1, 4]
+    for idx, jdx in itertools.product(range(len(sigma)), repeat=2):
+        terms = _image_terms(idx, case, jdx, at)
+        assert _image_terms(sigma[idx], case, sigma[jdx], at) == tuple(
+            (sigma[k], c) for k, c in terms
+        ), (idx, jdx)
+
+
 def l1(poly):
     return sum(abs(c) for c in poly.coeffs)
 
@@ -733,10 +799,9 @@ def test_single_point_premise_relations():
             assert sum(l1(c) * 3 ** len(word) for c, word in terms) < hecke._Q0, name
 
 
-@pytest.mark.parametrize("shape", [Shape(3, 3, 2), S222])
-def test_one_basis_vector_per_relation_and_orbit(monkeypatch, shape):
-    # The benchmark counts these calls as its relation checks: 690 on
-    # (3,3,2), 10 relations x 69 orbits, in bench/golden.json.
+def counted_basis_vectors(monkeypatch, shape):
+    """verify_relations' report and the (shape, index) of every basis
+    vector it built, in order."""
     calls = []
     original = ModuleVector.basis_vector
 
@@ -745,12 +810,30 @@ def test_one_basis_vector_per_relation_and_orbit(monkeypatch, shape):
         return original(*args)
 
     monkeypatch.setattr(ModuleVector, "basis_vector", staticmethod(counted))
-    report = verify_relations(shape)
+    return verify_relations(shape), calls
+
+
+@pytest.mark.parametrize("shape", [Shape(3, 3, 2), S222])
+def test_one_basis_vector_per_relation_and_orbit(monkeypatch, shape):
+    # The benchmark counts these calls as its relation checks: 690 on
+    # (3,3,2), 10 relations x 69 orbits, in bench/golden.json.  A relation
+    # that holds builds one vector per orbit, in orbit order, however its
+    # blocks share their verdicts.
+    report, calls = counted_basis_vectors(monkeypatch, shape)
     n = len(Basis(shape))
     assert all(rc.ok for rc in report)
-    assert sorted(calls) == sorted((shape, c) for c in range(n) for _ in report)
+    assert calls == [(shape, c) for _ in report for c in range(n)]
     if shape == Shape(3, 3, 2):
         assert len(calls) == 690
+
+
+def test_failing_relation_builds_vectors_up_to_its_witness(monkeypatch):
+    # A relation that fails stops at its witness: witness + 1 vectors.
+    monkeypatch.setattr(hecke, "_image_terms", case_ii_partner_one)
+    report, calls = counted_basis_vectors(monkeypatch, S222)
+    n = len(Basis(S222))
+    assert any(not rc.ok for rc in report)
+    assert calls == [(S222, c) for rc in report for c in range(n if rc.ok else rc.witness + 1)]
 
 
 def relation_residue(terms, v):
