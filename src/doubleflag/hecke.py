@@ -342,14 +342,20 @@ def _vanishes(terms: tuple, start: dict) -> bool:
     return not any(residue.values())
 
 
-def _words(form: tuple, case_rows: tuple, partner_rows: tuple, at: tuple) -> list:
+def _words(form: tuple, case_rows: tuple, partner_rows: tuple, rule: tuple) -> list:
     """A relation's terms as ``_vanishes`` takes them.  ``form`` is the
     relation's (c, word) terms with each letter written 0 or 1, and row g
     of ``case_rows`` and ``partner_rows`` gives letter g's case (an index
-    into _CASES) and partner at each position: column g's entry j is
-    ``_image_terms(j, case, partner, at)``."""
+    into _CASES) and partner at each position.  ``rule[case]`` is
+    ``_image_terms(0, case, 1, at)``, and column g's entry j is those
+    terms with the label 0 read as j and 1 as j's partner: that is
+    ``_image_terms(j, case, partner, at)``, since the rule reads its orbit
+    indices only as labels."""
     columns = [
-        [_image_terms(j, _CASES[case], jdx, at) for j, (case, jdx) in enumerate(zip(*rows))]
+        [
+            [(jdx if label else j, c) for label, c in rule[case]]
+            for j, (case, jdx) in enumerate(zip(*rows))
+        ]
         for rows in zip(case_rows, partner_rows)
     ]
     return [(coeff, [columns[g] for g in reversed(word)]) for coeff, word in form]
@@ -385,22 +391,31 @@ def _block(c: int, maps: tuple):
     return members, join, False
 
 
+@lru_cache(maxsize=128)
 def _block_verdicts(
-    form: tuple, join: int, cycle: bool, cases_a: bytes, cases_b: bytes, at: tuple
-) -> list:
+    form: tuple, rule: tuple, join: int, cycle: bool, cases_a: bytes, cases_b: bytes
+) -> tuple:
     """Whether the relation ``form`` vanishes at each position of a block
-    with the given picture, decided on the block's own table over the
-    positions 0..size-1, where position j has the cases cases_a[j] and
-    cases_b[j].  The step from position e to e + 1 (to 0 from the last
-    position of a cycle) is taken by letter join ^ (e & 1); every other
-    partner is the position itself."""
+    with the given picture, under the rule ``rule`` (see ``_words``),
+    decided on the block's own table over the positions 0..size-1, where
+    position j has the cases cases_a[j] and cases_b[j].  The step from
+    position e to e + 1 (to 0 from the last position of a cycle) is taken
+    by letter join ^ (e & 1); every other partner is the position itself.
+
+    The verdicts are a function of the arguments alone, so they are kept
+    for the life of the process: each (form, rule, picture) is decided
+    once, however many shapes and calls share it.  The cache holds at most
+    128 entries.  The real rule gives 19 keys on the 136 shapes with
+    p+q <= 7 and (4,4,4), (5,3,4), (5,4,5) (``tests/test_hecke.py``
+    counts them), and another rule, such as a test's mutant, has keys of
+    its own; an evicted entry is decided again."""
     size = len(cases_a)
     partners = [list(range(size)), list(range(size))]
     for e in range(size if cycle else size - 1):
         g, f = join ^ (e & 1), (e + 1) % size
         partners[g][e], partners[g][f] = f, e
-    words = _words(form, (cases_a, cases_b), partners, at)
-    return [_vanishes(words, {j: 1}) for j in range(size)]
+    words = _words(form, (cases_a, cases_b), partners, rule)
+    return tuple([_vanishes(words, {j: 1}) for j in range(size)])
 
 
 def verify_relations(shape: Shape) -> list:
@@ -454,14 +469,28 @@ def verify_relations(shape: Shape) -> list:
     at xi_k is the residue at k's position on the block's own table,
     whose columns are ``_image_terms`` at _Q0 as before; so the bound
     54 < 64 decides it there too.  That table is fixed by the block's
-    picture: path or cycle, the letter of the first step, and each
-    member's case under a and b.  The positions' verdicts are computed
-    the first time a picture is seen, by ``_block_verdicts``, and kept
-    for the rest of the call; blocks with the same picture share them,
-    and a member whose case differs gives another picture.  A step that
-    its own map does not undo (only a damaged table has one) makes
-    ``_block`` return None, and that orbit is decided by applying the
-    words to it on the whole table.
+    picture (path or cycle, the letter of the first step, and each
+    member's case under a and b) and by the rule.
+
+    The rule is read once per call, as its signature: for each case, the
+    terms ``_image_terms(0, case, 1, at)`` at _Q0, on the labels 0 (the
+    orbit) and 1 (its partner).  By the same premise, reading 0 as a
+    position and 1 as its partner (the position itself in case I) gives
+    that position's column, so ``_words`` builds every column from the
+    signature and calls no rule.  A block's verdicts are then a function
+    of (relation form, rule signature, picture) alone, and
+    ``_block_verdicts`` keeps them for the life of the process: each key
+    is decided once, however many shapes and calls share it.  The rule is
+    in the key because a verdict depends on it: a mutated rule patched in
+    for ``_image_terms`` has another signature, and so verdicts of its
+    own, never those of the real rule.  In front of that cache a per-call
+    dict keyed by form and picture serves the blocks of one call, so a
+    block hashes only its picture, not the nested form and signature.
+    Blocks with the same picture share the verdicts, and a member whose
+    case differs gives another picture.  A step that its own map does not
+    undo (only a damaged table has one) makes ``_block`` return None, and
+    that orbit is decided by applying the words to it on the whole table,
+    whose columns ``_words`` builds from the signature too.
 
     The check still builds one basis vector per relation and orbit, in
     orbit order, reads the verdict at that vector's index, and stops at
@@ -472,6 +501,9 @@ def verify_relations(shape: Shape) -> list:
     ``tests/reference.py``'s orbit-by-orbit check.
     """
     at = (_Q0, _Q0 - 1, 1)
+    # The rule's signature: each case's terms at the labels 0 (the orbit)
+    # and 1 (its partner), a key built from a list (see the note below).
+    rule = tuple([_image_terms(0, case, 1, at) for case in _CASES])
     basis = Basis(shape)
     n = len(basis)
     cases, maps = {}, {}
@@ -499,14 +531,14 @@ def verify_relations(shape: Shape) -> list:
             if ok[k] is None:
                 block = _block(k, partner_rows)
                 if block is None:
-                    whole = whole or _words(form, case_rows, partner_rows, at)
+                    whole = whole or _words(form, case_rows, partner_rows, rule)
                     ok[k] = _vanishes(whole, {k: 1})
                 else:
                     members, join, cycle = block
                     cases_a = bytes(map(case_of_a, members))
                     picture = (join, cycle, cases_a, bytes(map(case_of_b, members)))
                     if picture not in seen:
-                        seen[picture] = _block_verdicts(form, *picture, at)
+                        seen[picture] = _block_verdicts(form, rule, *picture)
                     for m, verdict in zip(members, seen[picture]):
                         ok[m] = verdict
             if not ok[k]:

@@ -699,6 +699,36 @@ def test_block_verdicts_match_orbit_by_orbit_reference(rule):
     assert (failed > 0) == (rule is not _image_terms)
 
 
+def test_no_verdict_goes_stale_across_rules():
+    # The block verdicts live for the process.  With the cache warm, the
+    # real rule, each mutant and the real rule again must each report what
+    # the orbit-by-orbit check reports: a cache keyed by the picture alone,
+    # or a table decided once, would serve a mutant the real rule's verdicts.
+    shapes = [S222, Shape(3, 3, 3), Shape(4, 4, 4)]
+    rules = [_image_terms, case_ii_partner_one, case_ii_orbits_swapped, _image_terms]
+    for rule in rules:
+        failed = 0
+        with mock.patch.object(hecke, "_image_terms", rule):
+            for shape in shapes:
+                report = verify_relations(shape)
+                assert report == reference_relation_checks(shape), (rule.__name__, shape)
+                failed += sum(not rc.ok for rc in report)
+        assert (failed > 0) == (rule is not _image_terms), rule.__name__
+
+
+def test_reference_shapes_decide_19_pictures():
+    # From a cleared cache the real rule decides 19 (form, picture) keys on
+    # the reference shapes, and every other block reads one of them: the
+    # bound _block_verdicts' docstring states for what it holds.
+    shapes = small_shapes(7) + [Shape(4, 4, 4), Shape(5, 3, 4), Shape(5, 4, 5)]
+    hecke._block_verdicts.cache_clear()
+    for shape in shapes:
+        assert all(rc.ok for rc in verify_relations(shape)), shape
+    info = hecke._block_verdicts.cache_info()
+    assert (info.misses, info.currsize) == (19, 19)
+    assert info.hits > 0
+
+
 def _case_ii_to_iii(table):
     """Case III at the first case II orbit, its partner kept."""
     k = next(k for k, (case, _) in enumerate(table) if case is GeneratorCase.CASE_II)
@@ -742,6 +772,15 @@ def test_image_terms_commute_with_relabelling(case, at):
         assert _image_terms(sigma[idx], case, sigma[jdx], at) == tuple(
             (sigma[k], c) for k, c in terms
         ), (idx, jdx)
+    # The map the rule's signature uses: its terms on the labels 0 (the
+    # orbit) and 1 (its partner), read as j and j's partner, are the terms
+    # at j.  Case I's partner is j itself, so the map need not be one to
+    # one; every pair is checked in every case.
+    signature = _image_terms(0, case, 1, at)
+    for j, partner in itertools.product(range(len(sigma)), repeat=2):
+        assert _image_terms(j, case, partner, at) == tuple(
+            ((j, partner)[label], c) for label, c in signature
+        ), (j, partner)
 
 
 def l1(poly):
