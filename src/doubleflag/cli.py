@@ -1,8 +1,14 @@
 """Command-line front end.
 
 Subcommands: enumerate, invariants, hasse, hecke-matrix, weyl-decomp,
-verify.  Output is deterministic: fixed enumeration order, sorted JSON
-keys, newline-terminated files.  Every JSON output is
+verify.  ``main`` parses a call that starts with a subcommand by that
+subcommand's parser alone, so a bad flag after it gets that parser's usage
+(``usage: doubleflag hasse ...``) and a ``doubleflag hasse: error: ...``
+line, with exit code 2; any other argv goes to the top-level parser, whose
+usage and error lines start ``doubleflag``.
+
+Output is deterministic: fixed enumeration order, sorted JSON keys,
+newline-terminated files.  Every JSON output is
 ``json.dumps(obj, sort_keys=True, indent=2)``: ``weyl-decomp`` and
 ``verify`` call it on their payload, and ``enumerate`` and ``invariants
 --format json`` write one row per orbit through ``_json_rows``, which fills
@@ -337,9 +343,32 @@ _COMMANDS = {
 }
 
 
+def _subcommand_parsers(parser: argparse.ArgumentParser) -> dict:
+    """The parser of each subcommand by name: the ``choices`` of the one
+    ``_SubParsersAction`` that ``build_parser`` adds."""
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return subs.choices
+
+
 def main(argv=None) -> int:
+    """Run one CLI call and return its exit code.
+
+    A call that starts with a subcommand goes straight to that
+    subcommand's parser, the one ``build_parser`` made, with the rest of
+    argv: the top-level parser would scan every argument once and then
+    pass the same strings to that parser, which parses them again.  So
+    each such call makes one parse, with the namespace of the full parse.
+    Every other argv (none, ``-h``, an unknown word, a leading ``--``)
+    goes to the top-level parser, as no subcommand's parser can take it.
+    """
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    subparser = _subcommand_parsers(parser).get(argv[0]) if argv else None
+    if subparser is None:
+        args = parser.parse_args(argv)
+    else:
+        args = subparser.parse_args(argv[1:])
+        args.command = argv[0]
     try:
         shape = Shape(args.p, args.q, args.r)
         _check_budgets(shape)

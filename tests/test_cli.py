@@ -1,8 +1,11 @@
+import argparse
 import csv
 import io
 import json
 import math
 import random
+import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -458,10 +461,23 @@ def test_out_file(tmp_path, capsys):
     assert len(json.loads(text)) == 3
 
 
-def test_unknown_flag_exits_2():
+def exit_of(capsys, argv):
+    """The exit code, stdout and stderr of a ``main`` call that argparse
+    ends by ``SystemExit``."""
     with pytest.raises(SystemExit) as exc:
-        main(["enumerate", "--bogus", "1"])
-    assert exc.value.code == 2
+        main(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_unknown_flag_exits_2(capsys):
+    # Reported by the subcommand's own parser: its usage, then its prog
+    for command in cli._COMMANDS:
+        argv = [command, "--p", "1", "--q", "1", "--r", "1", *SUBCOMMAND_FLAGS[command]]
+        code, out, err = exit_of(capsys, [*argv, "--bogus", "1"])
+        assert code == 2 and out == ""
+        assert err.startswith(f"usage: doubleflag {command} [-h] --p P")
+        assert err.endswith(f"\ndoubleflag {command}: error: unrecognized arguments: --bogus 1\n")
 
 
 def test_main_calls_share_no_parser_state(capsys):
@@ -605,6 +621,119 @@ def test_malformed_shape_exits_2(monkeypatch, capsys, command, shape_flags):
     assert_refused(capsys, [command, *shape_flags, *SUBCOMMAND_FLAGS[command]])
 
 
+@pytest.mark.parametrize(
+    "argv", [[], ["bogus"], ["hass", "--p", "1"]], ids=["empty", "unknown_word", "prefix"]
+)
+def test_top_level_parser_refuses_argv_without_subcommand(capsys, argv):
+    # No subcommand's parser can take these, so the top-level one does
+    code, out, err = exit_of(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: doubleflag [-h]")
+    assert "\ndoubleflag: error: " in err
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    code, out, err = exit_of(capsys, ["-h"])
+    assert code == 0 and err == ""
+    assert "{" + ",".join(cli._COMMANDS) + "}" in out
+
+
+def test_leading_double_dash_goes_to_the_top_level_parser(capsys):
+    # The outcome is the full parse's, whatever this Python's argparse makes
+    # of a "--" before the subcommand.  Python 3.11's takes it for the
+    # subcommand's name and refuses it.
+    argv = ["--", "hasse", "--p", "2", "--q", "1", "--r", "1"]
+    try:
+        reference = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        err = capsys.readouterr().err
+        assert exc.code == 2 and err.startswith("usage: doubleflag [-h]")
+        assert exit_of(capsys, argv) == (2, "", err)
+    else:
+        assert reference.command == "hasse"
+        assert run(capsys, *argv) == run(capsys, *argv[1:])
+
+
+def test_main_reads_sys_argv_by_default(monkeypatch, capsys):
+    argv = ["enumerate", "--p", "2", "--q", "1", "--r", "1"]
+    expected = run(capsys, *argv)
+    assert expected[0] == 0 and len(json.loads(expected[1])) == 5
+    monkeypatch.setattr(sys, "argv", ["doubleflag", *argv])
+    assert (main(), capsys.readouterr().out) == expected
+    assert (main(tuple(argv)), capsys.readouterr().out) == expected
+
+
+def _golden_job_ids():
+    golden = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
+    return list(json.loads(golden.read_text())["jobs"])
+
+
+def _readme_calls():
+    """Each ``doubleflag`` call in README.md's examples, as argv."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    calls = []
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("doubleflag "):
+            words = shlex.split(line, comments=True)[1:]
+            calls.append(words[: words.index(">")] if ">" in words else words)
+    return calls
+
+
+# A value for every pinned option; (2,2,1) has a generator 1 on each side.
+OPTION_VALUES = {
+    "--p": "2",
+    "--q": "2",
+    "--r": "1",
+    "--out": "orbits.out",
+    "--format": "json",
+    "--side": "-",
+    "--index": "1",
+    "--field": "5",
+}
+
+
+def _option_calls():
+    """Each subcommand with each of its pinned options, given once as two
+    words and once as one ``--option=value`` word, after the subcommand's
+    other required options."""
+    calls = []
+    for command, sub in cli._subcommand_parsers(cli.build_parser()).items():
+        actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        for action in actions:
+            (option,) = action.option_strings
+            value = OPTION_VALUES[option]
+            required = [
+                word
+                for other in actions
+                if other.required and other is not action
+                for word in (*other.option_strings, OPTION_VALUES[other.option_strings[0]])
+            ]
+            calls += [[command, *required, option, value], [command, *required, f"{option}={value}"]]
+    return calls
+
+
+def test_dispatched_namespace_equals_full_parse(monkeypatch):
+    # The argv forms of every benchmark job and README example, and each
+    # pinned option in both spellings, give the command the namespace the
+    # full top-level parse gives.
+    dispatched = []
+    for command in cli._COMMANDS:
+        monkeypatch.setitem(cli._COMMANDS, command, lambda args, shape: dispatched.append(args))
+    benchmark = [job.split() for job in _golden_job_ids() if job.split()[0] in cli._COMMANDS]
+    readme = _readme_calls()
+    options = _option_calls()
+    assert len(benchmark) == 515 and len(options) == 56
+    assert [argv[0] for argv in readme] == list(cli._COMMANDS)
+    extra = [
+        ["invariants", "--format", "text", "--fo=json", "--p", "1", "--q", "1", "--r", "0"],
+        ["verify", "--fi", "3", "--p", "1", "--q", "1", "--r", "1", "--field=5"],
+    ]
+    for argv in [*benchmark, *readme, *options, *extra]:
+        main(argv)
+        assert vars(dispatched.pop()) == vars(cli.build_parser().parse_args(argv)), argv
+    assert not dispatched
+
+
 @pytest.mark.parametrize("p, q, r", [(7, 2, 0), (8, 1, 1)])
 def test_weyl_decomp_admits_every_orbit_budget_shape(capsys, p, q, r):
     # p! * q! is 10,080 and 40,320 here; the orbit count alone decides what
@@ -619,8 +748,7 @@ def test_weyl_decomp_admits_every_orbit_budget_shape(capsys, p, q, r):
 
 
 def test_budgets_admit_every_benchmark_job():
-    golden = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
-    for job_id in json.loads(golden.read_text())["jobs"]:
+    for job_id in _golden_job_ids():
         argv = job_id.split()
         shape = cli.Shape(*(int(argv[argv.index(flag) + 1]) for flag in ("--p", "--q", "--r")))
         cli._check_budgets(shape)  # raises ValueError if refused

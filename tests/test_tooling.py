@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import doubleflag
-from doubleflag.cli import build_parser
+from doubleflag.cli import _subcommand_parsers, build_parser, main
 
 SOURCES = sorted(Path(doubleflag.__file__).parent.rglob("*.py"))
 
@@ -412,8 +412,6 @@ CLI_OPTIONS = {
 
 def test_cli_options_pinned():
     # a change that adds, drops or renames a CLI flag must say so here
-    actions = build_parser()._actions
-    (subparsers,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
     declared = {
         name: [
             option
@@ -421,7 +419,31 @@ def test_cli_options_pinned():
             if not isinstance(action, argparse._HelpAction)
             for option in action.option_strings
         ]
-        for name, sub in subparsers.choices.items()
+        for name, sub in _subcommand_parsers(build_parser()).items()
     }
     assert declared == CLI_OPTIONS
     assert sum(map(len, declared.values())) == 28
+
+
+def test_main_parses_each_subcommand_call_once(monkeypatch):
+    # A call that starts with a subcommand is parsed once, by that
+    # subcommand's parser.  The full top-level parse scans the same strings
+    # twice: once itself, then in the subcommand's parser, which its
+    # _SubParsersAction calls.
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+    parses = []
+
+    def counted(self, *args, **kwargs):
+        parses.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    extra = {"hecke-matrix": ["--side", "+", "--index", "1"], "verify": ["--field", "3"]}
+    for command in CLI_OPTIONS:
+        argv = [command, "--p", "2", "--q", "1", "--r", "1", *extra.get(command, [])]
+        build_parser().parse_args(argv)
+        assert parses == ["doubleflag", f"doubleflag {command}"]
+        parses.clear()
+        assert main(argv) == 0
+        assert parses == [f"doubleflag {command}"]
+        parses.clear()
