@@ -358,11 +358,16 @@ def main(argv=None) -> int:
     argv: the top-level parser would scan every argument once and then
     pass the same strings to that parser, which parses them again.  So
     each such call makes one parse, with the namespace of the full parse.
-    Every other argv (none, ``-h``, an unknown word, a leading ``--``)
-    goes to the top-level parser, as no subcommand's parser can take it.
+    One leading ``--`` is dropped first, so ``doubleflag -- hasse ...``
+    runs as ``doubleflag hasse ...``: the top-level parser would take the
+    ``--`` for the subcommand's name and refuse it.  Every other argv
+    (none, ``-h``, an unknown word, a ``--`` alone) goes to the top-level
+    parser, as no subcommand's parser can take it.
     """
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["--"]:
+        del argv[0]
     subparser = _subcommand_parsers(parser).get(argv[0]) if argv else None
     if subparser is None:
         args = parser.parse_args(argv)

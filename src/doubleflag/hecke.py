@@ -14,8 +14,9 @@ over integer polynomials in q gives the module structure; specializing at
 q = 1 gives the permutation representation of the Weyl group S_p x S_q.
 
 The rule is evaluated once per shape on the partner arrays ``core.Graph``
-stores: ``Basis(shape).action`` holds, for every generator, the case and the
-reflected orbit's index at each orbit, and every consumer reads that table.
+stores.  ``Basis(shape)`` holds two rows per generator: ``cases[gen]``, each
+orbit's case as its index 0, 1 or 2 into ``_CASES``, and ``partners[gen]``,
+each orbit's reflected orbit.  Every consumer reads those rows as stored.
 """
 
 from __future__ import annotations
@@ -37,16 +38,14 @@ class GeneratorCase(enum.Enum):
     CASE_III = "III"
 
 
-# The members as module globals: reading a member as a class attribute
-# goes through the enum's descriptor, which the per-orbit loops would pay
-# on every comparison.  ``_CASES`` lists them in order, so that the ints
-# 0, 1 and 2 name the three cases where a key must hash fast.
-_CASE_I, _CASE_II, _CASE_III = _CASES = tuple(GeneratorCase)
+# The members in order.  Inside this module a case is its index here:
+# 0 for case I, 1 for case II and 2 for case III.
+_CASES = tuple(GeneratorCase)
 
 
-def _case(a: tuple, i: int) -> GeneratorCase:
-    """The case of generator i at an orbit, from its side's partner array
-    (``Graph.plus`` or ``Graph.minus``).
+def _case(a: tuple, i: int) -> int:
+    """The case of generator i at an orbit, as its index into ``_CASES``,
+    from its side's partner array (``Graph.plus`` or ``Graph.minus``).
 
     The rule reads degrees d, d' of vertices i, i+1 (0 free, 1 edge end,
     2 marked, as ``vertex_degree`` gives them): case I if d = d' != 1;
@@ -62,23 +61,25 @@ def _case(a: tuple, i: int) -> GeneratorCase:
     ends, and they are read inline."""
     x, y = a[i], a[i + 1]
     if x == y:
-        return _CASE_I
+        return 0
     if x > 0 and y > 0:
-        return _CASE_II if x > y else _CASE_III
+        return 1 if x > y else 2
     d = 2 if x < 0 else 1 if x else 0
     d2 = 2 if y < 0 else 1 if y else 0
-    return _CASE_II if d < d2 else _CASE_III
+    return 1 if d < d2 else 2
 
 
 @lru_cache(maxsize=None)
 class Basis:
     """Orbit basis in canonical enumeration order, with index lookup and the
-    generator action table.
+    generator action table, two rows per generator (side, i).
 
-    ``action[(side, i)][k]`` is the pair ``(case, partner)`` of the
-    generator at orbit k: its case and the index of the reflected orbit
-    s_i . g, whose arrays are g's with entries i and i+1 of the side's
-    array a swapped and the partners i <-> i+1 renamed in the other array.
+    ``cases[(side, i)]`` is a bytes row: entry k is the generator's case
+    at orbit k, as its index 0, 1 or 2 into ``_CASES`` (cases I, II and
+    III).  ``partners[(side, i)]`` is a tuple of ints: entry k is the
+    index of the reflected orbit s_i . g, whose arrays are g's with
+    entries i and i+1 of the side's array a swapped and the partners
+    i <-> i+1 renamed in the other array.
 
     The partner is k itself exactly in case I.  In case I both entries are
     0 (free) or both -1 (marked): the swap changes nothing, and no vertex
@@ -133,25 +134,24 @@ class Basis:
             for plus, minus in zip(*arrays)
         ]
         by_key = {key: k for k, key in enumerate(keys)}
-        self.action = {}
+        self.cases, self.partners = {}, {}
         for side, i in generators(shape):
             s = "+-".index(side)
             own, other = place[s], place[1 - s]
             swap = own[i] - own[i + 1]
-            row = []
-            for k, (key, a) in enumerate(zip(keys, arrays[s])):
-                case = _case(a, i)
-                if case is _CASE_I:
-                    row.append((case, k))
-                    continue
-                x, y = a[i], a[i + 1]
-                key += (y - x) * swap
-                if x > 0:
-                    key += other[x]
-                if y > 0:
-                    key -= other[y]
-                row.append((case, by_key[key]))
-            self.action[(side, i)] = tuple(row)
+            cases = bytes([_case(a, i) for a in arrays[s]])
+            partners = list(range(len(keys)))  # each orbit its own, as in case I
+            for k, (case, key, a) in enumerate(zip(cases, keys, arrays[s])):
+                if case:
+                    x, y = a[i], a[i + 1]
+                    key += (y - x) * swap
+                    if x > 0:
+                        key += other[x]
+                    if y > 0:
+                        key -= other[y]
+                    partners[k] = by_key[key]
+            self.cases[(side, i)] = cases
+            self.partners[(side, i)] = tuple(partners)
 
     def __len__(self):
         return len(self.graphs)
@@ -180,7 +180,7 @@ def _check_generator(shape: Shape, side: str, i: int) -> int:
 def classify(g: Graph, side: str, i: int) -> GeneratorCase:
     """Which of the three cases the generator (side, i) is in at the orbit g."""
     i = _check_generator(g.shape, side, i)
-    return _case(g.plus if side == "+" else g.minus, i)
+    return _CASES[_case(g.plus if side == "+" else g.minus, i)]
 
 
 class ModuleVector(namedtuple("ModuleVector", "shape coords")):
@@ -227,18 +227,19 @@ class ModuleVector(namedtuple("ModuleVector", "shape coords")):
 _SYMBOLIC = (Q, Q - 1, ONE)
 
 
-def _image_terms(idx: int, case: GeneratorCase, jdx: int, at: tuple = _SYMBOLIC) -> tuple:
+def _image_terms(idx: int, case: int, jdx: int, at: tuple = _SYMBOLIC) -> tuple:
     """T_i xi_idx as (orbit index, coefficient) pairs, where jdx is the
-    reflected orbit: q xi, (q-1) xi + q xi' or xi' by the three cases.
+    reflected orbit and ``case`` the case's index into _CASES: q xi,
+    (q-1) xi + q xi' or xi' by the three cases.
 
     ``at`` holds the values (q, q - 1, 1) the coefficients take: the
     polynomials by default, or the ints at one q, as ``verify_relations``
     (q = 64) and ``certify_theorem`` (q = |F|) pass them.  The rule is
     written here alone, so every caller reads the same three cases."""
     q, q_minus_one, one = at
-    if case is _CASE_I:
+    if not case:
         return ((idx, q),)
-    if case is _CASE_II:
+    if case == 1:
         return ((idx, q_minus_one), (jdx, q))
     return ((jdx, one),)
 
@@ -246,12 +247,13 @@ def _image_terms(idx: int, case: GeneratorCase, jdx: int, at: tuple = _SYMBOLIC)
 def apply_generator(side: str, i: int, v: ModuleVector) -> ModuleVector:
     """T_i * v, extended linearly from the three-case rule on basis vectors."""
     i = _check_generator(v.shape, side, i)
-    table = Basis(v.shape).action[(side, i)]
+    basis = Basis(v.shape)
+    cases, partners = basis.cases[(side, i)], basis.partners[(side, i)]
     out = {}
     for idx, coeff in v.coords.items():
-        if not 0 <= idx < len(table):
+        if not 0 <= idx < len(cases):
             raise ValueError(f"orbit index {idx} out of range for {v.shape}")
-        for k, c in _image_terms(idx, *table[idx]):
+        for k, c in _image_terms(idx, cases[idx], partners[idx]):
             out[k] = out.get(k, ZERO) + c * coeff
     return ModuleVector(v.shape, out)
 
@@ -269,10 +271,10 @@ def operator_matrix(shape: Shape, side: str, i: int) -> OperatorMatrix:
     """Dense matrix of T_i over the orbit basis, columns = images of basis
     vectors."""
     i = _check_generator(shape, side, i)
-    table = Basis(shape).action[(side, i)]
-    n = len(table)
+    basis = Basis(shape)
+    n = len(basis)
     nonzero = [{} for _ in range(n)]  # nonzero[row][col]
-    for col, (case, jdx) in enumerate(table):
+    for col, (case, jdx) in enumerate(zip(basis.cases[(side, i)], basis.partners[(side, i)])):
         # a column's rows are distinct: case II's partner is another orbit (Basis)
         for row, coeff in _image_terms(col, case, jdx):
             nonzero[row][col] = coeff
@@ -346,11 +348,11 @@ def _words(form: tuple, case_rows: tuple, partner_rows: tuple, rule: tuple) -> l
     """A relation's terms as ``_vanishes`` takes them.  ``form`` is the
     relation's (c, word) terms with each letter written 0 or 1, and row g
     of ``case_rows`` and ``partner_rows`` gives letter g's case (an index
-    into _CASES) and partner at each position.  ``rule[case]`` is
-    ``_image_terms(0, case, 1, at)``, and column g's entry j is those
-    terms with the label 0 read as j and 1 as j's partner: that is
-    ``_image_terms(j, case, partner, at)``, since the rule reads its orbit
-    indices only as labels."""
+    into _CASES) and partner at each position, as ``Basis`` stores them.
+    ``rule[case]`` is ``_image_terms(0, case, 1, at)``, and column g's
+    entry j is those terms with the label 0 read as j and 1 as j's
+    partner: that is ``_image_terms(j, case, partner, at)``, since the
+    rule reads its orbit indices only as labels."""
     columns = [
         [
             [(jdx if label else j, c) for label, c in rule[case]]
@@ -457,7 +459,7 @@ def verify_relations(shape: Shape) -> list:
     Each residue is decided once per block, not once per orbit.  A
     relation has the letters a and b (a = b for a quadratic one), and
     T_a sends xi_m into span{xi_m, xi_m'}, where m' is m's partner under
-    a in ``Basis.action``.  So the span of each orbit of the two partner
+    a in ``Basis.partners``.  So the span of each orbit of the two partner
     maps, a block, is invariant under both letters, and the residue at
     xi_k lies in the span of k's block.  The partner maps are involutions
     (proved in ``weyl_decompose``'s docstring), and two involutions have
@@ -503,13 +505,9 @@ def verify_relations(shape: Shape) -> list:
     at = (_Q0, _Q0 - 1, 1)
     # The rule's signature: each case's terms at the labels 0 (the orbit)
     # and 1 (its partner), a key built from a list (see the note below).
-    rule = tuple([_image_terms(0, case, 1, at) for case in _CASES])
+    rule = tuple([_image_terms(0, case, 1, at) for case in range(len(_CASES))])
     basis = Basis(shape)
     n = len(basis)
-    cases, maps = {}, {}
-    for gen, row in basis.action.items():
-        cases[gen] = [_CASES.index(case) for case, _ in row]
-        maps[gen] = [jdx for _, jdx in row]
     pictures = {}  # relation form -> block picture -> verdict per position
     report = []
     for name, terms in _relations(shape, at):
@@ -520,9 +518,9 @@ def verify_relations(shape: Shape) -> list:
         # life of the process (up to 2,000 tuples of each size).
         form = tuple([(coeff, tuple([pair.index(gen) for gen in word])) for coeff, word in terms])
         seen = pictures.setdefault(form, {})
-        case_rows = (cases[pair[0]], cases[pair[1]])
+        case_rows = (basis.cases[pair[0]], basis.cases[pair[1]])
         case_of_a, case_of_b = case_rows[0].__getitem__, case_rows[1].__getitem__
-        partner_rows = (maps[pair[0]], maps[pair[1]])
+        partner_rows = (basis.partners[pair[0]], basis.partners[pair[1]])
         whole = None  # the words on the whole table, built if a block is damaged
         ok = [None] * n
         witness = None
@@ -557,24 +555,27 @@ class WeylBlock(namedtuple("WeylBlock", "k s t orbit_size stabilizer_order")):
 def q1_action_is_permutation(shape: Shape) -> bool:
     """At q = 1 every generator acts as the vertex-relabelling permutation.
 
-    Read off the action table, where k' is the partner of orbit k.  At
-    q = 1 the three cases give T_i xi_k = q xi_k = xi_k (case I),
-    (q-1) xi_k + q xi_k' = xi_k' (case II) and xi_k' (case III).  So T_i
-    maps xi_k to xi_k' for every k exactly when case I has k' = k, which
-    is checked first.  The map k -> k' is also checked
-    to be an involution, so it is a bijection of the basis and T_i at
-    q = 1 is a permutation of order at most 2, as for a transposition.
+    Read off the two rows ``Basis`` stores for each generator, where
+    k' = ``partners[gen][k]`` is the partner of orbit k and
+    ``cases[gen][k]`` its case (0 for case I).  At q = 1 the three cases
+    give T_i xi_k = q xi_k = xi_k (case I), (q-1) xi_k + q xi_k' = xi_k'
+    (case II) and xi_k' (case III).  So T_i maps xi_k to xi_k' for every
+    k exactly when case I has k' = k, which is checked first.  The map
+    k -> k' is also checked to be an involution, so it is a bijection of
+    the basis and T_i at q = 1 is a permutation of order at most 2, as
+    for a transposition.
 
     Both facts are proved in ``weyl_decompose``'s docstring, and no
     library code calls this; ``tests/test_hecke.py`` asserts it on every
     shape with p+q <= 7 and checks that it returns False on a damaged
     table.
     """
-    for table in Basis(shape).action.values():
-        for idx, (case, jdx) in enumerate(table):
-            if case is _CASE_I and jdx != idx:
+    basis = Basis(shape)
+    for gen, partners in basis.partners.items():
+        for idx, (case, jdx) in enumerate(zip(basis.cases[gen], partners)):
+            if not case and jdx != idx:
                 return False
-            if table[jdx][1] != idx:
+            if partners[jdx] != idx:
                 return False
     return True
 
@@ -589,7 +590,7 @@ def weyl_decompose(shape: Shape) -> list:
     rest is proved:
 
     * At q = 1 each T_i is the permutation k -> k' of the basis, where k'
-      is the partner of orbit k in ``Basis.action``; this is what
+      is the partner of orbit k in ``Basis.partners``; this is what
       ``q1_action_is_permutation`` would re-check.  At q = 1 the three
       cases give xi_k (case I), (q-1) xi_k + q xi_k' = xi_k' (case II) and
       xi_k' (case III), so T_i sends xi_k to xi_k' once case I has k' = k,
@@ -618,7 +619,7 @@ def weyl_decompose(shape: Shape) -> list:
       the whole class: no two W-orbits share a type.
 
     The stabilizer order needs no search of its own.  The walk follows the
-    partner maps in ``Basis.action``, which swap vertices i and i+1 in the
+    partner rows in ``Basis.partners``, which swap vertices i and i+1 in the
     partner arrays; that is ``weyl_act`` of the adjacent transposition, as
     ``tests/test_hecke.py::test_action_table_matches_reference`` checks
     exhaustively for p+q <= 7.  Those transpositions generate W, so each
@@ -629,7 +630,7 @@ def weyl_decompose(shape: Shape) -> list:
     ``stabilizer_order`` is |H|.
     """
     basis = Basis(shape)
-    tables = basis.action.values()
+    rows = basis.partners.values()
     group_order = math.factorial(shape.p) * math.factorial(shape.q)
     seen = set()
     blocks = []
@@ -640,8 +641,8 @@ def weyl_decompose(shape: Shape) -> list:
         frontier = [start]
         while frontier:
             idx = frontier.pop()
-            for table in tables:
-                jdx = table[idx][1]
+            for partners in rows:
+                jdx = partners[idx]
                 if jdx not in orbit:
                     orbit.add(jdx)
                     frontier.append(jdx)

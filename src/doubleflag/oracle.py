@@ -43,7 +43,7 @@ from .core import (
     matrix_from_graph,
     rank_matrix,
 )
-from .hecke import Basis, ModuleVector, _check_generator, _image_terms, generators
+from .hecke import _CASES, Basis, ModuleVector, _check_generator, _image_terms, generators
 
 ENUMERATION_BUDGET = 10**5
 
@@ -752,6 +752,12 @@ def _count_images(cls: OrbitClassification, a: int, source: int) -> dict:
     return coords
 
 
+def _swap_column(shape: Shape, side: str, i: int) -> int:
+    """The 0-based column a of F^n that the generator (side, i) swaps with
+    a + 1: the p columns of the + side come first, then the q of the -."""
+    return i - 1 if side == "+" else shape.p + i - 1
+
+
 def convolution_action(
     shape: Shape, field_size: int, side: str, i: int, g: Graph
 ) -> ModuleVector:
@@ -769,7 +775,7 @@ def convolution_action(
     if g.shape != shape:
         raise ValueError(f"orbit of shape {g.shape} given for shape {shape}")
     cls = classify_orbits(shape, field_size)
-    a = i - 1 if side == "+" else shape.p + i - 1
+    a = _swap_column(shape, side, i)
     return ModuleVector(shape, _count_images(cls, a, Basis(shape).index[g]))
 
 
@@ -817,13 +823,14 @@ def certify_theorem(shape: Shape, field_sizes) -> CertificationReport:
 
     Each field is classified once (``classify_orbits``, whose Grassmannian
     enumeration refuses a bad or oversized field before any point is
-    built), and each generator's row of ``Basis.action`` is read once.  A
-    record's ``expected`` is ``_image_terms`` of its orbit's case and
-    partner at the values (F, F - 1, 1) of q, q - 1 and 1, so the rule
-    gives its int coefficients at q = F and no polynomial is evaluated;
-    its ``observed`` is ``_count_images`` for that orbit as the source.
-    The two terms of case II are distinct orbits (``Basis``), so the dict
-    keeps both.
+    built), and each generator's two rows, ``Basis.cases`` and
+    ``Basis.partners``, are read as stored.  A record's ``expected`` is
+    ``_image_terms`` of its orbit's case index and partner at the values
+    (F, F - 1, 1) of q, q - 1 and 1, so the rule gives its int
+    coefficients at q = F and no polynomial is evaluated; its ``observed``
+    is ``_count_images`` for that orbit as the source; and its ``case`` is
+    the ``GeneratorCase`` value "I", "II" or "III".  The two terms of case
+    II are distinct orbits (``Basis``), so the dict keeps both.
 
     One generator's records form one pass of ``_count_images`` calls that
     move the same points, and ``_transform``'s cache returns each image
@@ -838,12 +845,11 @@ def certify_theorem(shape: Shape, field_sizes) -> CertificationReport:
     for field_size in field_sizes:
         cls = classify_orbits(shape, field_size)
         at = (field_size, field_size - 1, 1)
-        for side, i in generators(shape):
-            a = i - 1 if side == "+" else shape.p + i - 1
-            for idx, (case, jdx) in enumerate(basis.action[(side, i)]):
+        for gen in generators(shape):
+            a = _swap_column(shape, *gen)
+            for idx, (case, jdx) in enumerate(zip(basis.cases[gen], basis.partners[gen])):
                 expected = dict(_image_terms(idx, case, jdx, at))
                 observed = _count_images(cls, a, idx)
-                records.append(
-                    CertificationRecord(field_size, side, i, idx, case.value, expected, observed)
-                )
+                name = _CASES[case].value
+                records.append(CertificationRecord(field_size, *gen, idx, name, expected, observed))
     return CertificationReport(shape, tuple(records))

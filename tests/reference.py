@@ -4,7 +4,7 @@ from itertools import chain
 
 from doubleflag import hecke
 from doubleflag.core import enumerate_graphs, rank_matrix
-from doubleflag.hecke import Basis, GeneratorCase, ModuleVector, RelationCheck, _case, generators
+from doubleflag.hecke import Basis, ModuleVector, RelationCheck, _case, generators
 
 
 def reference_rref(rows, p):
@@ -73,23 +73,21 @@ def reference_reflected(arrays, s, i):
 
 
 def reference_action(shape):
-    """``Basis.action`` as it was built before the orbit keys: each case II
-    or III partner found by hashing ``reference_reflected``'s arrays."""
+    """``Basis.cases`` and ``Basis.partners`` as they were built before the
+    orbit keys: each case II or III partner found by hashing
+    ``reference_reflected``'s arrays.  Returns the two dicts of rows."""
     graphs = enumerate_graphs(shape)
     arrays = [(g.plus, g.minus) for g in graphs]
     by_arrays = {a: k for k, a in enumerate(arrays)}
-    action = {}
+    cases, partners = {}, {}
     for side, i in generators(shape):
         s = "+-".index(side)
-        row = []
-        for k, a in enumerate(arrays):
-            case = _case(a[s], i)
-            if case is GeneratorCase.CASE_I:
-                row.append((case, k))
-            else:
-                row.append((case, by_arrays[reference_reflected(a, s, i)]))
-        action[(side, i)] = tuple(row)
-    return action
+        cases[(side, i)] = bytes(_case(a[s], i) for a in arrays)
+        partners[(side, i)] = tuple(
+            by_arrays[reference_reflected(a, s, i)] if case else k
+            for k, (case, a) in enumerate(zip(cases[(side, i)], arrays))
+        )
+    return cases, partners
 
 
 def reference_relation_checks(shape):
@@ -103,8 +101,11 @@ def reference_relation_checks(shape):
     at = (q0, q0 - 1, 1)
     basis = Basis(shape)
     table = {
-        gen: tuple(hecke._image_terms(idx, case, jdx, at) for idx, (case, jdx) in enumerate(action))
-        for gen, action in basis.action.items()
+        gen: tuple(
+            hecke._image_terms(idx, case, jdx, at)
+            for idx, (case, jdx) in enumerate(zip(cases, basis.partners[gen]))
+        )
+        for gen, cases in basis.cases.items()
     }
     report = []
     for name, terms in hecke._relations(shape, at):

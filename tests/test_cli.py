@@ -316,7 +316,7 @@ def test_verify_names_relation_witness(monkeypatch, capsys):
     # Passing relations print only name and ok; a failed one adds the first
     # orbit index whose residue is nonzero.
     def case_ii_partner_one(idx, case, jdx, at=hecke._SYMBOLIC):
-        if case is GeneratorCase.CASE_II:
+        if hecke._CASES[case] is GeneratorCase.CASE_II:
             _, q_minus_one, one = at
             return ((idx, q_minus_one), (jdx, one))
         return image_terms(idx, case, jdx, at)
@@ -349,8 +349,9 @@ def test_verify_names_certification_witness(monkeypatch, capsys):
     # partner, so the two records are picked by those arguments; (+1, 9)
     # and (-1, 6) give arguments that no other record of (2,2,2) gives.
     shape = Shape(2, 2, 2)
-    action = hecke.Basis(shape).action
-    perturbed = {(9, *action[("+", 1)][9]), (6, *action[("-", 1)][6])}
+    basis = hecke.Basis(shape)
+    picked = [(("+", 1), 9), (("-", 1), 6)]
+    perturbed = {(k, basis.cases[gen][k], basis.partners[gen][k]) for gen, k in picked}
     argv = ["verify", "--p", "2", "--q", "2", "--r", "2", "--field", "3"]
     _, out = run(capsys, *argv)
     assert all("witness" not in entry for entry in json.loads(out)["certification"])
@@ -638,20 +639,46 @@ def test_top_level_help_lists_every_subcommand(capsys):
     assert "{" + ",".join(cli._COMMANDS) + "}" in out
 
 
-def test_leading_double_dash_goes_to_the_top_level_parser(capsys):
-    # The outcome is the full parse's, whatever this Python's argparse makes
-    # of a "--" before the subcommand.  Python 3.11's takes it for the
-    # subcommand's name and refuses it.
-    argv = ["--", "hasse", "--p", "2", "--q", "1", "--r", "1"]
+def outcome(capsys, argv):
+    """The exit code, stdout and stderr of a ``main`` call, whether it
+    returns its code or argparse ends it by ``SystemExit``."""
     try:
-        reference = cli.build_parser().parse_args(argv)
+        code = main(argv)
     except SystemExit as exc:
-        err = capsys.readouterr().err
-        assert exc.code == 2 and err.startswith("usage: doubleflag [-h]")
-        assert exit_of(capsys, argv) == (2, "", err)
-    else:
-        assert reference.command == "hasse"
-        assert run(capsys, *argv) == run(capsys, *argv[1:])
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_leading_double_dash_is_dropped(capsys):
+    # On every Python: one leading "--" is dropped before dispatch, so the
+    # call has the outcome of the same call without it, whether it runs,
+    # prints help or is refused.  argparse would take the "--" for the
+    # subcommand's name and refuse it.
+    calls = [
+        ["hasse", "--p", "2", "--q", "1", "--r", "1"],
+        ["weyl-decomp", "--p", "2", "--q", "2", "--r", "2"],
+        ["hasse", "--p", "2", "--q", "1", "--r", "1", "--bogus", "1"],
+        ["hass", "--p", "1"],
+        ["-h"],
+    ]
+    codes = []
+    for argv in calls:
+        expected = outcome(capsys, argv)
+        assert outcome(capsys, ["--", *argv]) == expected, argv
+        codes.append(expected[0])
+    assert codes == [0, 0, 2, 2, 0]
+
+
+def test_double_dash_alone_goes_to_the_top_level_parser(capsys):
+    # Nothing is left once the "--" is dropped, so the top-level parser
+    # refuses the call for want of a subcommand.  A second "--" is kept,
+    # and the top-level parser refuses it as it refuses an unknown word.
+    for argv in (["--"], ["--", "--"], ["--", "--", "hasse", "--p", "2", "--q", "1", "--r", "1"]):
+        code, out, err = exit_of(capsys, argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("usage: doubleflag [-h]"), argv
+        assert "\ndoubleflag: error: " in err, argv
 
 
 def test_main_reads_sys_argv_by_default(monkeypatch, capsys):

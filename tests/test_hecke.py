@@ -22,7 +22,7 @@ from doubleflag import (
 )
 from doubleflag import hecke
 from doubleflag.core import vertex_degree
-from doubleflag.hecke import Basis, RelationCheck, _image_terms, generators
+from doubleflag.hecke import _CASES, Basis, RelationCheck, _image_terms, generators
 from doubleflag.polynomial import ONE, Q, ZERO, IntPoly
 from reference import reference_action, reference_reflected, reference_relation_checks
 
@@ -139,7 +139,7 @@ class TestClassify:
         assert len(pairs) == 8 * 8 - 6
         for x, y in pairs:
             a = (0, x, y)
-            assert hecke._case(a, 1) is reference_case(a, 1), (x, y)
+            assert _CASES[hecke._case(a, 1)] is reference_case(a, 1), (x, y)
 
     def test_bad_index(self):
         with pytest.raises(ValueError):
@@ -204,6 +204,10 @@ class TestModuleVectorRecord:
         assert not v == (S222, {0: ONE})
 
 
+# The three case indices _image_terms takes, each test id the member's name.
+CASE_IDS = [str(member) for member in _CASES]
+
+
 def reference_apply_generator(side, i, v):
     """The three-case rule evaluated per basis vector on Graphs, as
     apply_generator did before the per-shape table."""
@@ -250,17 +254,25 @@ def small_shapes(max_n):
 
 def test_action_table_matches_reference():
     # Every partner is weyl_act of the adjacent transposition: the premise
-    # of the weyl_decompose orbit-stabilizer proof.
+    # of the weyl_decompose orbit-stabilizer proof.  The case row holds
+    # each case's index into _CASES, the member the public classify gives.
     shapes = small_shapes(7)
     assert len(shapes) == 133
     for shape in shapes:
         basis = Basis(shape)
         for side, i in generators(shape):
-            expected = tuple(
-                (reference_classify(g, side, i), basis.index[reference_reflect(g, side, i)])
-                for g in basis.graphs
+            cases, partners = basis.cases[(side, i)], basis.partners[(side, i)]
+            assert type(cases) is bytes and type(partners) is tuple, (shape, side, i)
+            expected_cases = bytes(
+                _CASES.index(reference_classify(g, side, i)) for g in basis.graphs
             )
-            assert basis.action[(side, i)] == expected, (shape, side, i)
+            expected_partners = tuple(
+                basis.index[reference_reflect(g, side, i)] for g in basis.graphs
+            )
+            assert cases == expected_cases, (shape, side, i)
+            assert partners == expected_partners, (shape, side, i)
+            for k, g in enumerate(basis.graphs):
+                assert _CASES[cases[k]] is classify(g, side, i), (shape, side, i, k)
 
 
 def test_partner_is_self_exactly_in_case_i():
@@ -269,9 +281,10 @@ def test_partner_is_self_exactly_in_case_i():
     # and the relation bound needs no |2q-1| term, because of this.
     pairs = 0
     for shape in small_shapes(7):
-        for table in Basis(shape).action.values():
-            for k, (case, partner) in enumerate(table):
-                assert (case is GeneratorCase.CASE_I) == (partner == k), (shape, k)
+        basis = Basis(shape)
+        for gen, cases in basis.cases.items():
+            for k, (case, partner) in enumerate(zip(cases, basis.partners[gen])):
+                assert (_CASES[case] is GeneratorCase.CASE_I) == (partner == k), (shape, k)
                 pairs += 1
     assert pairs == 23116
 
@@ -283,8 +296,8 @@ def test_partner_has_the_same_type():
     for shape in small_shapes(7):
         basis = Basis(shape)
         types = [g.triple() for g in basis.graphs]
-        for table in basis.action.values():
-            for k, (_, partner) in enumerate(table):
+        for partners in basis.partners.values():
+            for k, partner in enumerate(partners):
                 assert types[partner] == types[k], (shape, k)
                 pairs += 1
     assert pairs == 23116
@@ -325,11 +338,13 @@ def symmetry_failures(shape, image, mirror):
     index = [other.index[h] for h in mapped]
     assert sorted(index) == list(range(len(other))), shape  # a bijection
     failures, pairs = [], 0
-    for (side, i), table in basis.action.items():
-        mirrored = other.action[mirror(side, i)]
-        for k, (case, partner) in enumerate(table):
+    for (side, i), cases in basis.cases.items():
+        mirrored = mirror(side, i)
+        other_cases, other_partners = other.cases[mirrored], other.partners[mirrored]
+        for k, (case, partner) in enumerate(zip(cases, basis.partners[(side, i)])):
             pairs += 1
-            if mirrored[index[k]] != (case, index[partner]):
+            j = index[k]
+            if (other_cases[j], other_partners[j]) != (case, index[partner]):
                 failures.append((shape, f"{side}{i}", basis.graphs[k]))
     return failures, pairs
 
@@ -372,18 +387,29 @@ def test_q1_action_is_permutation():
         assert hecke.q1_action_is_permutation(shape), shape
 
 
-def _move_case_i_partner(table):
+def _move_case_i_partner(cases, partners):
     """Case I at orbit k, but the partner moved to the next orbit."""
-    k = next(k for k, (case, _) in enumerate(table) if case is GeneratorCase.CASE_I)
-    table[k] = (GeneratorCase.CASE_I, (k + 1) % len(table))
+    k = next(k for k, case in enumerate(cases) if _CASES[case] is GeneratorCase.CASE_I)
+    partners[k] = (k + 1) % len(partners)
 
 
-def _break_involution(table):
+def _break_involution(cases, partners):
     """Two case II/III pairs (a, b) and (c, d), with a sent to c instead of b."""
-    moved = [k for k, (case, _) in enumerate(table) if case is not GeneratorCase.CASE_I]
+    moved = [k for k, case in enumerate(cases) if _CASES[case] is not GeneratorCase.CASE_I]
     a = moved[0]
-    c = next(k for k in moved if k not in (a, table[a][1]))
-    table[a] = (table[a][0], c)
+    c = next(k for k in moved if k not in (a, partners[a]))
+    partners[a] = c
+
+
+def damaged_rows(basis, gen, damage):
+    """Copies of ``basis.cases`` and ``basis.partners`` with generator
+    gen's two rows damaged by ``damage(cases, partners)``, which edits
+    them as a list each; every row is stored as ``Basis`` stores it."""
+    cases, partners = dict(basis.cases), dict(basis.partners)
+    rows = list(cases[gen]), list(partners[gen])
+    damage(*rows)
+    cases[gen], partners[gen] = bytes(rows[0]), tuple(rows[1])
+    return cases, partners
 
 
 @pytest.mark.parametrize("damage", [_move_case_i_partner, _break_involution])
@@ -392,9 +418,10 @@ def test_q1_action_refuses_damaged_table(monkeypatch, damage):
     shape = Shape(3, 2, 2)
     real = Basis(shape)
     assert hecke.q1_action_is_permutation(shape)
-    action = {gen: list(table) for gen, table in real.action.items()}
-    damage(action[("+", 1)])
-    monkeypatch.setattr(hecke, "Basis", lambda _shape: mock.Mock(action=action))
+    cases, partners = damaged_rows(real, ("+", 1), damage)
+    assert partners != real.partners
+    damaged = mock.Mock(cases=cases, partners=partners)
+    monkeypatch.setattr(hecke, "Basis", lambda _shape: damaged)
     assert not hecke.q1_action_is_permutation(shape)
 
 
@@ -433,7 +460,7 @@ def test_reflected_matches_full_scan():
                 delta = (y - x) * (base ** (own + i) - base ** (own + i + 1))
                 delta += (x > 0) * base ** (other + x) - (y > 0) * base ** (other + y)
                 assert key(a) + delta == key(reflected), (shape, side, i, k)
-                assert basis.action[(side, i)][k][1] == by_key[key(reflected)], (shape, k)
+                assert basis.partners[(side, i)][k] == by_key[key(reflected)], (shape, k)
                 checked += 1
     assert checked == 23116
 
@@ -444,10 +471,13 @@ def test_reflected_matches_full_scan():
     ids=["p_plus_q_le_7", "closure_and_545"],
 )
 def test_action_table_matches_reflected_reference(shapes):
-    # The key-based table against the one built by hashing reflected
-    # partner arrays, on every generator and orbit.
+    # The key-based rows against those built by hashing reflected partner
+    # arrays, on every generator and orbit.
     for shape in shapes:
-        assert Basis(shape).action == reference_action(shape), shape
+        basis = Basis(shape)
+        cases, partners = reference_action(shape)
+        assert basis.cases == cases, shape
+        assert basis.partners == partners, shape
 
 
 def test_basis_builds_no_graph(monkeypatch):
@@ -459,7 +489,7 @@ def test_basis_builds_no_graph(monkeypatch):
 
     monkeypatch.setattr(Graph, "__new__", no_graph)
     basis = Basis.__wrapped__(shape)
-    assert set(basis.action) == set(generators(shape))
+    assert set(basis.cases) == set(basis.partners) == set(generators(shape))
     blocks = weyl_decompose(shape)
     assert sum(blk.orbit_size for blk in blocks) == len(basis)
 
@@ -551,7 +581,7 @@ class TestRelations:
 def case_ii_partner_one(idx, case, jdx, at=hecke._SYMBOLIC):
     """_image_terms with the case II partner coefficient 1 in place of q,
     both read from ``at`` = (q, q - 1, 1)."""
-    if case is GeneratorCase.CASE_II:
+    if _CASES[case] is GeneratorCase.CASE_II:
         _, q_minus_one, one = at
         return ((idx, q_minus_one), (jdx, one))
     return _image_terms(idx, case, jdx, at)
@@ -560,7 +590,7 @@ def case_ii_partner_one(idx, case, jdx, at=hecke._SYMBOLIC):
 def case_ii_orbits_swapped(idx, case, jdx, at=hecke._SYMBOLIC):
     """_image_terms with the two case II orbits swapped: (q-1) xi' + q xi,
     both coefficients read from ``at`` = (q, q - 1, 1)."""
-    if case is GeneratorCase.CASE_II:
+    if _CASES[case] is GeneratorCase.CASE_II:
         q, q_minus_one, _ = at
         return ((jdx, q_minus_one), (idx, q))
     return _image_terms(idx, case, jdx, at)
@@ -631,7 +661,7 @@ def four_point_verify_relations(shape):
     evaluated with plain integers at q = 0, 1, 2, 3 (residue coordinates
     have degree <= 3), coefficients re-derived through _image_terms."""
 
-    def vanishes(terms, action, v):
+    def vanishes(terms, basis, v):
         for x in (0, 1, 2, 3):
             start = v.specialize(x)
             residue = {}
@@ -640,7 +670,8 @@ def four_point_verify_relations(shape):
                 for gen in reversed(word):
                     out = {}
                     for idx, y in vec.items():
-                        for k, c in hecke._image_terms(idx, *action[gen][idx]):
+                        case, jdx = basis.cases[gen][idx], basis.partners[gen][idx]
+                        for k, c in hecke._image_terms(idx, case, jdx):
                             out[k] = out.get(k, 0) + c(x) * y
                     vec = out
                 for k, y in vec.items():
@@ -656,7 +687,7 @@ def four_point_verify_relations(shape):
             (
                 c
                 for c in range(len(basis))
-                if not vanishes(terms, basis.action, ModuleVector.basis_vector(shape, c))
+                if not vanishes(terms, basis, ModuleVector.basis_vector(shape, c))
             ),
             None,
         )
@@ -729,10 +760,10 @@ def test_reference_shapes_decide_19_pictures():
     assert info.hits > 0
 
 
-def _case_ii_to_iii(table):
+def _case_ii_to_iii(cases, partners):
     """Case III at the first case II orbit, its partner kept."""
-    k = next(k for k, (case, _) in enumerate(table) if case is GeneratorCase.CASE_II)
-    table[k] = (GeneratorCase.CASE_III, table[k][1])
+    k = next(k for k, case in enumerate(cases) if _CASES[case] is GeneratorCase.CASE_II)
+    cases[k] = _CASES.index(GeneratorCase.CASE_III)
 
 
 @pytest.mark.parametrize("shape", [S222, Shape(3, 3, 3)])
@@ -746,9 +777,10 @@ def test_damaged_block_keeps_its_own_verdict(monkeypatch, shape, damage):
     # orbit-by-orbit check reports.  A moved case I partner is not read
     # by the rule, so every relation still holds.
     basis = Basis(shape)
-    table = list(basis.action[("+", 1)])
-    damage(table)
-    monkeypatch.setitem(basis.action, ("+", 1), tuple(table))
+    cases, partners = damaged_rows(basis, ("+", 1), damage)
+    assert (cases, partners) != (basis.cases, basis.partners)
+    monkeypatch.setitem(basis.cases, ("+", 1), cases[("+", 1)])
+    monkeypatch.setitem(basis.partners, ("+", 1), partners[("+", 1)])
     report = verify_relations(shape)
     assert report == reference_relation_checks(shape)
     failed = [rc.name for rc in report if not rc.ok]
@@ -760,7 +792,7 @@ def test_damaged_block_keeps_its_own_verdict(monkeypatch, shape, damage):
 
 
 @pytest.mark.parametrize("at", [hecke._SYMBOLIC, (64, 63, 1), (5, 4, 1)], ids=["q", "64", "5"])
-@pytest.mark.parametrize("case", list(GeneratorCase))
+@pytest.mark.parametrize("case", range(len(_CASES)), ids=CASE_IDS)
 def test_image_terms_commute_with_relabelling(case, at):
     # verify_relations decides a block on a table over the positions
     # 0..size-1.  That equals the residue on the whole table only if the
@@ -787,7 +819,7 @@ def l1(poly):
     return sum(abs(c) for c in poly.coeffs)
 
 
-@pytest.mark.parametrize("case", list(GeneratorCase))
+@pytest.mark.parametrize("case", range(len(_CASES)), ids=CASE_IDS)
 @pytest.mark.parametrize("partner", [3, 5])
 def test_single_point_premise_image_terms(case, partner):
     # The exactness proof in verify_relations needs every column of T_i to
@@ -805,7 +837,7 @@ RULE_VALUES = [1, 3, 5, 64, 99991]
 
 
 @pytest.mark.parametrize("value", RULE_VALUES)
-@pytest.mark.parametrize("case", list(GeneratorCase))
+@pytest.mark.parametrize("case", range(len(_CASES)), ids=CASE_IDS)
 @pytest.mark.parametrize("partner", [3, 5])
 def test_image_terms_at_values_match_polynomials(value, case, partner):
     # verify_relations and certify_theorem pass the values (q, q - 1, 1) at
@@ -946,7 +978,8 @@ class TestWeylDecompose:
 
         class Damaged:
             graphs = real.graphs
-            action = {gen: t for gen, t in real.action.items() if gen != ("+", 1)}
+            cases = {gen: row for gen, row in real.cases.items() if gen != ("+", 1)}
+            partners = {gen: row for gen, row in real.partners.items() if gen != ("+", 1)}
 
             def __len__(self):
                 return len(self.graphs)

@@ -1058,7 +1058,6 @@ def reference_certify_theorem(shape, field_sizes):
     for field_size in field_sizes:
         oracle.grassmannian_size(shape, field_size)
         for side, i in generators(shape):
-            table = basis.action[(side, i)]
             for idx, g in enumerate(basis.graphs):
                 symbolic = apply_generator(side, i, ModuleVector.basis_vector(shape, idx))
                 observed = convolution_action(shape, field_size, side, i, g)
@@ -1068,7 +1067,7 @@ def reference_certify_theorem(shape, field_sizes):
                         side,
                         i,
                         idx,
-                        table[idx][0].value,
+                        hecke.classify(g, side, i).value,
                         {k: v(field_size) for k, v in symbolic.coords.items()},
                         {k: v(0) for k, v in observed.coords.items()},
                     )

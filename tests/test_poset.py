@@ -17,7 +17,7 @@ from doubleflag import (
 )
 from doubleflag import cli
 from doubleflag import poset as poset_module
-from doubleflag.hecke import Basis, GeneratorCase
+from doubleflag.hecke import _CASES, Basis, GeneratorCase
 from reference import reference_up_sets
 
 S222 = Shape(2, 2, 2)
@@ -140,8 +140,10 @@ def test_case_ii_and_iii_partners_are_covers():
     for shape in shapes:
         poset = build_poset(shape)
         covers, dims = set(poset.covers), poset.dims
-        for gen, table in Basis(shape).action.items():
-            for k, (case, j) in enumerate(table):
+        basis = Basis(shape)
+        for gen, cases in basis.cases.items():
+            for k, (index, j) in enumerate(zip(cases, basis.partners[gen])):
+                case = _CASES[index]
                 if case is GeneratorCase.CASE_I:
                     continue
                 if case is GeneratorCase.CASE_II:
