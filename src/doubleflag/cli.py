@@ -37,9 +37,10 @@ from .poset import build_poset, to_dot
 # p+q <= 9 (at most 2,866 orbits); the dense n x n ``hecke-matrix`` output
 # is what grows fastest past it.  It also bounds n = p+q by
 # n(n-1)/2 <= ORBIT_BUDGET, so n <= 77, before the orbit count is computed.
-# ``weyl-decomp`` needs no budget of its own: it reads stabilizer orders off
-# the orbit sizes by orbit-stabilizer, with no pass over the p! * q! group
-# elements.
+# ``weyl-decomp`` reads its blocks off the admissible triples by closed
+# forms, with no orbit enumerated or walked and no pass over the p! * q!
+# group elements, so it would fit a far larger budget; it keeps this one
+# until the budgets are set per subcommand.
 ORBIT_BUDGET = 3000
 
 

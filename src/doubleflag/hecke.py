@@ -28,7 +28,7 @@ import operator
 from collections import namedtuple
 from functools import lru_cache
 
-from .core import Graph, Shape, enumerate_graphs, triple_count
+from .core import Graph, Shape, admissible_triples, enumerate_graphs, triple_count
 from .polynomial import ONE, Q, ZERO, IntPoly
 
 
@@ -118,6 +118,20 @@ class Basis:
     and R^x' and R^y' those of entries x and y of the other array.  So
     ``by_key[key + delta]`` is the reflected orbit, read with no array
     copied and no tuple hashed; a key with no orbit raises KeyError.
+
+    Each partner map is an involution.  In case I the partner is k
+    itself.  In cases II and III, at the partner k' the entries i and i+1
+    of a are y, x, still unequal, so k' is in case II or III too, and
+    entries x and y of the other array hold i+1 and i.  So the key step at
+    k' is (x - y) (R^i - R^(i+1)) + [y > 0] R^y' - [x > 0] R^x' = -delta,
+    and the partner of k' has the key key(k) + delta - delta = key(k): it
+    is k.
+
+    Each partner map keeps the type (k, s, t).  The key step swaps entries
+    i and i+1 of one array and moves entries x and y of the other array,
+    which are partner labels > 0, to the labels i+1 and i.  So no -1 entry
+    is made or unmade, and the counts s and t of -1 in the two arrays, and
+    k = r - s - t, are those of the orbit.
     """
 
     def __init__(self, shape: Shape):
@@ -462,7 +476,7 @@ def verify_relations(shape: Shape) -> list:
     a in ``Basis.partners``.  So the span of each orbit of the two partner
     maps, a block, is invariant under both letters, and the residue at
     xi_k lies in the span of k's block.  The partner maps are involutions
-    (proved in ``weyl_decompose``'s docstring), and two involutions have
+    (proved in ``Basis``'s docstring), and two involutions have
     dihedral orbits: a block is a path, whose ends are fixed by one map,
     or an even cycle, and ``_block`` walks it.  Relabel the block's
     members by their positions in the walk.  ``_image_terms`` reads its
@@ -565,10 +579,9 @@ def q1_action_is_permutation(shape: Shape) -> bool:
     the basis and T_i at q = 1 is a permutation of order at most 2, as
     for a transposition.
 
-    Both facts are proved in ``weyl_decompose``'s docstring, and no
-    library code calls this; ``tests/test_hecke.py`` asserts it on every
-    shape with p+q <= 7 and checks that it returns False on a damaged
-    table.
+    Both facts are proved in ``Basis``'s docstring, and no library code
+    calls this; ``tests/test_hecke.py`` asserts it on every shape with
+    p+q <= 7 and checks that it returns False on a damaged table.
     """
     basis = Basis(shape)
     for gen, partners in basis.partners.items():
@@ -583,73 +596,59 @@ def q1_action_is_permutation(shape: Shape) -> bool:
 def weyl_decompose(shape: Shape) -> list:
     """Decompose the q = 1 permutation representation of W = S_p x S_q.
 
-    The basis splits into one W-orbit per admissible (k, s, t), and each
-    orbit is W / H for the stabilizer H = (diagonal S_k) x S_s x S_s' x
-    S_t x S_t'.  Checked here: each W-orbit's size equals ``triple_count``
-    of its first member's type, which is W-transitivity on that type.  The
-    rest is proved:
+    One ``WeylBlock(k, s, t, n, p! q! // n)`` per admissible triple, with
+    n = ``triple_count`` of the triple, in the lex order of
+    ``admissible_triples``, which is the blocks' sorted order.  The basis
+    splits into one W-orbit per type (k, s, t), so the representation is
+    the direct sum of one Ind_H^W 1 per type, for the stabilizer
+    H = (diagonal S_k) x S_s x S_s' x S_t x S_t', where s' = p-k-s and
+    t' = q-k-t.  No orbit is enumerated or walked, because of these facts:
 
-    * At q = 1 each T_i is the permutation k -> k' of the basis, where k'
-      is the partner of orbit k in ``Basis.partners``; this is what
-      ``q1_action_is_permutation`` would re-check.  At q = 1 the three
+    * At q = 1 the representation is the relabelling action ``weyl_act``.
+      With k' the partner of orbit k in ``Basis.partners``, the three
       cases give xi_k (case I), (q-1) xi_k + q xi_k' = xi_k' (case II) and
-      xi_k' (case III), so T_i sends xi_k to xi_k' once case I has k' = k,
-      and ``Basis`` proves that the partner is k exactly in case I.  The
-      map k -> k' is an involution, so a bijection.  In cases II and III
-      ``Basis`` reads k' at key(k) + delta, where delta is the key step for
-      the entries x = a[i], y = a[i+1].  At k' those entries are y, x,
-      still unequal, so k' is in case II or III too, and entries x and y
-      of the other array hold i+1 and i.  So the key step at k' is
-      (x - y) (R^i - R^(i+1)) + [y > 0] R^y' - [x > 0] R^x' = -delta, and
-      the partner of k' has the key key(k) + delta - delta = key(k): it
-      is k.
-    * A W-orbit holds a single type.  The walk follows the partner maps,
-      and the key step swaps the digits of entries i and i+1 of one side's
-      array and moves entries x and y of the other array, which are
-      partner labels > 0, to the labels i+1 and i.  So no -1 entry is
-      made or unmade: s and t, the counts of -1 in the two arrays, and
-      k = r - s - t are constant along every map.
-    * Each type is one W-orbit, and the types are the admissible triples.
-      For each admissible (k, s, t), and for no other triple, the loop
-      nest of ``enumerate_graphs`` chooses the k + ends, the k - ends, a
-      bijection between them and the s and t marks among the remaining
-      vertices: C(p, k) C(q, k) k! C(p-k, s) C(q-k, t) = ``triple_count``
-      choices, and distinct choices write distinct partner arrays.  A
-      W-orbit lies in its type's class, so one of size ``triple_count`` is
-      the whole class: no two W-orbits share a type.
+      xi_k' (case III).  The partner is k exactly in case I and the
+      partner map is an involution (``Basis``'s docstring), so T_i at
+      q = 1 is the permutation k -> k'.  Each partner row is ``weyl_act``
+      of the adjacent transposition (i, i+1) on the generator's side: the
+      reflected arrays swap entries i and i+1 and rename the partners
+      i <-> i+1 (``tests/test_hecke.py::test_action_table_matches_reference``
+      checks it for p+q <= 7).  The adjacent transpositions generate
+      S_p x S_q, and ``weyl_act`` is a group action
+      (``tests/test_core.py::TestWeylAct::test_action_law``), so the
+      W-orbits of the basis are the orbits of ``weyl_act``.
+    * ``weyl_act`` keeps the type: it sends an edge (i, j) to the edge
+      (w1(i), w2(j)), a mark to a mark and a free vertex to a free vertex.
+    * W acts transitively on the graphs of one type.  Let g and g' have
+      the type (k, s, t), with the edges (i_m, j_m) and (i'_m, j'_m) for
+      m = 1..k, the + marks M and M', the + free vertices F and F', the
+      - marks N and N' and the - free vertices G and G'.  Let w1 send
+      i_m to i'_m for each m, M onto M' and F onto F', each in increasing
+      order; and w2 send j_m to j'_m, N onto N' and G onto G'.  The ends
+      i_m, M and F partition 1..p into parts of sizes k, s and s', and so
+      do their primed counterparts, so w1 is a permutation; so is w2, with
+      the sizes k, t and t'.  Then weyl_act((w1, w2), g) has the edges
+      (i'_m, j'_m), the marks M' and N' and the free vertices F' and G':
+      it is g'.
+    * The types are the admissible triples, and each has ``triple_count``
+      members.  For each admissible (k, s, t), and for no other triple,
+      the loop nest of ``enumerate_graphs`` chooses the k + ends, the k -
+      ends, a bijection between them and the s and t marks among the
+      remaining vertices: C(p, k) C(q, k) k! C(p-k, s) C(q-k, t) =
+      ``triple_count`` choices, and distinct choices write distinct
+      partner arrays.
 
-    The stabilizer order needs no search of its own.  The walk follows the
-    partner rows in ``Basis.partners``, which swap vertices i and i+1 in the
-    partner arrays; that is ``weyl_act`` of the adjacent transposition, as
-    ``tests/test_hecke.py::test_action_table_matches_reference`` checks
-    exhaustively for p+q <= 7.  Those transpositions generate W, so each
-    walk visits exactly the orbit W.g.  ``weyl_act`` is a group action
-    (``tests/test_core.py::TestWeylAct::test_action_law``), so
-    orbit-stabilizer gives |Stab(g)| = p! q! / |W.g|.  With the size check
-    |W.g| = ``triple_count`` = p! q! / (k! s! s'! t! t'!), the reported
-    ``stabilizer_order`` is |H|.
+    So each type is one W-orbit of n = ``triple_count`` members, and
+    orbit-stabilizer gives |Stab(g)| = p! q! / n = k! s! s'! t! t'!, the
+    order of H: the (w1, w2) that permute the edges among themselves by
+    one permutation of 1..k and each of M, F, N and G within itself.
+    ``tests/reference.py``'s ``reference_weyl_blocks`` walks the partner
+    rows orbit by orbit and checks each orbit's size; the tests compare
+    the two block by block on every shape with p+q <= 8.
     """
-    basis = Basis(shape)
-    rows = basis.partners.values()
     group_order = math.factorial(shape.p) * math.factorial(shape.q)
-    seen = set()
     blocks = []
-    for start in range(len(basis)):
-        if start in seen:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            idx = frontier.pop()
-            for partners in rows:
-                jdx = partners[idx]
-                if jdx not in orbit:
-                    orbit.add(jdx)
-                    frontier.append(jdx)
-        seen |= orbit
-
-        triple = basis.graphs[start].triple()
-        if len(orbit) != triple_count(shape, triple):
-            raise AssertionError(f"orbit size mismatch for type {triple}")
-        blocks.append(WeylBlock(*triple, len(orbit), group_order // len(orbit)))
-    return sorted(blocks)
+    for triple in admissible_triples(shape):
+        n = triple_count(shape, triple)
+        blocks.append(WeylBlock(*triple, n, group_order // n))
+    return blocks

@@ -1,10 +1,11 @@
 """Test-only reference implementations shared by the test modules."""
 
+import math
 from itertools import chain
 
 from doubleflag import hecke
-from doubleflag.core import enumerate_graphs, rank_matrix
-from doubleflag.hecke import Basis, ModuleVector, RelationCheck, _case, generators
+from doubleflag.core import enumerate_graphs, rank_matrix, triple_count
+from doubleflag.hecke import Basis, ModuleVector, RelationCheck, WeylBlock, _case, generators
 
 
 def reference_rref(rows, p):
@@ -118,3 +119,37 @@ def reference_relation_checks(shape):
                 break
         report.append(RelationCheck(name, witness is None, witness))
     return report
+
+
+def reference_weyl_blocks(shape):
+    """``weyl_decompose`` as it was before the blocks were read off the
+    types: each W-orbit found by a walk over the partner rows of
+    ``hecke.Basis`` (read at call time, so a patched table reaches it),
+    and its size checked against ``triple_count`` of its first member's
+    type, raising AssertionError on a mismatch.  The stabilizer order is
+    p! q! over the orbit size, by orbit-stabilizer.  Returns the blocks in
+    sorted order."""
+    basis = hecke.Basis(shape)
+    rows = basis.partners.values()
+    group_order = math.factorial(shape.p) * math.factorial(shape.q)
+    seen = set()
+    blocks = []
+    for start in range(len(basis)):
+        if start in seen:
+            continue
+        orbit = {start}
+        frontier = [start]
+        while frontier:
+            idx = frontier.pop()
+            for partners in rows:
+                jdx = partners[idx]
+                if jdx not in orbit:
+                    orbit.add(jdx)
+                    frontier.append(jdx)
+        seen |= orbit
+
+        triple = basis.graphs[start].triple()
+        if len(orbit) != triple_count(shape, triple):
+            raise AssertionError(f"orbit size mismatch for type {triple}")
+        blocks.append(WeylBlock(*triple, len(orbit), group_order // len(orbit)))
+    return sorted(blocks)

@@ -26,6 +26,7 @@ from doubleflag.core import triple_count
 from doubleflag.oracle import graph_subspace
 from doubleflag.polynomial import ONE, Q, IntPoly
 from doubleflag.poset import build_poset
+from reference import reference_weyl_blocks
 
 ORACLE_SHAPES = [
     Shape(1, 1, 1),
@@ -218,9 +219,11 @@ def test_weyl_decomposition():
     started = time.time()
     ok = True
     for shape in shapes_up_to(8):
-        # weyl_decompose asserts the q=1 permutation action and the orbit
-        # sizes internally; each stabilizer order follows from its orbit size
-        # by orbit-stabilizer
+        # weyl_decompose reads one block per type off the closed forms; the
+        # reference walks the partner rows, checks each orbit's size against
+        # its type's triple_count and reads the stabilizer order off it by
+        # orbit-stabilizer.  The two must agree block by block.
         blocks = weyl_decompose(shape)
+        ok &= blocks == reference_weyl_blocks(shape)
         ok &= sum(blk.orbit_size for blk in blocks) == count_orbits(shape)
     report("Weyl decomposition at q=1, p+q<=8", ok, started, budget=60)

@@ -294,6 +294,20 @@ def test_weyl_decomp(capsys):
     assert sum(blk["orbit_size"] for blk in payload["blocks"]) == 16
 
 
+def test_weyl_decomp_builds_no_orbit_table(monkeypatch, capsys):
+    # The blocks are read off the types: no orbit is enumerated and no
+    # action table built.  Each module holds its own imported name.
+    argv = ["weyl-decomp", "--p", "4", "--q", "4", "--r", "4"]
+    code, expected = run(capsys, *argv)
+    assert code == 0
+    for module, name in [(hecke, "Basis"), (hecke, "enumerate_graphs"), (cli, "enumerate_graphs")]:
+        def not_reached(*args, _name=name, **kwargs):
+            pytest.fail(f"weyl-decomp called {_name}")
+
+        monkeypatch.setattr(module, name, not_reached)
+    assert run(capsys, *argv) == (0, expected)
+
+
 def test_verify_passes(capsys):
     code, out = run(capsys, "verify", "--p", "2", "--q", "2", "--r", "2",
                     "--field", "3")

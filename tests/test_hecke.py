@@ -24,7 +24,12 @@ from doubleflag import hecke
 from doubleflag.core import vertex_degree
 from doubleflag.hecke import _CASES, Basis, RelationCheck, _image_terms, generators
 from doubleflag.polynomial import ONE, Q, ZERO, IntPoly
-from reference import reference_action, reference_reflected, reference_relation_checks
+from reference import (
+    reference_action,
+    reference_reflected,
+    reference_relation_checks,
+    reference_weyl_blocks,
+)
 
 S222 = Shape(2, 2, 2)
 CROSS = make_graph(S222, [(1, 2), (2, 1)])
@@ -253,9 +258,11 @@ def small_shapes(max_n):
 
 
 def test_action_table_matches_reference():
-    # Every partner is weyl_act of the adjacent transposition: the premise
-    # of the weyl_decompose orbit-stabilizer proof.  The case row holds
-    # each case's index into _CASES, the member the public classify gives.
+    # Every partner is weyl_act of the adjacent transposition, the premise
+    # by which weyl_decompose's docstring reads the q = 1 action as
+    # weyl_act; the Basis docstring proves the other partner-row facts.
+    # The case row holds each case's index into _CASES, the member the
+    # public classify gives.
     shapes = small_shapes(7)
     assert len(shapes) == 133
     for shape in shapes:
@@ -290,8 +297,8 @@ def test_partner_is_self_exactly_in_case_i():
 
 
 def test_partner_has_the_same_type():
-    # The weyl_decompose proof that a W-orbit holds a single (k, s, t):
-    # every partner map keeps marks and free vertices.
+    # The Basis docstring's proof that every partner map keeps the type
+    # (k, s, t): no mark is made or unmade.
     pairs = 0
     for shape in small_shapes(7):
         basis = Basis(shape)
@@ -379,8 +386,9 @@ def test_action_table_commutes_with_side_swap():
 
 
 def test_q1_action_is_permutation():
-    # No library code runs this check: weyl_decompose's docstring proves
-    # both halves from Basis and _reflected, and this confirms them.
+    # No library code runs this check: the Basis docstring proves both
+    # halves (the partner is the orbit itself exactly in case I, and each
+    # partner map is an involution), and this confirms them.
     shapes = small_shapes(7)
     assert len(shapes) == 133
     for shape in shapes:
@@ -933,7 +941,37 @@ def test_witness_is_first_orbit_with_nonzero_residue(monkeypatch, shape):
         assert not any(r.coords for r in residues[:-1]), rc
 
 
+def weyl_mismatches(decompose):
+    """The shapes on which ``decompose`` and the reference walk over the
+    partner rows give different blocks: every shape with p+q <= 7, and
+    (4,4,4), (5,3,4) and (5,4,5), the sets the other table tests use."""
+    shapes = small_shapes(7) + [Shape(4, 4, 4), Shape(5, 3, 4), Shape(5, 4, 5)]
+    assert len(shapes) == 136
+    return [shape for shape in shapes if decompose(shape) != reference_weyl_blocks(shape)]
+
+
+def _drop_one_type(shape):
+    """weyl_decompose without its first block."""
+    return weyl_decompose(shape)[1:]
+
+
+def _stabilizer_off_by_one(shape):
+    """weyl_decompose with each stabilizer order one too large."""
+    return [
+        blk._replace(stabilizer_order=blk.stabilizer_order + 1) for blk in weyl_decompose(shape)
+    ]
+
+
 class TestWeylDecompose:
+    def test_matches_reference_walk(self):
+        # The blocks read off the types equal those of the walk, which
+        # checks each orbit's size against its type's triple_count.
+        assert weyl_mismatches(weyl_decompose) == []
+
+    @pytest.mark.parametrize("mutant", [_drop_one_type, _stabilizer_off_by_one])
+    def test_mutant_fails_reference_walk(self, mutant):
+        assert len(weyl_mismatches(mutant)) == 136
+
     def test_2_2_2_blocks(self):
         blocks = weyl_decompose(S222)
         sizes = {blk[:3]: blk.orbit_size for blk in blocks}
@@ -971,8 +1009,10 @@ class TestWeylDecompose:
                         assert blk.stabilizer_order == stab, (shape, blk[:3])
 
     def test_orbit_size_mismatch_raises(self, monkeypatch):
-        # Without generator +1 the walk over (3,2,2) cannot move vertex 1+,
-        # so some W-orbit comes out smaller than its type's triple_count.
+        # Without generator +1 the reference walk over (3,2,2) cannot move
+        # vertex 1+, so some W-orbit comes out smaller than its type's
+        # triple_count: the equality test below would catch a partner
+        # table that no longer generates W.
         shape = Shape(3, 2, 2)
         real = Basis(shape)
 
@@ -986,7 +1026,7 @@ class TestWeylDecompose:
 
         monkeypatch.setattr(hecke, "Basis", lambda _shape: Damaged())
         with pytest.raises(AssertionError, match=r"orbit size mismatch for type \(\d, \d, \d\)"):
-            weyl_decompose(shape)
+            reference_weyl_blocks(shape)
 
     def test_trivial_shape(self):
         blocks = weyl_decompose(Shape(3, 2, 0))
