@@ -31,11 +31,13 @@ from functools import cache, lru_cache
 from .core import Graph, Invariants, Shape, count_orbits, enumerate_graphs, invariants, rank_matrix
 from .hecke import operator_matrix, verify_relations, weyl_decompose
 from .oracle import _check_fields, certify_theorem, classification_ok, classify_orbits
+from .polynomial import ZERO
 from .poset import build_poset, to_dot
 
 # Largest orbit count any subcommand accepts.  It admits every shape with
-# p+q <= 9 (at most 2,866 orbits); the dense n x n ``hecke-matrix`` output
-# is what grows fastest past it.  It also bounds n = p+q by
+# p+q <= 9 (at most 2,866 orbits); the ``hecke-matrix`` CSV, which writes
+# all n x n entries though it builds only the nonzero ones, is what grows
+# fastest past it.  It also bounds n = p+q by
 # n(n-1)/2 <= ORBIT_BUDGET, so n <= 77, before the orbit count is computed.
 # ``weyl-decomp`` reads its blocks off the admissible triples by closed
 # forms, with no orbit enumerated or walked and no pass over the p! * q!
@@ -268,11 +270,32 @@ def _cmd_hasse(args, shape) -> int:
     return 0
 
 
-def _cmd_hecke_matrix(args, shape) -> int:
-    op = operator_matrix(shape, args.side, args.index)
+def _csv_text(rows) -> str:
+    """The CSV text of a matrix kept as sparse rows (``hecke._SparseRows``).
+    Every field of the zero row is the text of ``ZERO``, so field c starts
+    at c * (len(zero) + 1), and each row is the zero row with its nonzero
+    fields spliced in at their columns, in the increasing order
+    ``rows.terms`` keeps them in."""
     # At most four distinct entries (0, 1, q, q-1): format each once.
     fields = _CsvFields()
-    _emit("".join(",".join(map(fields.__getitem__, row)) + "\r\n" for row in op.entries), args.out)
+    zero = fields[ZERO]
+    blank = ",".join([zero] * len(rows)) + "\r\n"
+    width = len(zero) + 1
+    pieces = []
+    for terms in rows.terms:
+        end = 0
+        for col, entry in terms:
+            start = col * width
+            pieces += (blank[end:start], fields[entry])
+            end = start + len(zero)
+        pieces.append(blank[end:])
+    return "".join(pieces)
+
+
+def _cmd_hecke_matrix(args, shape) -> int:
+    # The whole text is built before it is written, so a refused entry
+    # writes nothing.
+    _emit(_csv_text(operator_matrix(shape, args.side, args.index).entries), args.out)
     return 0
 
 

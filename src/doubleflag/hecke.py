@@ -272,8 +272,63 @@ def apply_generator(side: str, i: int, v: ModuleVector) -> ModuleVector:
     return ModuleVector(v.shape, out)
 
 
+class _SparseRows:
+    """The rows of an n x n matrix kept as their nonzero terms, read as a
+    sequence of n dense rows.
+
+    ``terms[r]`` is row r's (col, entry) pairs in increasing column order.
+    ``rows[r]`` builds row r as a tuple of n entries, ``ZERO`` where row r
+    has no term, and iteration yields the rows in order.  A slice gives a
+    tuple of dense rows.  ``==`` holds with another ``_SparseRows`` of the
+    same terms, or with a tuple of the n dense rows from either side, and
+    the hash is that tuple's, so the two compare and hash alike.  It is
+    no tuple subclass, because a tuple's hash, slices and ``+`` would read
+    the terms and not the rows."""
+
+    __slots__ = ("_n", "_terms")
+
+    def __init__(self, n: int, terms: tuple):
+        self._n = n
+        self._terms = terms
+
+    terms = property(operator.attrgetter("_terms"))
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, r):
+        if isinstance(r, slice):
+            return tuple(map(self.__getitem__, range(self._n)[r]))
+        row = [ZERO] * self._n
+        for col, entry in self._terms[r]:
+            row[col] = entry
+        return tuple(row)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self._n))
+
+    def __eq__(self, other):
+        if isinstance(other, _SparseRows):
+            return self._n == other._n and self._terms == other._terms
+        if isinstance(other, tuple):
+            return len(other) == self._n and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return f"_SparseRows({self._n}, {self._terms!r})"
+
+
 class OperatorMatrix(namedtuple("OperatorMatrix", "shape side index entries")):
-    """T_i over the orbit basis; ``entries[row][col]`` is an IntPoly."""
+    """T_i over the orbit basis; ``entries[row][col]`` is an IntPoly.
+
+    ``entries`` keeps the n x n matrix as its sparse rows (``_SparseRows``):
+    by the three cases each column has at most two nonzeros, so row r has
+    nonzeros in columns r and r' (its partner) at most.  Indexing builds
+    one dense row; ``entries.terms`` gives each row's nonzero terms, from
+    which ``hecke-matrix`` writes its CSV."""
 
     __slots__ = ()
 
@@ -282,23 +337,22 @@ class OperatorMatrix(namedtuple("OperatorMatrix", "shape side index entries")):
 
 
 def operator_matrix(shape: Shape, side: str, i: int) -> OperatorMatrix:
-    """Dense matrix of T_i over the orbit basis, columns = images of basis
-    vectors."""
+    """Matrix of T_i over the orbit basis, columns = images of basis
+    vectors, kept as its sparse rows.
+
+    One pass over the columns in order appends each term of
+    ``_image_terms`` to its row, so every row's terms come out in
+    increasing column order with no sort.  A column's rows are distinct:
+    case II's partner is another orbit (``Basis``), so no row gets two
+    terms in one column."""
     i = _check_generator(shape, side, i)
     basis = Basis(shape)
     n = len(basis)
-    nonzero = [{} for _ in range(n)]  # nonzero[row][col]
+    rows = [[] for _ in range(n)]
     for col, (case, jdx) in enumerate(zip(basis.cases[(side, i)], basis.partners[(side, i)])):
-        # a column's rows are distinct: case II's partner is another orbit (Basis)
         for row, coeff in _image_terms(col, case, jdx):
-            nonzero[row][col] = coeff
-    entries = []
-    for terms in nonzero:
-        row = [ZERO] * n
-        for col, coeff in terms.items():
-            row[col] = coeff
-        entries.append(tuple(row))
-    return OperatorMatrix(shape, side, i, tuple(entries))
+            rows[row].append((col, coeff))
+    return OperatorMatrix(shape, side, i, _SparseRows(n, tuple(map(tuple, rows))))
 
 
 class RelationCheck(namedtuple("RelationCheck", "name ok witness", defaults=(None,))):
@@ -522,6 +576,9 @@ def verify_relations(shape: Shape) -> list:
     rule = tuple([_image_terms(0, case, 1, at) for case in range(len(_CASES))])
     basis = Basis(shape)
     n = len(basis)
+    # The case rows as lists, once per call: a picture reads one entry per
+    # member, and a list's __getitem__ is cheaper to call than a bytes row's.
+    case_lists = {gen: list(cases) for gen, cases in basis.cases.items()}
     pictures = {}  # relation form -> block picture -> verdict per position
     report = []
     for name, terms in _relations(shape, at):
@@ -532,7 +589,7 @@ def verify_relations(shape: Shape) -> list:
         # life of the process (up to 2,000 tuples of each size).
         form = tuple([(coeff, tuple([pair.index(gen) for gen in word])) for coeff, word in terms])
         seen = pictures.setdefault(form, {})
-        case_rows = (basis.cases[pair[0]], basis.cases[pair[1]])
+        case_rows = (case_lists[pair[0]], case_lists[pair[1]])
         case_of_a, case_of_b = case_rows[0].__getitem__, case_rows[1].__getitem__
         partner_rows = (basis.partners[pair[0]], basis.partners[pair[1]])
         whole = None  # the words on the whole table, built if a block is damaged

@@ -6,6 +6,7 @@ from itertools import chain
 from doubleflag import hecke
 from doubleflag.core import enumerate_graphs, rank_matrix, triple_count
 from doubleflag.hecke import Basis, ModuleVector, RelationCheck, WeylBlock, _case, generators
+from doubleflag.polynomial import ZERO
 
 
 def reference_rref(rows, p):
@@ -89,6 +90,27 @@ def reference_action(shape):
             for k, (case, a) in enumerate(zip(cases[(side, i)], arrays))
         )
     return cases, partners
+
+
+def reference_operator_entries(shape, side, i):
+    """``operator_matrix``'s entries as they were built before the sparse
+    rows: every column's terms from ``hecke._image_terms`` (read at call
+    time) put into one dict per row, and then each of the n rows written
+    out in full as a tuple of n entries, ``ZERO`` where the row has no
+    term.  Returns the n x n tuple of tuples."""
+    basis = Basis(shape)
+    n = len(basis)
+    nonzero = [{} for _ in range(n)]  # nonzero[row][col]
+    for col, (case, jdx) in enumerate(zip(basis.cases[(side, i)], basis.partners[(side, i)])):
+        for row, coeff in hecke._image_terms(col, case, jdx):
+            nonzero[row][col] = coeff
+    entries = []
+    for terms in nonzero:
+        row = [ZERO] * n
+        for col, coeff in terms.items():
+            row[col] = coeff
+        entries.append(tuple(row))
+    return tuple(entries)
 
 
 def reference_relation_checks(shape):

@@ -23,6 +23,7 @@ from doubleflag import (
     rank_matrix,
 )
 from doubleflag.cli import main
+from reference import reference_operator_entries
 
 
 def run(capsys, *argv):
@@ -176,18 +177,54 @@ def test_hecke_matrix_bytes_match_csv_writer(capsys):
     assert runs == 240
 
 
+def test_hecke_matrix_bytes_match_csv_writer_on_reference_entries(capsys):
+    # The CSV from the sparse rows against csv.writer over the dense
+    # entries built as before the sparse rows, one generator per side.
+    for shape in [Shape(4, 4, 4), Shape(5, 3, 4)]:
+        for side in "+-":
+            argv = [*shape_flags(shape), "--side", side, "--index", "1"]
+            code, out = run(capsys, "hecke-matrix", *argv)
+            buf = io.StringIO()
+            csv.writer(buf).writerows(
+                [str(e) for e in row] for row in reference_operator_entries(shape, side, 1)
+            )
+            assert code == 0
+            assert out == buf.getvalue(), (shape, side)
+
+
+def test_hecke_matrix_builds_no_dense_row(monkeypatch, capsys):
+    # hecke-matrix writes its CSV from the sparse rows' terms alone.
+    argv = ["hecke-matrix", "--p", "3", "--q", "3", "--r", "3", "--side", "+", "--index", "2"]
+    code, expected = run(capsys, *argv)
+    assert code == 0 and expected.count("\r\n") == len(hecke.Basis(Shape(3, 3, 3)))
+
+    def fail(*args):
+        raise AssertionError("dense row built")
+
+    monkeypatch.setattr(hecke._SparseRows, "__getitem__", fail)
+    monkeypatch.setattr(hecke._SparseRows, "__iter__", fail)
+    with pytest.raises(AssertionError):
+        hecke.operator_matrix(Shape(3, 3, 3), "+", 2).entries[0]
+    assert run(capsys, *argv) == (0, expected)
+
+
 @pytest.mark.parametrize("text", ["", "a,b", 'q"', "q\r", "1\n"])
 def test_hecke_matrix_refuses_entries_csv_would_quote(monkeypatch, capsys, text):
+    # Every nonzero entry of the sparse rows, at its own position, is a
+    # stub whose text csv.writer would quote; nothing reaches stdout.
     class Entry:
         def __str__(self):
             return text
 
     op = hecke.operator_matrix(Shape(1, 2, 1), "-", 1)
-    entries = tuple(tuple(Entry() if e else e for e in row) for row in op.entries)
+    terms = tuple(tuple((col, Entry()) for col, _ in row) for row in op.entries.terms)
+    entries = hecke._SparseRows(len(op.entries), terms)
     monkeypatch.setattr(cli, "operator_matrix", lambda *args: op._replace(entries=entries))
     argv = ["hecke-matrix", "--p", "1", "--q", "2", "--r", "1", "--side", "-", "--index", "1"]
     assert main(argv) == 2
-    assert "CSV quoting" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "CSV quoting" in captured.err
+    assert captured.out == ""
 
 
 def test_enumerate_json(capsys):

@@ -10,6 +10,7 @@ from doubleflag import (
     GeneratorCase,
     Graph,
     ModuleVector,
+    OperatorMatrix,
     Shape,
     apply_generator,
     classify,
@@ -26,6 +27,7 @@ from doubleflag.hecke import _CASES, Basis, RelationCheck, _image_terms, generat
 from doubleflag.polynomial import ONE, Q, ZERO, IntPoly
 from reference import (
     reference_action,
+    reference_operator_entries,
     reference_reflected,
     reference_relation_checks,
     reference_weyl_blocks,
@@ -531,6 +533,61 @@ class TestOperatorMatrix:
     def test_no_generators(self):
         with pytest.raises(ValueError):
             operator_matrix(Shape(1, 1, 1), "+", 1)
+
+    def test_entries_match_reference_dense_builder(self):
+        # The sparse rows read as dense rows are the matrix the dense
+        # builder wrote, and ``==`` with it holds from either side.
+        gens = [(shape, gen) for shape in small_shapes(7) for gen in generators(shape)]
+        gens += [(shape, gen) for shape in [Shape(4, 4, 4), Shape(5, 3, 4)] for gen in generators(shape)]
+        gens.append((Shape(5, 4, 5), ("+", 1)))
+        for shape, (side, i) in gens:
+            entries = operator_matrix(shape, side, i).entries
+            expected = reference_operator_entries(shape, side, i)
+            assert tuple(entries) == expected, (shape, side, i)
+            assert entries == expected and expected == entries, (shape, side, i)
+        assert len(gens) == 503
+
+    def test_entries_sequence_protocol(self):
+        op = operator_matrix(S222, "+", 1)
+        entries, dense = op.entries, reference_operator_entries(S222, "+", 1)
+        n = len(dense)
+        assert not isinstance(entries, tuple)
+        assert len(entries) == n == len(Basis(S222))
+        assert entries[0] == dense[0] and entries[-1] == dense[-1] == entries[n - 1]
+        assert entries[-n] == dense[0]
+        assert all(type(row) is tuple and len(row) == n for row in entries)
+        assert entries[1:4] == dense[1:4] and entries[::-1] == dense[::-1]
+        for r in (n, -n - 1):
+            with pytest.raises(IndexError):
+                entries[r]
+        assert list(entries) == list(dense)
+        # == and != with the dense tuple of tuples from either side
+        assert entries == dense and dense == entries
+        assert not (entries != dense) and not (dense != entries)
+        other = operator_matrix(S222, "+", 1).entries
+        assert entries == other and entries is not other
+        changed = dense[:-1] + ((Q * Q,) + dense[-1][1:],)
+        assert entries != changed and changed != entries
+        assert entries != dense[:-1] and entries != list(dense)
+        assert entries != operator_matrix(S222, "-", 1).entries
+        # the hash is the dense tuple's, so OperatorMatrix hashes too
+        assert hash(entries) == hash(dense) == hash(other)
+        assert hash(op) == hash(op._replace(entries=dense))
+        assert op == op._replace(entries=dense) and {op: 1}[operator_matrix(S222, "+", 1)] == 1
+        replaced = op._replace(index=1, entries=dense)
+        assert type(replaced.entries) is tuple and replaced == op
+        assert op._replace(side="-").entries is entries
+        assert OperatorMatrix._fields == ("shape", "side", "index", "entries")
+        assert op.specialize(1) == tuple(tuple(e(1) for e in row) for row in dense)
+        assert op.specialize(64) == tuple(tuple(e(64) for e in row) for row in dense)
+
+    def test_entries_terms_are_the_nonzeros_in_column_order(self):
+        for shape in small_shapes(5):
+            for side, i in generators(shape):
+                entries = operator_matrix(shape, side, i).entries
+                for row, terms in zip(entries, entries.terms):
+                    assert terms == tuple((c, e) for c, e in enumerate(row) if e), shape
+                    assert 1 <= len(terms) <= 2
 
     def test_columns_match_apply_generator(self):
         # Column c is the image of basis vector c, every other entry ZERO:
