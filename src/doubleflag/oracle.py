@@ -23,8 +23,12 @@ a sum of #F membership tests.  Membership in a Borel orbit is decided by
 rank-profile equality, never by enumerating the Borel group.  The counting
 moves the same sampled points for every source orbit of a generator, so
 ``_transform`` is an ``lru_cache`` large enough to keep every image of a
-generator's pass until the pass has reused it.  An image that is not a
-classified point raises AssertionError naming the point, c and generator.
+generator's pass until the pass has reused it.  Its key is small: the
+field's ``_Samples``, hashed by identity, the sampled point's index, the
+generator's column and c; its value is the image's orbit index, so a hit
+hashes no point.  ``_image`` computes the image itself.  An image that is
+not a classified point raises AssertionError naming the point, c and
+generator.
 """
 
 from __future__ import annotations
@@ -605,10 +609,9 @@ def classification_ok(cls: OrbitClassification) -> bool:
     )
 
 
-@lru_cache(maxsize=8192)
-def _transform(w, a: int, c: int, p: int):
-    """Image of the subspace under s_i u(c)^{-1}, in RREF, cached so that
-    a generator pass of ``certify_theorem`` computes each image once.
+def _image(w, a: int, c: int, p: int) -> tuple:
+    """Image of the subspace under s_i u(c)^{-1}, in RREF.  Uncached: the
+    certification caches the image's orbit through ``_transform``.
 
     u(c)^{-1} = I - c E_{a,a+1} and s_i swaps coordinates a and b = a+1
     (0-based), so each basis row changes in two coordinates only:
@@ -642,25 +645,6 @@ def _transform(w, a: int, c: int, p: int):
     cleared above that row; only rows nonzero at a or b are rebuilt.  In
     RREF every entry before a row's pivot is 0 and the pivot is 1, so the
     pivot is ``row.index(1)``.
-
-    The cache.  ``certify_theorem`` calls ``_count_images`` once per
-    (generator, source orbit), and each call moves the same sampled points
-    by every c, so in one generator's pass each image is asked for once
-    per source orbit.  The cache is keyed by all four arguments, since
-    each of them changes the image.
-
-    Proof that the cache evicts no image before its pass reuses it.  A
-    pass over the generator at ``a`` asks for (x, a, c, F) for the first
-    min(3, |O_k|) points x of each orbit O_k and every c in F: at most
-    3 * orbits * F keys.  Over every shape with a generator and every
-    field whose Grassmannian is within ``ENUMERATION_BUDGET``, that is at
-    most 4,695 when the shape has more than one orbit, reached by (2,1,1),
-    (2,1,2), (1,2,1) and (1,2,2) over F_313; with one orbit there is one
-    source, so no key is asked for twice.  An LRU cache evicts a key only
-    after ``maxsize`` other keys have been used since its last use.
-    Between two uses of a key in one pass, fewer than 4,695 other keys are
-    used, so under the ``maxsize`` of 8,192 each image is computed at its
-    first call in the pass, and every later call in the pass is a hit.
     """
     b = a + 1
     rows = list(w)
@@ -698,40 +682,123 @@ def _transform(w, a: int, c: int, p: int):
     return tuple(rows)
 
 
-def _count_images(cls: OrbitClassification, a: int, source: int) -> dict:
+class _Samples:
+    """The points that ``_count_images`` samples in one classification:
+    ``points`` is the flat tuple of each orbit's first min(3, |O_k|)
+    points, ``ranges[k]`` the range of orbit k's samples in it, and
+    ``orbit_of``, ``sizes`` and ``field_size`` are the classification's.
+
+    It is a ``_transform`` key, so it is hashed and compared by identity:
+    it has ``__slots__``, no ``__eq__``, and nothing changes it after
+    ``__init__``.
+    """
+
+    __slots__ = ("points", "ranges", "orbit_of", "sizes", "field_size")
+
+    def __init__(self, cls: OrbitClassification):
+        points = []
+        ranges = []
+        for orbit in cls.points:
+            start = len(points)
+            points.extend(orbit[:3])
+            ranges.append(range(start, len(points)))
+        self.points = tuple(points)
+        self.ranges = tuple(ranges)
+        self.orbit_of = cls.orbit_of
+        self.sizes = cls.sizes
+        self.field_size = cls.field_size
+
+
+@lru_cache(maxsize=8192)
+def _transform(samples: _Samples, i: int, a: int, c: int) -> int:
+    """The orbit index of ``_image`` of sampled point ``samples.points[i]``
+    by the generator at ``a`` and c, cached so that a generator pass of
+    ``certify_theorem`` computes each image once.  An image that is no
+    classified point raises ``KeyError``, which ``lru_cache`` does not
+    keep.
+
+    The cache.  ``certify_theorem`` calls ``_count_images`` once per
+    (generator, source orbit), and each call moves the same sampled points
+    by every c, so in one generator's pass each image is asked for once
+    per source orbit.  The key holds no point: the image depends on the
+    point, a, c and the field, and ``samples`` and i fix the point and
+    the field.  A hit hashes one object id and three small ints and
+    returns the orbit index, where a point key would hash the r x n point
+    and ``orbit_of`` would hash the image again.
+
+    Proof that identity keys are sound.  ``_Samples`` has no ``__eq__``,
+    so a key equals another only if both hold the same object.  A key
+    holds a reference to its object, so the object lives, and no other
+    object can take its identity, while the key is in the cache.  Nothing
+    changes the object after ``__init__``, and ``orbit_of`` is the
+    classification's dict, which nothing changes after
+    ``classify_orbits`` returns; so a cached orbit index stays the index
+    that the call would compute.  Two objects built from one
+    classification get separate keys: the second recomputes, never reads
+    a stale entry.
+
+    What the keys keep alive.  A key holds its ``_Samples``, and through
+    it the classification's ``orbit_of`` dict and sampled points, also
+    after ``classify_orbits`` has dropped the classification.  So the
+    cache keeps at most 8,192 classifications alive, one per key.  If
+    every ``_count_images`` call runs to its end, it is fewer: a call
+    asks for F >= 3 keys of one ``_Samples``, and an LRU cache that
+    still holds a key holds every key used after it, so each
+    ``_Samples`` in the cache but the least recent one brings at least 3
+    keys, and at most 1 + 8,191 // 3 = 2,731 are held.  A call that
+    raises can leave one key.  ``certify_theorem`` builds one
+    ``_Samples`` per field and ``convolution_action`` one per call.
+    ``cache_clear`` drops them all.
+
+    Proof that the cache evicts no image before its pass reuses it.  A
+    pass over the generator at ``a`` asks for (samples, i, a, c) for each
+    of the first min(3, |O_k|) points of each orbit O_k and every c in F:
+    at most 3 * orbits * F keys.  Over every shape with a generator and
+    every field whose Grassmannian is within ``ENUMERATION_BUDGET``, that
+    is at most 4,695 when the shape has more than one orbit, reached by
+    (2,1,1), (2,1,2), (1,2,1) and (1,2,2) over F_313; with one orbit there
+    is one source, so no key is asked for twice.  An LRU cache evicts a
+    key only after ``maxsize`` other keys have been used since its last
+    use.  Between two uses of a key in one pass, fewer than 4,695 other
+    keys are used, so under the ``maxsize`` of 8,192 each image is
+    computed at its first call in the pass, and every later call in the
+    pass is a hit.
+    """
+    return samples.orbit_of[_image(samples.points[i], a, c, samples.field_size)]
+
+
+def _count_images(samples: _Samples, a: int, source: int) -> dict:
     """T_i * xi_source by counting, as {orbit index: count}; ``a`` is the
     0-based first coordinate that s_i swaps.
 
     The value at a point x is the number of c in F with s_i u(c)^{-1} x in
     the source orbit.  It is counted at the first three points of every
-    orbit, which must agree with the first one's count (constancy), and the
-    total mass, the sum of value times orbit size, must be F times the
-    source orbit's size, which pins the support exactly.
+    orbit, ``samples.ranges[k]``, which must agree with the first one's
+    count (constancy), and the total mass, the sum of value times orbit
+    size, must be F times the source orbit's size, which pins the support
+    exactly.
 
     The count is one flat loop: orbits, then sampled points, then c.  Each
     (sampled point, field element) makes one ``_transform`` call, looked up
-    through the module on every call, and its image's orbit is read as
-    ``orbit_of[y]``.  Every image is a point of the Grassmannian, so an
-    image missing from ``orbit_of`` means ``_transform`` or the
-    classification is wrong: the ``KeyError`` becomes an AssertionError
-    naming the field, ``a``, the source, the point and c.  Every check is a
-    raise, not ``assert``, so ``python -O`` keeps it.  The calls do not
-    depend on ``source``, so within one generator's pass ``_transform``
-    computes each image for the first source and returns it from its cache
-    for every later one.
+    through the module on every call, which returns the image's orbit.
+    Every image is a point of the Grassmannian, so an image missing from
+    ``orbit_of`` means ``_image`` or the classification is wrong: the
+    ``KeyError`` becomes an AssertionError naming the field, ``a``, the
+    source, the point and c.  Every check is a raise, not ``assert``, so
+    ``python -O`` keeps it.  The calls do not depend on ``source``, so
+    within one generator's pass ``_transform`` computes each image for the
+    first source and returns its orbit from its cache for every later one.
     """
-    field_size = cls.field_size
-    # read once: each named-tuple field read is a descriptor call
-    orbit_of = cls.orbit_of
+    field_size = samples.field_size
     field = range(field_size)
     coords = {}
     try:
-        for k, points in enumerate(cls.points):
+        for k, sampled in enumerate(samples.ranges):
             first = -1
-            for x in points[:3]:
+            for i in sampled:
                 count = 0
                 for c in field:
-                    if orbit_of[_transform(x, a, c, field_size)] == source:
+                    if _transform(samples, i, a, c) == source:
                         count += 1
                 if first < 0:
                     first = count
@@ -741,11 +808,11 @@ def _count_images(cls: OrbitClassification, a: int, source: int) -> dict:
                 coords[k] = first
     except KeyError:
         raise AssertionError(
-            f"image of point {x} under c = {c} (field {field_size}, a = {a},"
-            f" source orbit {source}) is not a classified point"
+            f"image of point {samples.points[i]} under c = {c} (field {field_size},"
+            f" a = {a}, source orbit {source}) is not a classified point"
         ) from None
 
-    sizes = cls.sizes
+    sizes = samples.sizes
     mass = sum(v * sizes[k] for k, v in coords.items())
     if mass != field_size * sizes[source]:
         raise AssertionError("convolution mass balance failed")
@@ -764,8 +831,10 @@ def convolution_action(
     """T_i * xi_g computed by counting, as an integer-coefficient vector.
 
     The counting, with its constancy and mass-balance checks, is
-    ``_count_images`` on the field's ``classify_orbits``; this wraps its
-    counts in a ``ModuleVector``.  Raises ValueError for a generator
+    ``_count_images`` on the samples of the field's ``classify_orbits``;
+    this wraps its counts in a ``ModuleVector``.  Each call builds its own
+    ``_Samples``, so a call reuses no image of an earlier call: every
+    image is computed once per call.  Raises ValueError for a generator
     outside the shape or an orbit g of another shape, and TypeError for a
     non-integer index or field size, before any counting: the typed
     ``classify_orbits`` cache refuses a float equal to a classified field
@@ -776,7 +845,7 @@ def convolution_action(
         raise ValueError(f"orbit of shape {g.shape} given for shape {shape}")
     cls = classify_orbits(shape, field_size)
     a = _swap_column(shape, side, i)
-    return ModuleVector(shape, _count_images(cls, a, Basis(shape).index[g]))
+    return ModuleVector(shape, _count_images(_Samples(cls), a, Basis(shape).index[g]))
 
 
 class CertificationRecord(
@@ -832,9 +901,12 @@ def certify_theorem(shape: Shape, field_sizes) -> CertificationReport:
     the ``GeneratorCase`` value "I", "II" or "III".  The two terms of case
     II are distinct orbits (``Basis``), so the dict keeps both.
 
-    One generator's records form one pass of ``_count_images`` calls that
-    move the same points, and ``_transform``'s cache returns each image
-    after the pass's first source has asked for it.  The field list is
+    Each field's sampled points are one ``_Samples``, built once, and one
+    generator's records form one pass of ``_count_images`` calls that move
+    them; ``_transform``'s cache, keyed by that object, returns each
+    image's orbit after the pass's first source has asked for it.  The
+    object is new for each field and each call, so no call reads an orbit
+    cached by another.  The field list is
     checked by ``_check_fields`` before any field is classified, so a
     float, a bad field, a field given twice or a list over the budget in
     all raises before any work.
@@ -843,13 +915,13 @@ def certify_theorem(shape: Shape, field_sizes) -> CertificationReport:
     basis = Basis(shape)
     records = []
     for field_size in field_sizes:
-        cls = classify_orbits(shape, field_size)
+        samples = _Samples(classify_orbits(shape, field_size))
         at = (field_size, field_size - 1, 1)
         for gen in generators(shape):
             a = _swap_column(shape, *gen)
             for idx, (case, jdx) in enumerate(zip(basis.cases[gen], basis.partners[gen])):
                 expected = dict(_image_terms(idx, case, jdx, at))
-                observed = _count_images(cls, a, idx)
+                observed = _count_images(samples, a, idx)
                 name = _CASES[case].value
                 records.append(CertificationRecord(field_size, *gen, idx, name, expected, observed))
     return CertificationReport(shape, tuple(records))

@@ -367,7 +367,7 @@ def _reference_canonical_transform(w, a, c, p):
 
 
 def _transform_case(w, a, c):
-    """Which branch of ``oracle._transform`` the triple (w, a, c) takes."""
+    """Which branch of ``oracle._image`` the triple (w, a, c) takes."""
     pivots = {row.index(1): k for k, row in enumerate(w)}
     if a in pivots and a + 1 in pivots:
         return "both, c = 0" if c == 0 else "both, c != 0"
@@ -670,7 +670,7 @@ class TestDifferential:
         for side, i in generators(shape):
             a = i - 1 if side == "+" else shape.p + i - 1
             for c in range(field):
-                assert oracle._transform(w, a, c, field) == _reference_transform(
+                assert oracle._image(w, a, c, field) == _reference_transform(
                     w, shape, side, i, c, field
                 )
 
@@ -686,7 +686,7 @@ class TestDifferential:
             for w in enumerate_grassmannian(shape, field):
                 for a in range(shape.n - 1):
                     for c in range(field):
-                        got = oracle._transform(w, a, c, field)
+                        got = oracle._image(w, a, c, field)
                         want = _reference_canonical_transform(w, a, c, field)
                         assert got == want, (shape, field, w, a, c)
                         cases.add(_transform_case(w, a, c))
@@ -708,9 +708,9 @@ class TestDifferential:
         calls = []
         transform = oracle._transform
 
-        def counted(w, a, c, p):
+        def counted(*args):
             calls.append(1)
-            return transform(w, a, c, p)
+            return transform(*args)
 
         monkeypatch.setattr(oracle, "_transform", counted)
         assert certify_theorem(S222, [11]).ok
@@ -968,8 +968,8 @@ class TestConvolution:
 S211 = Shape(2, 1, 1)
 
 
-def _damaged_transform(damage, exact):
-    """The transform ``exact`` with one damage, for (2,1,1) over F_3, whose
+def _damaged_image(damage, exact):
+    """The image function ``exact`` with one damage, for (2,1,1) over F_3, whose
     orbits hold 1, 1, 3, 2 and 6 points.  From source orbit 0 under the
     generator at a = 0 only orbit 0 counts.  "image" doubles the image of
     orbit 2's first point at c = 1, which is then no RREF basis;
@@ -1012,13 +1012,25 @@ class TestCountingChecks:
         # classified point.
         cls = classify_orbits(S211, 3)
         assert cls.sizes == (1, 1, 3, 2, 6)
-        assert oracle._count_images(cls, 0, 0) == {0: 3}
-        doubled = _damaged_transform("image", oracle._transform)(cls.points[2][0], 0, 1, 3)
+        assert oracle._count_images(oracle._Samples(cls), 0, 0) == {0: 3}
+        doubled = _damaged_image("image", oracle._image)(cls.points[2][0], 0, 1, 3)
         assert doubled not in cls.orbit_of
 
     @pytest.mark.parametrize("damage", DAMAGES)
     def test_damaged_transform_raises(self, monkeypatch, damage):
-        monkeypatch.setattr(oracle, "_transform", _damaged_transform(damage, oracle._transform))
+        monkeypatch.setattr(oracle, "_image", _damaged_image(damage, oracle._image))
+        with pytest.raises(AssertionError) as info:
+            certify_theorem(S211, [3])
+        assert str(info.value) == _damage_message(damage)
+
+    @pytest.mark.parametrize("damage", DAMAGES)
+    def test_damage_caught_after_undamaged_run(self, monkeypatch, damage):
+        # The undamaged run leaves every orbit of its pass in _transform's
+        # cache.  The damaged run's samples are a new object, so none of
+        # those entries can answer for it: every image is computed again.
+        assert certify_theorem(S211, [3]).ok
+        assert oracle._transform.cache_info().currsize > 0
+        monkeypatch.setattr(oracle, "_image", _damaged_image(damage, oracle._image))
         with pytest.raises(AssertionError) as info:
             certify_theorem(S211, [3])
         assert str(info.value) == _damage_message(damage)
@@ -1027,10 +1039,10 @@ class TestCountingChecks:
         # Every check must survive ``python -O``, which strips asserts.
         script = (
             "from doubleflag import oracle\n"
-            "from test_oracle import DAMAGES, S211, _damaged_transform\n"
-            "exact = oracle._transform\n"
+            "from test_oracle import DAMAGES, S211, _damaged_image\n"
+            "exact = oracle._image\n"
             "for damage in DAMAGES:\n"
-            "    oracle._transform = _damaged_transform(damage, exact)\n"
+            "    oracle._image = _damaged_image(damage, exact)\n"
             "    try:\n"
             "        oracle.certify_theorem(S211, [3])\n"
             "    except AssertionError as exc:\n"
@@ -1106,8 +1118,8 @@ class TestCertification:
         counts = {}
         count_images = oracle._count_images
 
-        def recording(cls, a, source):
-            counts[a, source] = count_images(cls, a, source)
+        def recording(samples, a, source):
+            counts[a, source] = count_images(samples, a, source)
             return counts[a, source]
 
         monkeypatch.setattr(oracle, "_count_images", recording)
@@ -1125,7 +1137,7 @@ class TestCertification:
 
         monkeypatch.setattr(hecke, "_image_terms", case_ii_partner_one)
         monkeypatch.setattr(oracle, "_image_terms", case_ii_partner_one)
-        monkeypatch.setattr(oracle, "_count_images", lambda cls, a, source: counts[a, source])
+        monkeypatch.setattr(oracle, "_count_images", lambda samples, a, source: counts[a, source])
         report = certify_theorem(shape, [field])
         assert report.records == reference_certify_theorem(shape, [field]).records
         assert report.ok == all(rec.case != "II" for rec in report.records)
@@ -1187,11 +1199,11 @@ class TestImageMemo:
         results = {}
         calls = []
 
-        def recording(w, a, c, p):
-            image = transform(w, a, c, p)
-            results.setdefault((w, a, c, p), set()).add(image)
+        def recording(*args):
+            orbit = transform(*args)
+            results.setdefault(args, set()).add(orbit)
             calls.append(1)
-            return image
+            return orbit
 
         monkeypatch.setattr(oracle, "_transform", recording)
         return transform, results, calls
@@ -1201,35 +1213,63 @@ class TestImageMemo:
         transform, results, calls = self._recorded(monkeypatch)
         assert certify_theorem(shape, [field]).ok
         info = transform.cache_info()
-        # every image after the first for a key came from the cache
+        # every call after the first for a key came from the cache
         assert len(calls) > 10 * len(results)
         assert (info.misses, info.hits) == (len(results), len(calls) - len(results))
-        for (w, a, c, p), images in results.items():
-            assert images == {transform.__wrapped__(w, a, c, p)}, (w, a, c, p)
-            assert images == {_reference_canonical_transform(w, a, c, p)}, (w, a, c, p)
+        cls = classify_orbits(shape, field)
+        (samples,) = {args[0] for args in results}
+        assert samples.orbit_of is cls.orbit_of and samples.field_size == field
+        for (_, i, a, c), orbits in results.items():
+            w = samples.points[i]
+            want = cls.orbit_of[_reference_canonical_transform(w, a, c, field)]
+            assert orbits == {want}, (w, a, c)
 
     def test_key_holds_generator_and_field(self):
-        # F_3 points are in RREF over F_5 too, so each (w, c) is asked for
-        # under every a and both fields, with one cache throughout.
+        # Samples of S222 over F_3 and F_5, and a second object built from
+        # the same F_3 classification: each (i, c) is asked for under every
+        # a, and no object's keys answer for another's.
         transform = oracle._transform
         transform.cache_clear()
-        points = enumerate_grassmannian(S222, 3)
+        all_samples = [oracle._Samples(classify_orbits(S222, f)) for f in (3, 5, 3)]
+        keys = 0
         for _ in range(2):
-            for w, c in itertools.product(points, range(3)):
-                for a, p in itertools.product(range(S222.n - 1), (3, 5)):
-                    want = _reference_canonical_transform(w, a, c, p)
-                    assert transform(w, a, c, p) == want, (w, a, c, p)
-        keys = len(points) * 3 * (S222.n - 1) * 2
+            for samples in all_samples:
+                p = samples.field_size
+                for i, c, a in itertools.product(
+                    range(len(samples.points)), range(p), range(S222.n - 1)
+                ):
+                    want = _reference_canonical_transform(samples.points[i], a, c, p)
+                    got = transform(samples, i, a, c)
+                    assert got == samples.orbit_of[want], (p, i, a, c)
+            keys = keys or transform.cache_info().misses
+        assert keys == sum(len(s.points) * s.field_size for s in all_samples) * (S222.n - 1)
         assert transform.cache_info()[:2] == (keys, keys)
 
     def test_memo_never_exceeds_its_limit(self):
+        # c runs past the field: the image depends on c mod F only, but each
+        # c is its own key.
         transform = oracle._transform
         transform.cache_clear()
         limit = transform.cache_info().maxsize
-        w = enumerate_grassmannian(Shape(1, 1, 1), 3)[0]
+        samples = oracle._Samples(classify_orbits(Shape(1, 1, 1), 3))
         for c in range(limit + 10):
-            assert transform(w, 0, c, 99991) == _reference_canonical_transform(w, 0, c, 99991)
+            want = _reference_canonical_transform(samples.points[0], 0, c, 3)
+            assert transform(samples, 0, 0, c) == samples.orbit_of[want]
         assert transform.cache_info().currsize == limit
+
+    def test_failed_image_is_not_cached(self, monkeypatch):
+        # A KeyError from an unclassified image is raised again on the next
+        # call, not served from the cache.
+        transform = oracle._transform
+        transform.cache_clear()
+        samples = oracle._Samples(classify_orbits(S211, 3))
+        monkeypatch.setattr(oracle, "_image", _damaged_image("image", oracle._image))
+        i = samples.ranges[2][0]
+        for _ in range(2):
+            with pytest.raises(KeyError):
+                transform(samples, i, 0, 1)
+        info = transform.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
 
     def test_working_set_of_a_pass(self, monkeypatch):
         # A pass asks each source for the same keys, one per sampled point

@@ -215,14 +215,14 @@ def test_modular_inverse_sites_detected():
     assert modular_inverse_sites(source, "mod") == {"mod.f", "mod.C.m.inner", "mod.g"}
 
 
-def test_modular_inverse_only_in_insert_and_transform():
-    # The oracle has one elimination routine, _insert; _transform's local
+def test_modular_inverse_only_in_insert_and_image():
+    # The oracle has one elimination routine, _insert; _image's local
     # fix-up is the one other place that scales a row to a leading 1.  A
     # second copy of the scaling elsewhere would be a second routine.
     found = set().union(
         *(modular_inverse_sites(path.read_text(encoding="utf-8"), path.stem) for path in SOURCES)
     )
-    assert found == {"oracle._insert", "oracle._transform"}
+    assert found == {"oracle._insert", "oracle._image"}
 
 
 _CACHE_DECORATORS = {"cache", "lru_cache"}
