@@ -1,11 +1,20 @@
 """Command-line front end.
 
 Subcommands: enumerate, invariants, hasse, hecke-matrix, weyl-decomp,
-verify.  ``main`` parses a call that starts with a subcommand by that
-subcommand's parser alone, so a bad flag after it gets that parser's usage
-(``usage: doubleflag hasse ...``) and a ``doubleflag hasse: error: ...``
-line, with exit code 2; any other argv goes to the top-level parser, whose
-usage and error lines start ``doubleflag``.
+verify.  Their options are declared once, in ``_SUBCOMMANDS``.  ``main``
+reads a subcommand given only its exact long options, with values its
+types and choices take and every required option, by ``_read_exact``,
+which follows the steps argparse takes on such an argv; so every
+benchmark and README call runs with argparse neither imported nor built.
+argparse, built from the same table on first need, owns ``-h``, usage
+and every error message.  It reads any other call that starts with a
+subcommand by that subcommand's parser alone, so a bad flag after it
+gets that parser's usage (``usage: doubleflag hasse ...``) and a
+``doubleflag hasse: error: ...`` line, with exit code 2; any other argv
+goes to the top-level parser, whose usage and error lines start
+``doubleflag``.  ``tests/test_cli.py`` compares ``_read_exact`` with
+argparse on generated argvs, on whatever Python runs the tests, so it
+catches a later argparse that reads one of them differently.
 
 Output is deterministic: fixed enumeration order, sorted JSON keys,
 newline-terminated files.  Every JSON output is
@@ -21,12 +30,13 @@ written directly, byte-identical to ``csv.writer``'s default dialect.
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import re
 import sys
+from collections import namedtuple
 from functools import cache, lru_cache
+from types import SimpleNamespace
 
 from .core import Graph, Invariants, Shape, count_orbits, enumerate_graphs, invariants, rank_matrix
 from .hecke import operator_matrix, verify_relations, weyl_decompose
@@ -65,52 +75,129 @@ def _check_budgets(shape: Shape) -> None:
         raise ValueError(f"shape has {orbits} orbits, over the budget of {ORBIT_BUDGET}")
 
 
-def _shape_args(sub):
-    sub.add_argument("--p", type=int, required=True)
-    sub.add_argument("--q", type=int, required=True)
-    sub.add_argument("--r", type=int, required=True)
-    sub.add_argument("--out", help="output path (default: stdout)")
+# One option of a subcommand: the type its value is converted by (None
+# keeps the string), its choices, its default, whether it is required,
+# whether it may repeat (each value appended to a list) and its help text.
+_Option = namedtuple(
+    "_Option", "type choices default required repeat help", defaults=(None,) * 3 + (False, False, None)
+)
+
+_SHAPE_OPTIONS = {
+    "--p": _Option(int, required=True),
+    "--q": _Option(int, required=True),
+    "--r": _Option(int, required=True),
+    "--out": _Option(help="output path (default: stdout)"),
+}
+
+# Each subcommand's help line and options by flag, in the order ``--help``
+# lists them: the one grammar that ``build_parser`` and ``_read_exact`` read.
+_SUBCOMMANDS = {
+    "enumerate": ("list all orbit graphs as JSON", _SHAPE_OPTIONS),
+    "invariants": (
+        "orbital invariants and dimensions",
+        {**_SHAPE_OPTIONS, "--format": _Option(choices=("text", "json"), default="text")},
+    ),
+    "hasse": ("closure order as a DOT diagram", _SHAPE_OPTIONS),
+    "hecke-matrix": (
+        "matrix of one Hecke generator as CSV",
+        {
+            **_SHAPE_OPTIONS,
+            "--side": _Option(choices=("+", "-"), required=True),
+            "--index": _Option(int, required=True, help="generator index i"),
+        },
+    ),
+    "weyl-decomp": ("Weyl group decomposition at q=1 as JSON", _SHAPE_OPTIONS),
+    "verify": (
+        "relations + finite-field certification as JSON",
+        {
+            **_SHAPE_OPTIONS,
+            "--field": _Option(
+                int, repeat=True, help="odd prime field size (repeatable, each field once; default 3)"
+            ),
+        },
+    ),
+}
+
+
+def _dest(flag: str) -> str:
+    """The namespace attribute of a long option, as argparse names it."""
+    return flag[2:].replace("-", "_")
 
 
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process and shared by every ``main`` call."""
+def build_parser():
+    """The ``argparse.ArgumentParser`` of ``_SUBCOMMANDS``, built once per
+    process and shared by every ``main`` call that needs it.  argparse is
+    imported here, not with the module, so a call that ``_read_exact``
+    takes loads neither it nor the ``gettext`` it imports."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="doubleflag",
         description="K-orbit combinatorics and Hecke module structure "
         "of the (p,q|r) double flag variety",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("enumerate", help="list all orbit graphs as JSON")
-    _shape_args(sub)
-
-    sub = subs.add_parser("invariants", help="orbital invariants and dimensions")
-    _shape_args(sub)
-    sub.add_argument("--format", choices=["text", "json"], default="text")
-
-    sub = subs.add_parser("hasse", help="closure order as a DOT diagram")
-    _shape_args(sub)
-
-    sub = subs.add_parser("hecke-matrix", help="matrix of one Hecke generator as CSV")
-    _shape_args(sub)
-    sub.add_argument("--side", choices=["+", "-"], required=True)
-    sub.add_argument("--index", type=int, required=True, help="generator index i")
-
-    sub = subs.add_parser("weyl-decomp", help="Weyl group decomposition at q=1 as JSON")
-    _shape_args(sub)
-
-    sub = subs.add_parser("verify", help="relations + finite-field certification as JSON")
-    _shape_args(sub)
-    sub.add_argument(
-        "--field",
-        type=int,
-        action="append",
-        default=None,
-        help="odd prime field size (repeatable, each field once; default 3)",
-    )
-
+    for command, (help_text, options) in _SUBCOMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        for flag, opt in options.items():
+            sub.add_argument(
+                flag,
+                action="append" if opt.repeat else "store",
+                type=opt.type,
+                choices=opt.choices,
+                default=opt.default,
+                required=opt.required,
+                help=opt.help,
+            )
     return parser
+
+
+def _read_exact(argv):
+    """The namespace of a subcommand call read without argparse, or None.
+
+    It reads a subcommand followed only by its exact long options, each
+    as ``--opt value`` with a value that does not start with ``-``, or as
+    one ``--opt=value`` word, split at its first ``=``.  Each value is
+    converted by the option's type and must be one of its choices; a
+    repeatable option appends each value to a list, any other keeps its
+    last; every required option must be given.  On such an argv argparse
+    takes the same steps: it looks an exact flag up before any prefix
+    match, it takes a word that does not start with ``-`` as a value, and
+    the type, choices, defaults and required options are the table's.  So
+    the namespace equals the one the subcommand's parser returns, with
+    ``command`` added.  Any other argv gets None, and argparse reads it:
+    ``-h``, an abbreviated, unknown or missing option, a value that starts
+    with ``-`` or that the type or choices refuse, and no subcommand.
+    """
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    options = _SUBCOMMANDS[argv[0]][1]
+    args = {_dest(flag): opt.default for flag, opt in options.items()}
+    missing = {flag for flag, opt in options.items() if opt.required}
+    words = iter(argv[1:])
+    for word in words:
+        flag, eq, value = word.partition("=")
+        if not eq:
+            value = next(words, None)
+            if value is None or value.startswith("-"):
+                return None
+        opt = options.get(flag)
+        if opt is None:
+            return None
+        if opt.type is not None:
+            try:
+                value = opt.type(value)
+            except ValueError:
+                return None
+        if opt.choices is not None and value not in opt.choices:
+            return None
+        dest = _dest(flag)
+        args[dest] = [*(args[dest] or ()), value] if opt.repeat else value
+        missing.discard(flag)
+    if missing:
+        return None
+    return SimpleNamespace(**args, command=argv[0])
 
 
 def _emit(text: str, out_path):
@@ -367,9 +454,11 @@ _COMMANDS = {
 }
 
 
-def _subcommand_parsers(parser: argparse.ArgumentParser) -> dict:
+def _subcommand_parsers(parser) -> dict:
     """The parser of each subcommand by name: the ``choices`` of the one
     ``_SubParsersAction`` that ``build_parser`` adds."""
+    import argparse
+
     (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return subs.choices
 
@@ -377,27 +466,34 @@ def _subcommand_parsers(parser: argparse.ArgumentParser) -> dict:
 def main(argv=None) -> int:
     """Run one CLI call and return its exit code.
 
-    A call that starts with a subcommand goes straight to that
-    subcommand's parser, the one ``build_parser`` made, with the rest of
-    argv: the top-level parser would scan every argument once and then
-    pass the same strings to that parser, which parses them again.  So
-    each such call makes one parse, with the namespace of the full parse.
     One leading ``--`` is dropped first, so ``doubleflag -- hasse ...``
     runs as ``doubleflag hasse ...``: the top-level parser would take the
-    ``--`` for the subcommand's name and refuse it.  Every other argv
-    (none, ``-h``, an unknown word, a ``--`` alone) goes to the top-level
-    parser, as no subcommand's parser can take it.
+    ``--`` for the subcommand's name and refuse it.  ``_read_exact`` then
+    reads a subcommand given only its exact long options, each with a
+    value that passes the option's type and choices, and every required
+    option: every benchmark job and README example is such a call, and
+    it imports, builds and runs no argparse.  Any other argv goes to
+    argparse, which owns ``-h``, usage and every error message.  If it
+    starts with a subcommand, that subcommand's parser alone reads the
+    rest of argv: the top-level parser would scan every argument once and
+    then pass the same strings to that parser, which parses them again.
+    So such a call makes one parse, with the namespace of the full parse,
+    and a bad flag gets that subcommand's usage and error line.  Every
+    other argv (none, ``-h``, an unknown word, a ``--`` alone) goes to
+    the top-level parser, as no subcommand's parser can take it.
     """
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv[:1] == ["--"]:
         del argv[0]
-    subparser = _subcommand_parsers(parser).get(argv[0]) if argv else None
-    if subparser is None:
-        args = parser.parse_args(argv)
-    else:
-        args = subparser.parse_args(argv[1:])
-        args.command = argv[0]
+    args = _read_exact(argv)
+    if args is None:
+        parser = build_parser()
+        subparser = _subcommand_parsers(parser).get(argv[0]) if argv else None
+        if subparser is None:
+            args = parser.parse_args(argv)
+        else:
+            args = subparser.parse_args(argv[1:])
+            args.command = argv[0]
     try:
         shape = Shape(args.p, args.q, args.r)
         _check_budgets(shape)

@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from doubleflag import (
     GeneratorCase,
@@ -810,6 +812,68 @@ def test_dispatched_namespace_equals_full_parse(monkeypatch):
         main(argv)
         assert vars(dispatched.pop()) == vars(cli.build_parser().parse_args(argv)), argv
     assert not dispatched
+
+
+def test_strict_reader_takes_every_benchmark_and_readme_call():
+    # So the benchmark's calls, and the README's, never build a parser
+    benchmark = [job.split() for job in _golden_job_ids() if job.split()[0] in cli._COMMANDS]
+    assert len(benchmark) == 515
+    for argv in [*benchmark, *_readme_calls()]:
+        assert cli._read_exact(argv) is not None, argv
+
+
+# Every flag of every subcommand, each abbreviation of one, and words that
+# are no flag of any subcommand.
+FLAGS = sorted(
+    {flag[:end] for _, options in cli._SUBCOMMANDS.values() for flag in options for end in range(3, len(flag) + 1)}
+    | {"-h", "--help", "--bogus", "-p", "--", "-"}
+)
+# Values argparse reads in more ways than one: signed, spaced, underscored,
+# empty, flag-like and holding "=", with valid values of every option.
+VALUES = ["-1", "+2", " 3", "3_0", "", "-", "--p", "x=y", *OPTION_VALUES.values(), "0", "text", "+"]
+
+
+def _spelled(flag, value):
+    """One option given as two words or as one ``--option=value`` word."""
+    return st.sampled_from([[flag, value], [f"{flag}={value}"]])
+
+
+@st.composite
+def subcommand_argv(draw):
+    """A subcommand, its required options with valid values but at most
+    one, and up to three more pieces, in any order.  A piece is one of the
+    subcommand's options with a valid value, or a flag of the subcommand
+    or from ``FLAGS`` with a value from ``VALUES``, alone or both, as two
+    words or one."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    options = cli._SUBCOMMANDS[command][1]
+    required = [flag for flag, opt in options.items() if opt.required]
+    dropped = draw(st.one_of(st.none(), st.sampled_from(required)))
+    pieces = [draw(_spelled(flag, OPTION_VALUES[flag])) for flag in required if flag != dropped]
+    valid = st.sampled_from(list(options)).flatmap(lambda flag: _spelled(flag, OPTION_VALUES[flag]))
+    flag = st.one_of(st.sampled_from(list(options)), st.sampled_from(FLAGS))
+    value = st.sampled_from(VALUES)
+    odd = st.one_of(
+        st.tuples(flag, value).flatmap(lambda words: _spelled(*words)),
+        flag.map(lambda word: [word]),
+        value.map(lambda word: [word]),
+    )
+    pieces += draw(st.lists(st.one_of(valid, odd), max_size=3))
+    return [command, *(word for words in draw(st.permutations(pieces)) for word in words)]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(subcommand_argv())
+@example(["verify", "--p", "1", "--q", "1", "--r", "1", "--field", "3", "--field=5"])
+@example(["invariants", "--p", "1", "--q", "1", "--r", "1", "--format", "xml"])
+@example(["hasse", "--p", "1", "--q", "1", "--out", "--r", "--r", "1"])
+def test_strict_reader_agrees_with_argparse(argv):
+    # Whatever argv the strict reader takes, the subcommand's parser reads
+    # to the same namespace, on the argparse of the Python that runs this.
+    args = cli._read_exact(argv)
+    if args is not None:
+        sub = cli._subcommand_parsers(cli.build_parser())[argv[0]]
+        assert vars(args) == {**vars(sub.parse_args(argv[1:])), "command": argv[0]}
 
 
 @pytest.mark.parametrize("p, q, r", [(7, 2, 0), (8, 1, 1)])

@@ -328,13 +328,17 @@ def test_process_wide_caches_pinned():
     assert sorted(found) == sorted(CACHED_DEFINITIONS)
 
 
+def _run_python_S(code):
+    """Run ``code`` in a fresh ``python -S`` process that imports this
+    checkout's doubleflag, and return the finished process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(doubleflag.__file__).parent.parent))
+    return subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+
+
 def _modules_after_cli_import():
     """Modules a fresh ``python -S`` process holds after importing the CLI."""
-    code = "import sys, doubleflag, doubleflag.cli; print(' '.join(sys.modules))"
-    env = dict(os.environ, PYTHONPATH=str(Path(doubleflag.__file__).parent.parent))
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
-    )
+    proc = _run_python_S("import sys, doubleflag, doubleflag.cli; print(' '.join(sys.modules))")
+    assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "doubleflag.cli" in loaded
     return loaded
@@ -351,6 +355,35 @@ def test_import_loads_no_dataclass_machinery():
 def test_import_loads_no_csv():
     # The CLI writes its CSV rows itself; only the tests use csv.writer.
     assert _modules_after_cli_import() & {"csv", "_csv"} == set()
+
+
+def test_only_argparse_calls_load_argparse():
+    # argparse and the gettext it imports add about 2.5 ms to every
+    # start-up.  An exact call loads neither; a bad flag loads both and
+    # gets argparse's usage and error lines, with exit code 2.
+    code = (
+        "import sys, doubleflag.cli\n"
+        "def loaded():\n"
+        "    print(sorted({'argparse', 'gettext'} & set(sys.modules)), file=sys.stderr)\n"
+        "loaded()\n"
+        "shape = ['--p', '1', '--q', '1', '--r', '1']\n"
+        "doubleflag.cli.main(['weyl-decomp', *shape])\n"
+        "loaded()\n"
+        "try:\n"
+        "    doubleflag.cli.main(['weyl-decomp', *shape, '--bogus', '1'])\n"
+        "finally:\n"
+        "    loaded()\n"
+    )
+    proc = _run_python_S(code)
+    assert proc.returncode == 2
+    assert proc.stdout.startswith('{\n  "blocks": [')
+    assert proc.stderr.splitlines() == [
+        "[]",
+        "[]",
+        "usage: doubleflag weyl-decomp [-h] --p P --q Q --r R [--out OUT]",
+        "doubleflag weyl-decomp: error: unrecognized arguments: --bogus 1",
+        "['argparse', 'gettext']",
+    ]
 
 
 PUBLIC_API = [
@@ -425,19 +458,25 @@ def test_cli_options_pinned():
     assert sum(map(len, declared.values())) == 28
 
 
-def test_main_parses_each_subcommand_call_once(monkeypatch):
-    # A call that starts with a subcommand is parsed once, by that
-    # subcommand's parser.  The full top-level parse scans the same strings
-    # twice: once itself, then in the subcommand's parser, which its
-    # _SubParsersAction calls.
+def test_main_parses_each_subcommand_call_once(monkeypatch, tmp_path):
+    # A call the strict reader takes builds no parser and makes no argparse
+    # parse.  A call it refuses, here for an abbreviated option, is parsed
+    # once, by that subcommand's parser.  The full top-level parse scans
+    # the same strings twice: once itself, then in the subcommand's parser,
+    # which its _SubParsersAction calls.
     parse_known_args = argparse.ArgumentParser.parse_known_args
-    parses = []
+    parses, builds = [], []
 
     def counted(self, *args, **kwargs):
         parses.append(self.prog)
         return parse_known_args(self, *args, **kwargs)
 
+    def counted_build():
+        builds.append(1)
+        return build_parser()
+
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    monkeypatch.setattr(doubleflag.cli, "build_parser", counted_build)
     extra = {"hecke-matrix": ["--side", "+", "--index", "1"], "verify": ["--field", "3"]}
     for command in CLI_OPTIONS:
         argv = [command, "--p", "2", "--q", "1", "--r", "1", *extra.get(command, [])]
@@ -445,5 +484,10 @@ def test_main_parses_each_subcommand_call_once(monkeypatch):
         assert parses == ["doubleflag", f"doubleflag {command}"]
         parses.clear()
         assert main(argv) == 0
-        assert parses == [f"doubleflag {command}"]
+        assert parses == [] and builds == []
+        assert main([*argv, "--ou", str(tmp_path / command)]) == 0
+        assert parses == [f"doubleflag {command}"] and builds == [1]
         parses.clear()
+        builds.clear()
+    assert main(["verify", "--fi", "3", "--p", "1", "--q", "1", "--r", "1"]) == 0
+    assert parses == ["doubleflag verify"] and builds == [1]
