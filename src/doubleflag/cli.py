@@ -22,7 +22,12 @@ newline-terminated files.  Every JSON output is
 ``verify`` call it on their payload, and ``enumerate`` and ``invariants
 --format json`` write one row per orbit through ``_json_rows``, which fills
 a template that it builds once per process and orbit type by calling
-``json.dumps`` on a record of that layout with every int 0.  CSV is
+``json.dumps`` on a record of that layout with every int 0.  It takes the
+orbits of each type as one block, cut from the enumeration by the closed
+forms ``core._type_blocks`` reads (``triple_count`` orbits per type, in
+``admissible_triples`` order, as ``hecke.weyl_decompose``'s docstring
+proves), so no orbit's type is computed; ``hasse``'s ``poset.to_dot``
+writes its nodes the same way.  CSV is
 written directly, byte-identical to ``csv.writer``'s default dialect.
 ``tests/test_cli.py`` checks both byte for byte on small shapes, and
 ``tests/test_golden.py`` against the benchmark digests.
@@ -30,7 +35,6 @@ written directly, byte-identical to ``csv.writer``'s default dialect.
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
 import sys
@@ -38,7 +42,15 @@ from collections import namedtuple
 from functools import cache, lru_cache
 from types import SimpleNamespace
 
-from .core import Graph, Invariants, Shape, count_orbits, enumerate_graphs, invariants, rank_matrix
+from .core import (
+    Invariants,
+    Shape,
+    _type_blocks,
+    count_orbits,
+    enumerate_graphs,
+    invariants,
+    rank_matrix,
+)
 from .hecke import operator_matrix, verify_relations, weyl_decompose
 from .oracle import _check_fields, certify_theorem, classification_ok, classify_orbits
 from .polynomial import ZERO
@@ -271,20 +283,23 @@ def _json_rows(graphs, kind: str) -> str:
     runs and closing text, and ``_row_template`` builds the template from
     a record of that layout with every int 0 and no orbit at all.
 
+    The rows are written block by block, one block per orbit type, from
+    ``core._type_blocks``: the enumeration lists the orbits type by type
+    with ``triple_count`` of each (the enumeration-order proof in
+    ``hecke.weyl_decompose``'s docstring), so no orbit's type is computed
+    and each template is looked up once per type and call.
     ``_row_template`` is an ``lru_cache`` keyed by (kind, type), so each
     template is built once per process, however many shapes and calls
-    share it.  It stays bounded: every key is the type of an orbit that
-    ``enumerate_graphs``, itself cached per shape, has already listed, so
-    it holds at most two templates per type that cache holds.  The
-    enumeration lists the orbits type by type, so ``groupby`` looks each
-    template up once per type and call.  A shape has at least one orbit,
-    so the list is never empty.
+    share it.  It stays bounded: every key is an admissible type of a
+    shape that ``enumerate_graphs``, itself cached per shape, has already
+    listed, so it holds at most two templates per type that cache holds.
+    A shape has at least one orbit, so the list is never empty.
     """
     row = _invariants_row if kind == "invariants" else _graph_row
     rows = []
-    for triple, group in itertools.groupby(graphs, Graph.triple):
+    for triple, block in _type_blocks(graphs):
         template = _row_template(kind, triple)
-        rows += [template % row(g) for g in group]
+        rows += [template % row(g) for g in block]
     return "[\n  " + ",\n  ".join(rows) + "\n]"
 
 

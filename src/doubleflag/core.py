@@ -338,6 +338,30 @@ def triple_count(shape: Shape, triple) -> int:
     )
 
 
+def _type_blocks(orbits):
+    """Yield ((k, s, t), block) for each admissible type, in the order of
+    ``admissible_triples``: the block is the next ``triple_count`` orbits
+    of ``orbits``, which must be ``enumerate_graphs`` of their shape.  No
+    orbit's type is computed: ``hecke.weyl_decompose``'s docstring proves
+    that the enumeration lists the orbits type by type in that order, with
+    ``triple_count`` orbits of each type.  Raises AssertionError if a
+    block is empty or runs past the end, if its first or last orbit has
+    another type, or if the blocks do not use up ``orbits`` exactly; so a
+    count off by one moves a block's end onto a neighbouring type and is
+    caught.  The raises are explicit, so ``python -O`` keeps them."""
+    shape = orbits[0].shape
+    start = 0
+    for triple in admissible_triples(shape):
+        n = triple_count(shape, triple)
+        block = orbits[start : start + n]
+        if not 0 < n == len(block) or block[0].triple() != triple or block[-1].triple() != triple:
+            raise AssertionError(f"{shape}: orbit {start} does not start a {triple} block of {n}")
+        yield triple, block
+        start += n
+    if start != len(orbits):
+        raise AssertionError(f"the type blocks of {shape} cover {start} of {len(orbits)} orbits")
+
+
 @lru_cache(maxsize=None)
 def count_orbits(shape: Shape) -> int:
     """Closed-form orbit count: the sum of ``triple_count`` over admissible

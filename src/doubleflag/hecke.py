@@ -693,7 +693,10 @@ def weyl_decompose(shape: Shape) -> list:
       ends, a bijection between them and the s and t marks among the
       remaining vertices: C(p, k) C(q, k) k! C(p-k, s) C(q-k, t) =
       ``triple_count`` choices, and distinct choices write distinct
-      partner arrays.
+      partner arrays.  That loop nest sits inside the loop over
+      ``admissible_triples``, so the enumeration lists the orbits type by
+      type in that order, ``triple_count`` of each: the text writers cut
+      their type blocks by these closed forms (``core._type_blocks``).
 
     So each type is one W-orbit of n = ``triple_count`` members, and
     orbit-stabilizer gives |Stab(g)| = p! q! / n = k! s! s'! t! t'!, the

@@ -65,12 +65,12 @@ import operator
 from collections import namedtuple
 from functools import reduce
 
-from .core import Graph, Shape, enumerate_graphs, invariants, rank_matrix
+from .core import Graph, Shape, _type_blocks, enumerate_graphs, invariants, rank_matrix
 
 # One DOT node: its index, then the graph record ``json.dumps(record,
 # sort_keys=True)`` writes, with each quote escaped, then the dimension.
-# ``to_dot`` fills it once per orbit type: the three lists' contents with
-# that type's layout, the shape with its sizes, and ``%d`` elsewhere.
+# ``to_dot`` fills it once per orbit-type block: the three lists' contents
+# with that type's layout, the shape with its sizes, and ``%d`` elsewhere.
 _NODE = (
     '  n%s [label="{\\"edges\\": [%s], \\"marked_minus\\": [%s], \\"marked_plus\\": [%s],'
     ' \\"p\\": %s, \\"q\\": %s, \\"r\\": %s}\\ndim %s"];'
@@ -180,9 +180,13 @@ def to_dot(poset: OrbitPoset) -> str:
     """DOT rendering: one node per orbit labelled with its JSON record and
     dimension, same-dimension nodes on one rank, covers drawn upward.
 
-    Each orbit type (k, s, t) gets one node template, ``_NODE`` with the
-    shape written in and ``%d`` for the index, the dimension and each int
-    of ``Graph.record_ints``; every node of the type fills it with its own.
+    The nodes are written block by block, one block per orbit type
+    (k, s, t), from ``core._type_blocks``: the orbits are listed type by
+    type with ``triple_count`` of each (the enumeration-order proof in
+    ``hecke.weyl_decompose``'s docstring), so no orbit's type is computed.
+    Each block gets one node template, ``_NODE`` with the shape written in
+    and ``%d`` for the index, the dimension and each int of
+    ``Graph.record_ints``; every node of the block fills it with its own.
     That is exact for two reasons.  ``json.dumps`` writes a list of ints
     from those ints alone: ``[``, the ints joined by ", ", ``]``, each int
     as ``%d`` writes it, and a list of [i, j] pairs the same way.  And one
@@ -191,16 +195,15 @@ def to_dot(poset: OrbitPoset) -> str:
     fixed ``%`` formats of their indices.
     """
     lines = ["digraph orbits {", "  rankdir=BT;", "  node [shape=box];"]
-    templates = {}
+    # Each block takes the next (index, dimension) pairs: zip reads the
+    # block first, so it stops without taking a pair past the block.
+    nodes = enumerate(poset.dims)
+    for (k, s, t), block in _type_blocks(poset.orbits):
+        lists = (", ".join(["[%d, %d]"] * k), ", ".join(["%d"] * t), ", ".join(["%d"] * s))
+        template = _NODE % ("%d", *lists, *poset.shape, "%d")
+        lines += [template % (idx, *g.record_ints(), d) for g, (idx, d) in zip(block, nodes)]
     levels = {}
-    for idx, (g, d) in enumerate(zip(poset.orbits, poset.dims)):
-        triple = g.triple()
-        template = templates.get(triple)
-        if template is None:
-            k, s, t = triple
-            lists = (", ".join(["[%d, %d]"] * k), ", ".join(["%d"] * t), ", ".join(["%d"] * s))
-            template = templates[triple] = _NODE % ("%d", *lists, *poset.shape, "%d")
-        lines.append(template % (idx, *g.record_ints(), d))
+    for idx, d in enumerate(poset.dims):
         levels.setdefault(d, []).append(idx)
     for d in sorted(levels):
         lines.append("  { rank=same; %s }" % " ".join(map("n%d;".__mod__, levels[d])))

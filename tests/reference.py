@@ -1,10 +1,11 @@
 """Test-only reference implementations shared by the test modules."""
 
 import math
+from collections import Counter
 from itertools import chain
 
 from doubleflag import hecke
-from doubleflag.core import enumerate_graphs, rank_matrix, triple_count
+from doubleflag.core import enumerate_graphs, rank_matrix, triple_count, weyl_act
 from doubleflag.hecke import Basis, ModuleVector, RelationCheck, WeylBlock, _case, generators
 from doubleflag.polynomial import ZERO
 
@@ -175,3 +176,97 @@ def reference_weyl_blocks(shape):
             raise AssertionError(f"orbit size mismatch for type {triple}")
         blocks.append(WeylBlock(*triple, len(orbit), group_order // len(orbit)))
     return sorted(blocks)
+
+
+def partitions(n, largest=None):
+    """Every partition of n, each as a tuple of parts in non-increasing
+    order, none larger than ``largest`` (default n)."""
+    if n == 0:
+        return [()]
+    largest = n if largest is None else min(n, largest)
+    return [(part, *rest) for part in range(largest, 0, -1) for rest in partitions(n - part, part)]
+
+
+def centralizer_order(parts):
+    """z = prod_i i^m_i m_i!, over the part sizes i with m_i parts: the
+    order of the centralizer in S_n of a permutation of that cycle type."""
+    z = 1
+    for size in set(parts):
+        m = parts.count(size)
+        z *= size**m * math.factorial(m)
+    return z
+
+
+def class_size(parts):
+    """The number of permutations of that cycle type: n! / z."""
+    return math.factorial(sum(parts)) // centralizer_order(parts)
+
+
+def permutation_of_type(parts):
+    """A permutation of 1..n, in the one-line form ``weyl_act`` takes, with
+    one cycle per part on consecutive labels."""
+    w, start = [], 1
+    for size in parts:
+        w += [*range(start + 1, start + size), start]
+        start += size
+    return tuple(w)
+
+
+def reference_stabilizer_class_count(shape, triple, lam, mu):
+    """|H & cl(w)| for w of cycle type (lam, mu) in S_p x S_q, where H =
+    (diagonal S_k) x S_s x S_s' x S_t x S_t' is the stabilizer of a graph
+    of type (k, s, t), s' = p-k-s and t' = q-k-t.  An element (u, a, b, c,
+    d) of H moves the k edge ends of each side by the same u, so its cycle
+    type is u + a + b on the + side and u + c + d on the - side; count the
+    elements by their five cycle types.  Reads the type alone: no graph,
+    partner row or ``triple_count``."""
+    k, s, t = triple
+    lam, mu = sorted(lam), sorted(mu)
+    total = 0
+    for u in partitions(k):
+        for a in partitions(s):
+            for b in partitions(shape.p - k - s):
+                if sorted(u + a + b) != lam:
+                    continue
+                for c in partitions(t):
+                    for d in partitions(shape.q - k - t):
+                        if sorted(u + c + d) == mu:
+                            total += math.prod(map(class_size, (u, a, b, c, d)))
+    return total
+
+
+def reference_fixed_orbits(shape, w):
+    """The number of orbits of each type that w = (w1, w2) fixes under
+    ``weyl_act``, the q = 1 action, counted over the enumeration."""
+    counts = Counter()
+    for g in enumerate_graphs(shape):
+        if weyl_act(w, g) == g:
+            counts[g.triple()] += 1
+    return counts
+
+
+def weyl_character_mismatches(
+    shape, blocks, fixed=reference_fixed_orbits, in_stabilizer=reference_stabilizer_class_count
+):
+    """The classes (lam, mu) of S_p x S_q at which ``blocks`` (as
+    ``weyl_decompose`` returns them) disagree with the fixed orbits.  The
+    character of Ind_H^W 1 at w is |C_W(w)| |H & cl(w)| / |H|, and the
+    fixed orbits of a type under w count the character of its block, for
+    |H| the block's stabilizer order.  A class matches when that holds for
+    every block and no orbit of a type without a block is fixed.  At the
+    identity the character is p! q! / |H|, the block's orbit count, so
+    every ``triple_count`` that ``weyl_decompose`` reads is checked against
+    the enumeration without this reference reading one."""
+    types = {blk[:3]: blk.stabilizer_order for blk in blocks}
+    mismatches = []
+    for lam in partitions(shape.p):
+        for mu in partitions(shape.q):
+            observed = fixed(shape, (permutation_of_type(lam), permutation_of_type(mu)))
+            centralizer = centralizer_order(lam) * centralizer_order(mu)
+            ok = set(observed) <= set(types)
+            for triple, order in types.items():
+                h = in_stabilizer(shape, triple, lam, mu)
+                ok &= observed[triple] * order == centralizer * h
+            if not ok:
+                mismatches.append((lam, mu))
+    return mismatches

@@ -3,8 +3,10 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,7 +19,9 @@ from doubleflag import (
     Graph,
     ModuleVector,
     Shape,
+    admissible_triples,
     cli,
+    core,
     enumerate_graphs,
     hecke,
     invariants,
@@ -157,6 +161,59 @@ def test_hasse_and_invariants_build_one_record_per_orbit_type(monkeypatch, capsy
     assert run(capsys, "hasse", *shape_flags(shape))[0] == 0
     assert run(capsys, "invariants", *shape_flags(shape), "--format", "json")[0] == 0
     assert calls == []
+
+
+# The subcommands whose text writers cut the orbits into type blocks.
+BLOCK_WRITERS = [["hasse"], ["enumerate"], ["invariants", "--format", "json"]]
+
+
+@pytest.mark.parametrize("command", BLOCK_WRITERS, ids=lambda c: c[0])
+def test_writers_refuse_shifted_type_blocks(monkeypatch, capsys, command):
+    # triple_count damaged where the writers look it up, one type +1 and
+    # the next -1, so the total (and the budget check) still holds: every
+    # adjacent pair of (2,2,2)'s types must end the call with exit 1 and
+    # nothing on stdout.
+    shape = Shape(2, 2, 2)
+    triples = admissible_triples(shape)
+    exact = core.triple_count
+    for a, b in zip(triples, triples[1:]):
+        shift = {a: 1, b: -1}
+        monkeypatch.setattr(
+            core, "triple_count", lambda s, t, shift=shift: exact(s, t) + shift.get(t, 0)
+        )
+        code = main([command[0], *shape_flags(shape), *command[1:]])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, ""), (command, a)
+        assert captured.err.startswith("verification failure: "), captured.err
+
+
+def test_shifted_type_blocks_refused_under_optimize():
+    # ``python -O`` strips asserts; the block check must still end each
+    # writer's call with exit 1 and nothing on stdout.
+    script = (
+        "import contextlib, io\n"
+        "from doubleflag import cli, core\n"
+        "print(__debug__)\n"
+        "exact = core.triple_count\n"
+        "shift = {(0, 1, 1): 1, (0, 2, 0): -1}\n"
+        "core.triple_count = lambda s, t: exact(s, t) + shift.get(t, 0)\n"
+        f"for command in {BLOCK_WRITERS!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = cli.main([command[0], '--p', '2', '--q', '2', '--r', '2', *command[1:]])\n"
+        "    print(code, repr(out.getvalue()))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n" + "1 ''\n" * len(BLOCK_WRITERS)
+    assert proc.stderr.count("verification failure: ") == len(BLOCK_WRITERS)
 
 
 def test_hecke_matrix_bytes_match_csv_writer(capsys):

@@ -362,6 +362,62 @@ class TestEnumerate:
         assert count_orbits(SHAPE_534) == 850
         assert len(enumerate_graphs(SHAPE_534)) == 850
 
+    def test_type_blocks_cover_enumeration(self):
+        # The text writers' premise: on every shape with p+q <= 8 the blocks
+        # cut by triple_count, in admissible_triples order, are the
+        # enumeration in order, and each orbit's type is its block's.
+        for n in range(2, 9):
+            for p in range(1, n):
+                for r in range(n + 1):
+                    shape = Shape(p, n - p, r)
+                    orbits = enumerate_graphs(shape)
+                    blocks = list(core._type_blocks(orbits))
+                    assert [triple for triple, _ in blocks] == admissible_triples(shape)
+                    assert tuple(itertools.chain(*(block for _, block in blocks))) == orbits
+                    for triple, block in blocks:
+                        assert {g.triple() for g in block} == {triple}, (shape, triple)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda triples: {triples[0]: 1, triples[1]: -1},
+            lambda triples: {triples[0]: -1, triples[1]: 1},
+            lambda triples: {triples[5]: 1, triples[6]: -1},
+            lambda triples: {triples[-1]: -1},
+            lambda triples: {triples[-1]: 1},
+            lambda triples: {triples[0]: -1},
+        ],
+        ids=[
+            "first_up_next_down",
+            "first_down_next_up",
+            "middle_pair",
+            "last_short",
+            "last_long",
+            "first_short",
+        ],
+    )
+    def test_type_blocks_refuse_miscounts(self, monkeypatch, damage):
+        # A count off by one moves a block's end onto a neighbouring type,
+        # or leaves the blocks short of or past the enumeration.
+        shape = Shape(3, 3, 3)
+        orbits = enumerate_graphs(shape)
+        shift = damage(admissible_triples(shape))
+        exact = core.triple_count
+        monkeypatch.setattr(core, "triple_count", lambda s, t: exact(s, t) + shift.get(t, 0))
+        with pytest.raises(AssertionError):
+            list(core._type_blocks(orbits))
+
+    def test_type_blocks_refuse_an_emptied_block(self, monkeypatch):
+        # (2,2,2) has one orbit of type (0,0,2): a count of 0 for it is an
+        # empty block, refused before any orbit of it is read.
+        shape = S222
+        orbits = enumerate_graphs(shape)
+        exact = core.triple_count
+        shift = {(0, 0, 2): -1, (0, 1, 1): 1}
+        monkeypatch.setattr(core, "triple_count", lambda s, t: exact(s, t) + shift.get(t, 0))
+        with pytest.raises(AssertionError, match=r"orbit 0 does not start a \(0, 0, 2\) block of 0"):
+            list(core._type_blocks(orbits))
+
 
 class TestInvariants:
     def test_paper_example(self):

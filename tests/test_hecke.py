@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -30,7 +31,9 @@ from reference import (
     reference_operator_entries,
     reference_reflected,
     reference_relation_checks,
+    reference_stabilizer_class_count,
     reference_weyl_blocks,
+    weyl_character_mismatches,
 )
 
 S222 = Shape(2, 2, 2)
@@ -1019,7 +1022,45 @@ def _stabilizer_off_by_one(shape):
     ]
 
 
+def _class_count_off_by_one(shape, triple, lam, mu):
+    """|H & cl(w)| one too large."""
+    return reference_stabilizer_class_count(shape, triple, lam, mu) + 1
+
+
+def _fixed_on_plus_side_only(shape, w):
+    """Fixed orbits counted by the + partner array alone, so a w2 that
+    moves a - mark onto a free - vertex still counts as fixing the orbit."""
+    counts = Counter()
+    for g in enumerate_graphs(shape):
+        if weyl_act(w, g).plus == g.plus:
+            counts[g.triple()] += 1
+    return counts
+
+
 class TestWeylDecompose:
+    def test_matches_induced_characters(self):
+        # A reference that reads no partner row: at each class (lam, mu) of
+        # S_p x S_q, each type's fixed orbits under weyl_act count its
+        # block's induced character.  At the identity that is the block's
+        # orbit count, so this also checks the triple_count closed forms
+        # that the text writers cut their type blocks by.
+        shapes = small_shapes(8)
+        assert len(shapes) == 196
+        assert {
+            shape: weyl_character_mismatches(shape, weyl_decompose(shape)) for shape in shapes
+        } == dict.fromkeys(shapes, [])
+
+    @pytest.mark.parametrize(
+        "hook, mutant",
+        [("in_stabilizer", _class_count_off_by_one), ("fixed", _fixed_on_plus_side_only)],
+        ids=["class_count_off_by_one", "fixed_count_skips_minus_side"],
+    )
+    def test_character_mutant_fails(self, hook, mutant):
+        assert any(
+            weyl_character_mismatches(shape, weyl_decompose(shape), **{hook: mutant})
+            for shape in small_shapes(8)
+        )
+
     def test_matches_reference_walk(self):
         # The blocks read off the types equal those of the walk, which
         # checks each orbit's size against its type's triple_count.
