@@ -25,7 +25,7 @@ a template that it builds once per process and orbit type by calling
 ``json.dumps`` on a record of that layout with every int 0.  It takes the
 orbits of each type as one block, cut from the enumeration by the closed
 forms ``core._type_blocks`` reads (``triple_count`` orbits per type, in
-``admissible_triples`` order, as ``hecke.weyl_decompose``'s docstring
+``admissible_triples`` order, as ``core.enumerate_graphs``'s docstring
 proves), so no orbit's type is computed; ``hasse``'s ``poset.to_dot``
 writes its nodes the same way.  CSV is
 written directly, byte-identical to ``csv.writer``'s default dialect.
@@ -285,8 +285,8 @@ def _json_rows(graphs, kind: str) -> str:
 
     The rows are written block by block, one block per orbit type, from
     ``core._type_blocks``: the enumeration lists the orbits type by type
-    with ``triple_count`` of each (the enumeration-order proof in
-    ``hecke.weyl_decompose``'s docstring), so no orbit's type is computed
+    with ``triple_count`` of each (the proof of the order by type in
+    ``core.enumerate_graphs``'s docstring), so no orbit's type is computed
     and each template is looked up once per type and call.
     ``_row_template`` is an ``lru_cache`` keyed by (kind, type), so each
     template is built once per process, however many shapes and calls

@@ -180,23 +180,29 @@ class Graph(namedtuple("Graph", "shape plus minus")):
 
 def make_graph(shape, edges=(), marked_plus=(), marked_minus=()) -> Graph:
     """The graph with edges (i, j), joining i+ to j-, and marks, from plain
-    iterables.  Raises ValueError for a label out of range, two edges on one
-    vertex, a marked edge end, or #edges + #marks != r.  The first three are
-    checked here because ``Graph`` sees only the arrays, where a later edge
-    or a mark overwrites an entry and can leave another, valid graph."""
+    iterables.  Raises ValueError for a label out of range, an edge or a
+    mark given twice, two edges on one vertex, a marked edge end, or
+    #edges + #marks != r.  The first four are checked here because
+    ``Graph`` sees only the arrays, where a later edge or a mark overwrites
+    an entry and can leave another, valid graph, and a repeat would leave
+    a graph whose ``to_json`` lists it once."""
     plus, minus = [0] * (shape.p + 1), [0] * (shape.q + 1)
-    for i, j in frozenset(tuple(e) for e in edges):
+    for i, j in edges:
         if not (1 <= i <= shape.p and 1 <= j <= shape.q):
             raise ValueError(f"edge ({i}, {j}) has a vertex label out of range")
+        if plus[i] == j:
+            raise ValueError(f"edge ({i}, {j}) is given twice")
         if plus[i] or minus[j]:
             raise ValueError("two edges share a vertex")
         plus[i], minus[j] = j, i
     for array, marks in ((plus, marked_plus), (minus, marked_minus)):
-        for k in frozenset(marks):
+        for k in marks:
             if not 1 <= k < len(array):
                 raise ValueError(f"marked vertex {k} out of range")
             if array[k] > 0:
                 raise ValueError("a vertex is both marked and an edge endpoint")
+            if array[k]:
+                raise ValueError(f"marked vertex {k} is given twice")
             array[k] = -1
     return Graph(shape, tuple(plus), tuple(minus))
 
@@ -296,7 +302,18 @@ def enumerate_graphs(shape: Shape) -> tuple:
     sigma, each marked array is a copy of the edge array with -1 written
     at the marks: every - array once, before the + marks loop, and every
     + array once per + marks.  Each orbit is then built by ``Graph``, so
-    every check of ``Graph`` runs once per orbit."""
+    every check of ``Graph`` runs once per orbit.
+
+    Proof of the order by type.  For each admissible (k, s, t), and for no
+    other triple, the loop nest chooses the k + ends, the k - ends, a
+    bijection between them and the s and t marks among the remaining
+    vertices: C(p, k) C(q, k) k! C(p-k, s) C(q-k, t) = ``triple_count``
+    choices, and distinct choices write distinct partner arrays.  That
+    loop nest sits inside the loop over ``admissible_triples``, so the
+    enumeration lists the orbits type by type in that order,
+    ``triple_count`` of each.  ``_type_blocks`` cuts the text writers'
+    type blocks by these closed forms, and ``hecke.weyl_decompose`` reads
+    its blocks off them."""
     p, q = shape.p, shape.q
     out = []
     for k, s, t in admissible_triples(shape):
@@ -342,8 +359,8 @@ def _type_blocks(orbits):
     """Yield ((k, s, t), block) for each admissible type, in the order of
     ``admissible_triples``: the block is the next ``triple_count`` orbits
     of ``orbits``, which must be ``enumerate_graphs`` of their shape.  No
-    orbit's type is computed: ``hecke.weyl_decompose``'s docstring proves
-    that the enumeration lists the orbits type by type in that order, with
+    orbit's type is computed: ``enumerate_graphs``'s docstring proves that
+    the enumeration lists the orbits type by type in that order, with
     ``triple_count`` orbits of each type.  Raises AssertionError if a
     block is empty or runs past the end, if its first or last orbit has
     another type, or if the blocks do not use up ``orbits`` exactly; so a

@@ -688,15 +688,8 @@ def weyl_decompose(shape: Shape) -> list:
       (i'_m, j'_m), the marks M' and N' and the free vertices F' and G':
       it is g'.
     * The types are the admissible triples, and each has ``triple_count``
-      members.  For each admissible (k, s, t), and for no other triple,
-      the loop nest of ``enumerate_graphs`` chooses the k + ends, the k -
-      ends, a bijection between them and the s and t marks among the
-      remaining vertices: C(p, k) C(q, k) k! C(p-k, s) C(q-k, t) =
-      ``triple_count`` choices, and distinct choices write distinct
-      partner arrays.  That loop nest sits inside the loop over
-      ``admissible_triples``, so the enumeration lists the orbits type by
-      type in that order, ``triple_count`` of each: the text writers cut
-      their type blocks by these closed forms (``core._type_blocks``).
+      members (the proof of the order by type in
+      ``core.enumerate_graphs``'s docstring).
 
     So each type is one W-orbit of n = ``triple_count`` members, and
     orbit-stabilizer gives |Stab(g)| = p! q! / n = k! s! s'! t! t'!, the

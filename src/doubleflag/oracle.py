@@ -26,9 +26,12 @@ moves the same sampled points for every source orbit of a generator, so
 generator's pass until the pass has reused it.  Its key is small: the
 field's ``_Samples``, hashed by identity, the sampled point's index, the
 generator's column and c; its value is the image's orbit index, so a hit
-hashes no point.  ``_image`` computes the image itself.  An image that is
-not a classified point raises AssertionError naming the point, c and
-generator.
+hashes no point.  ``_image`` computes the image itself: it keeps every
+row whose pivot is not moved and puts the others back in RREF by
+``_scale_and_clear``, the step of ``_insert``'s elimination that scales a
+row to a leading 1 and clears its column, so the oracle has one such
+step.  An image that is not a classified point raises AssertionError
+naming the point, c and generator.
 """
 
 from __future__ import annotations
@@ -167,19 +170,44 @@ def enumerate_grassmannian(shape: Shape, field_size: int) -> list:
     return out
 
 
+def _scale_and_clear(rows, v, c: int, p: int) -> tuple:
+    """The rows with v added, as a tuple in descending order: v scaled to
+    1 at column c, and column c cleared in every other row by subtracting
+    a multiple of v.  ``v[c]`` must be nonzero mod p and v's entries in
+    range(p).  This is the oracle's one place that scales a row to a
+    leading 1; ``_insert`` and ``_image`` both call it.  With no other
+    row there is nothing to clear or sort, and ``(v,)`` is returned at
+    once."""
+    x = v[c]
+    if x != 1:
+        inv = pow(x, -1, p)
+        v = [y * inv % p for y in v]
+    v = tuple(v)
+    if not rows:
+        return (v,)
+    rows = [
+        tuple([(y - f * z) % p for y, z in zip(row, v)]) if (f := row[c]) else row
+        for row in rows
+    ]
+    rows.append(v)
+    rows.sort(reverse=True)
+    return tuple(rows)
+
+
 def _insert(basis: tuple, v, p: int) -> tuple:
     """The nonzero reduced row echelon rows mod p of span(basis, v), for
     ``basis`` in that form (with () the zero space) and ``v`` any integer
     vector of the same length; ``basis`` itself when v lies in its span.
 
-    This is the oracle's one elimination routine.  In four steps:
+    This is the oracle's one elimination routine.  In two steps:
 
     1. Reduce v mod p, and for each basis row subtract f times the row,
        where f is v's entry at the row's pivot ``row.index(1)``.  If v is
        then zero, return ``basis``.
-    2. Scale v by the inverse of its first nonzero entry, at column c.
-    3. Clear column c in every basis row by subtracting a multiple of v.
-    4. Sort the rows in descending tuple order.
+    2. With c the column of v's first nonzero entry, ``_scale_and_clear``
+       scales v to 1 at c, clears column c in every basis row by
+       subtracting a multiple of v, adds v and sorts the rows in
+       descending tuple order.
 
     Proof.  In reduced form each row's first nonzero entry is a 1, its
     pivot, and a pivot column is 0 in every other row; so ``row.index(1)``
@@ -188,22 +216,23 @@ def _insert(basis: tuple, v, p: int) -> tuple:
     subtraction zeroes v at k's pivot and leaves v's other pivot entries
     alone: v ends 0 at every pivot column, whatever the order.  If v is
     zero, it lay in span(basis).  Otherwise its first nonzero entry sits
-    at a column c that is no pivot column, and step 2 makes it 1.  Step 3
-    subtracts row[c] times v from a row; v is 0 before c and at every old
-    pivot column, and a row nonzero at c has its pivot before c, so each
-    row keeps its leading 1 and its zeros at the other pivots, and column
-    c is 0 in every row but v.  Step 3 also keeps the span, since v is
-    one of the rows.  So every row has a leading 1 in a column that is 0
-    in every other row.  Of two such rows, the one with the earlier pivot
-    has a 1 where the other has its leading 0s, so it is the larger tuple:
-    descending tuple order is pivot order, and the rows are the reduced
-    row echelon form of span(basis, v).  That form is unique to the
-    subspace, so equal spans give equal tuples.  Every entry is reduced
-    mod p, so it lies in range(p).
+    at a column c that is no pivot column, and step 2 makes it 1.  It
+    then subtracts row[c] times v from each row; v is 0 before c and at
+    every old pivot column, and a row nonzero at c has its pivot before
+    c, so each row keeps its leading 1 and its zeros at the other pivots,
+    and column c is 0 in every row but v.  Step 2 also keeps the span,
+    since v is one of the rows.  So every row has a leading 1 in a column
+    that is 0 in every other row.  Of two such rows, the one with the
+    earlier pivot has a 1 where the other has its leading 0s, so it is
+    the larger tuple: descending tuple order is pivot order, and the rows
+    are the reduced row echelon form of span(basis, v).  That form is
+    unique to the subspace, so equal spans give equal tuples.  Every
+    entry is reduced mod p, so it lies in range(p).
 
     From the zero span the loop of step 1 is empty and there is no row to
-    clear, so v is only reduced and scaled: ``(v,)`` is returned before
-    step 3.  ``graph_subspace`` sorts its rows in the same order.
+    clear or sort, so v is only reduced and scaled: ``_scale_and_clear``
+    returns ``(v,)`` at once.  ``graph_subspace`` sorts its rows in the
+    same order.
     """
     v = [x % p for x in v]
     for row in basis:
@@ -213,20 +242,7 @@ def _insert(basis: tuple, v, p: int) -> tuple:
     lead = next(filter(None, v), 0)
     if not lead:
         return basis
-    if lead != 1:
-        inv = pow(lead, -1, p)
-        v = [x * inv % p for x in v]
-    v = tuple(v)
-    if not basis:
-        return (v,)
-    c = v.index(1)
-    rows = [
-        tuple((x - row[c] * y) % p for x, y in zip(row, v)) if row[c] else row
-        for row in basis
-    ]
-    rows.append(v)
-    rows.sort(reverse=True)
-    return tuple(rows)
+    return _scale_and_clear(basis, v, v.index(lead), p)
 
 
 class _SpanTable:
@@ -615,70 +631,50 @@ def _image(w, a: int, c: int, p: int) -> tuple:
 
     u(c)^{-1} = I - c E_{a,a+1} and s_i swaps coordinates a and b = a+1
     (0-based), so each basis row changes in two coordinates only:
-    row[a], row[b] = row[b], row[a] - c row[b].
+    row[a], row[b] = row[b], row[a] - c row[b].  ``w`` must be in RREF
+    with entries in range(p), as every Grassmannian point is; then a
+    row's pivot is ``row.index(1)``.
 
-    ``w`` must be in RREF with entries in range(p), as every Grassmannian
-    point is.  Then only a pivot at a or at b can move, and the image is
-    put back in RREF by a local fix-up instead of folding its rows through
-    ``_insert``, which was 2.1-2.6 times slower per call on the four jobs
-    of the oracle benchmark workloads.  A row with a pivot after b is zero
-    at a and b and does not change, and a row with a pivot before a keeps
-    it.  Pivot columns other than a and b keep their single nonzero entry.
-    By the pivots at a and b:
+    Every row nonzero at a or b changes so.  A row whose pivot was
+    neither a nor b is kept in place; the at most two rows whose pivot
+    was a or b are taken out (``moved``) and put back by
+    ``_scale_and_clear``, the former b row first, each at a if its new
+    a-entry is nonzero, else at b.  Only a call that puts a row back
+    sorts the rows, in descending order.
 
-    * Neither: a and b are not pivot columns before or after, so the
-      changed rows are already in RREF.
-    * b only, in row k: row k was (0, 1) at (a, b) and becomes (1, -c),
-      with only zeros before a; every other row was 0 at b, so it becomes
-      0 at a.  The pivot moves to a, between the same neighbours, and the
-      rows are in RREF.
-    * a only, in row k: row k was (1, x) and becomes (x, 1 - c x); a row
-      j < k with entry y at b becomes (y, -c y).  If x != 0, scale row k
-      by 1/x and clear column a in rows 0..k-1.  Otherwise row k is
-      (0, 1): the pivot moves to b, and column b is cleared in rows
-      0..k-1.
-    * Both, in rows k and k+1: they were (1, 0) and (0, 1) and become
-      (0, 1) and (1, -c).  Swap the two rows, then add c times the lower
-      one to the upper one, which clears -c at b.
-
-    Each case needs at most one row swap, one row scaling and one column
-    cleared above that row; only rows nonzero at a or b are rebuilt.  In
-    RREF every entry before a row's pivot is 0 and the pivot is 1, so the
-    pivot is ``row.index(1)``.
+    Proof.  The changed rows span the image, since the map is invertible.
+    A kept row with its pivot before a keeps its leading 1 there, since
+    only entries after it change, and a kept row with its pivot after b
+    is 0 at a and b and does not change.  So kept rows keep their pivots,
+    and as entries outside a and b do not change, each stays 0 at every
+    other kept pivot column.  A row put back had its pivot at a or b, so
+    it is 0 before a and at every kept pivot column, and its first
+    nonzero entry is its new a-entry if that is nonzero, else its new
+    b-entry: it is 0 before its new leading column.  ``_scale_and_clear``
+    (see ``_insert``) then leaves every row with a leading 1 in a column
+    that is 0 in every other row, provided the row put back is also 0 at
+    the column of a row put back before it.  With two, they were (1, 0)
+    and (0, 1) at (a, b) and become (0, 1) and (1, -c).  Putting the
+    former b row back first sets its pivot at a, where the former a row
+    is 0; the former a row then goes back at b and clears the -c the first
+    left at b.  Descending tuple order is pivot order (see ``_insert``),
+    so the sorted rows are the image's unique RREF.
     """
     b = a + 1
-    rows = list(w)
-    ka = kb = -1
-    for k, row in enumerate(w):
+    rows, moved = [], []
+    for row in w:
         x, y = row[a], row[b]
         if x or y:
-            pivot = row.index(1)
-            if pivot == a:
-                ka = k
-            elif pivot == b:
-                kb = k
+            # the row is nonzero at a or b, so its pivot is at most b
+            out = moved if row.index(1) >= a else rows
             row = list(row)
             row[a], row[b] = y, (x - c * y) % p
-            rows[k] = tuple(row)
-    if ka >= 0 and kb >= 0:
-        upper, lower = rows[kb], rows[ka]
-        if c:
-            upper = tuple((u + c * v) % p for u, v in zip(upper, lower))
-        rows[ka], rows[kb] = upper, lower
-    elif ka >= 0:
-        row = rows[ka]
-        x = row[a]
-        if x:
-            if x != 1:
-                inv = pow(x, -1, p)
-                row = rows[ka] = tuple(v * inv % p for v in row)
-            col = a
+            out.append(tuple(row))
         else:
-            col = b
-        for j in range(ka):
-            f = rows[j][col]
-            if f:
-                rows[j] = tuple((u - f * v) % p for u, v in zip(rows[j], row))
+            rows.append(row)
+    while moved:  # the former b row, last in w, goes back first
+        v = moved.pop()
+        rows = _scale_and_clear(rows, v, a if v[a] else b, p)
     return tuple(rows)
 
 

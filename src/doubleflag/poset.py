@@ -182,8 +182,8 @@ def to_dot(poset: OrbitPoset) -> str:
 
     The nodes are written block by block, one block per orbit type
     (k, s, t), from ``core._type_blocks``: the orbits are listed type by
-    type with ``triple_count`` of each (the enumeration-order proof in
-    ``hecke.weyl_decompose``'s docstring), so no orbit's type is computed.
+    type with ``triple_count`` of each (the proof of the order by type in
+    ``core.enumerate_graphs``'s docstring), so no orbit's type is computed.
     Each block gets one node template, ``_NODE`` with the shape written in
     and ``%d`` for the index, the dimension and each int of
     ``Graph.record_ints``; every node of the block fills it with its own.

@@ -110,6 +110,26 @@ class TestGraphValidation:
             with pytest.raises(ValueError):
                 make_graph(shape, edges, marked_plus=[1], marked_minus=marked_minus)
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"edges": [[1, 1], [1, 1]]}, r"edge \(1, 1\) is given twice"),
+            ({"edges": [[2, 1], [1, 2], [2, 1]]}, r"edge \(2, 1\) is given twice"),
+            ({"marked_plus": [1, 1]}, "marked vertex 1 is given twice"),
+            ({"marked_minus": [2, 2]}, "marked vertex 2 is given twice"),
+        ],
+    )
+    def test_repeat_rejected(self, record, message):
+        # a set of the inputs would drop the repeat, and could return a
+        # valid graph whose record lists the edge or mark once
+        data = {"p": 2, "q": 2, "r": 1, "edges": [], "marked_plus": [], "marked_minus": []}
+        data.update(record)
+        shape = Shape(data["p"], data["q"], data["r"])
+        with pytest.raises(ValueError, match=message):
+            make_graph(shape, data["edges"], data["marked_plus"], data["marked_minus"])
+        with pytest.raises(ValueError, match=message):
+            Graph.from_json(data)
+
     def test_wrong_rank_rejected(self):
         with pytest.raises(ValueError):
             make_graph(Shape(2, 2, 2), [(1, 1)])

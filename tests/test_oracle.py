@@ -356,8 +356,8 @@ def _reference_transform(w, shape, side, i, c, field_size):
 
 
 def _reference_canonical_transform(w, a, c, p):
-    """Test-only copy of the transform before the local fix-up: the
-    two-coordinate row operation, then a full elimination."""
+    """Test-only copy of the transform by a full elimination: the
+    two-coordinate row operation, then ``reference_rref``."""
     rows = []
     for row in w:
         row = list(row)
@@ -367,7 +367,14 @@ def _reference_canonical_transform(w, a, c, p):
 
 
 def _transform_case(w, a, c):
-    """Which branch of ``oracle._image`` the triple (w, a, c) takes."""
+    """The input class of (w, a, c) for ``oracle._image``: which of
+    columns a and b = a+1 are pivot columns of w, so which rows it puts
+    back; with both, whether c is 0, that is whether the second row put
+    back has a -c to clear; with a only, the a-row's entry x at b, which
+    becomes its new a-entry: 0 puts the row back at b, 1 at a unscaled,
+    and > 1 at a scaled by 1/x.
+    ``test_transform_matches_elimination_exhaustively`` must reach all
+    seven classes."""
     pivots = {row.index(1): k for k, row in enumerate(w)}
     if a in pivots and a + 1 in pivots:
         return "both, c = 0" if c == 0 else "both, c != 0"
